@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "power/power_timeline.h"
@@ -45,12 +47,18 @@ struct Fixture {
   std::vector<std::unique_ptr<RecordingDisk>> disks;
   std::vector<IoCompletion> completions;
 
+  /// `latency_step` > 0 gives disk i a service latency of
+  /// 1e-4 + i * latency_step, so children of concurrent transactions
+  /// complete interleaved rather than in submission order.
   std::unique_ptr<RaidController> make(std::size_t disk_count,
                                        RaidLevel level = RaidLevel::kRaid5,
-                                       bool merge = true) {
+                                       bool merge = true,
+                                       Seconds latency_step = 0.0) {
     std::vector<BlockDevice*> raw;
     for (std::size_t i = 0; i < disk_count; ++i) {
-      disks.push_back(std::make_unique<RecordingDisk>(sim, kDiskCapacity));
+      disks.push_back(std::make_unique<RecordingDisk>(
+          sim, kDiskCapacity,
+          1e-4 + static_cast<double>(i) * latency_step));
       raw.push_back(disks.back().get());
     }
     RaidGeometry geometry(level, disk_count, 128 * kKiB, kDiskCapacity);
@@ -244,6 +252,119 @@ TEST(RaidController, AggregatesMemberDiskPower) {
   auto raid = f.make(6);
   EXPECT_DOUBLE_EQ(raid->power_at(0.0), 6.0);   // 1 W per recording disk
   EXPECT_DOUBLE_EQ(raid->energy_until(5.0), 30.0);
+}
+
+// ---- Transaction slot reuse ----------------------------------------------
+// In-flight merged ops live in recycled slots; these pin that a slot's
+// release, reuse and re-entrant submits never lose, duplicate or mix up a
+// logical request.
+
+TEST(RaidController, CompletionCallbackCanResubmitWhileSlotIsReleased) {
+  Fixture f;
+  auto raid = f.make(6);
+  std::vector<std::uint64_t> done_ids;
+  std::uint64_t next_id = 100;
+  constexpr std::uint64_t kLastId = 139;  // 40 resubmitted writes
+  std::function<void(const IoCompletion&)> on_done =
+      [&](const IoCompletion& c) {
+        done_ids.push_back(c.id);
+        if (next_id > kLastId) return;
+        // Re-entrant submit from inside the releasing transaction's member
+        // loop: a 4 KiB write (read-modify-write) 2 MiB from any other.
+        const std::uint64_t id = next_id++;
+        raid->submit(IoRequest{id, static_cast<Sector>(id) * 4096, 4096,
+                               OpType::kWrite},
+                     on_done);
+      };
+  // Four contiguous reads merge into one transaction with four members;
+  // each member's completion resubmits while that slot is being released.
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    raid->submit(IoRequest{i, static_cast<Sector>(i) * 32, 16 * kKiB,
+                           OpType::kRead},
+                 on_done);
+  }
+  f.sim.run();
+
+  std::vector<std::uint64_t> expected = {0, 1, 2, 3};
+  for (std::uint64_t id = 100; id <= kLastId; ++id) expected.push_back(id);
+  std::sort(done_ids.begin(), done_ids.end());
+  EXPECT_EQ(done_ids, expected);  // each request completed exactly once
+  EXPECT_EQ(raid->outstanding(), 0u);
+  const auto& stats = raid->stats();
+  EXPECT_EQ(stats.logical_reads, 4u);
+  EXPECT_EQ(stats.logical_writes, 40u);
+  EXPECT_EQ(stats.merged_batches, 1u);
+  EXPECT_EQ(stats.child_reads, 1u + 40u * 2u);  // merged read + RMW reads
+  EXPECT_EQ(stats.child_writes, 40u * 2u);
+  EXPECT_EQ(stats.rmw_rows, 40u);
+  EXPECT_EQ(f.total_child_ops(), stats.child_reads + stats.child_writes);
+}
+
+/// Submit writes that each straddle a stripe-row boundary (the last 64 KiB
+/// of row k-1's last data unit plus the first 64 KiB of row k's first),
+/// for k = 1, 3, 5, 7: eight partial rows, four concurrent two-row RMW
+/// transactions. Every round is submitted in one batch window and drained.
+void run_straddling_writes(Fixture& f, RaidController& raid, int rounds) {
+  const Bytes row_bytes = 5 * 128 * kKiB;
+  for (int round = 0; round < rounds; ++round) {
+    for (std::uint64_t k = 1; k <= 7; k += 2) {
+      const Bytes at = k * row_bytes - 64 * kKiB;
+      raid.submit(IoRequest{static_cast<std::uint64_t>(round) * 10 + k,
+                            at / kSectorSize, 128 * kKiB, OpType::kWrite},
+                  f.collect());
+    }
+    f.sim.run();
+  }
+}
+
+std::vector<std::uint64_t> sorted_ids(const std::vector<IoCompletion>& done) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& c : done) ids.push_back(c.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+const std::vector<std::uint64_t> kStraddleIds = {1,  3,  5,  7,  11, 13,
+                                                 15, 17, 21, 23, 25, 27};
+
+TEST(RaidController, InterleavedMultiRowRmwReusesSlotsHealthy) {
+  Fixture f;
+  auto raid = f.make(6, RaidLevel::kRaid5, true, /*latency_step=*/0.7e-4);
+  run_straddling_writes(f, *raid, 3);
+
+  EXPECT_EQ(sorted_ids(f.completions), kStraddleIds);
+  EXPECT_EQ(raid->outstanding(), 0u);
+  const auto& stats = raid->stats();
+  // Per write and row: read old data + old parity, write both back.
+  EXPECT_EQ(stats.logical_writes, 12u);
+  EXPECT_EQ(stats.rmw_rows, 12u * 2u);
+  EXPECT_EQ(stats.child_reads, 12u * 4u);
+  EXPECT_EQ(stats.child_writes, 12u * 4u);
+  EXPECT_EQ(stats.full_stripe_writes, 0u);
+  EXPECT_EQ(stats.merged_batches, 0u);
+  EXPECT_EQ(f.total_child_ops(), stats.child_reads + stats.child_writes);
+}
+
+TEST(RaidController, InterleavedMultiRowRmwReusesSlotsDegraded) {
+  Fixture f;
+  auto raid = f.make(6, RaidLevel::kRaid5, true, /*latency_step=*/0.7e-4);
+  // Disk 4 holds row 0's and row 6's last data unit (k = 1, 7:
+  // reconstruct-write, 4 surviving-data reads + 1 parity write) and row
+  // 1's and row 7's parity (no reads, 1 data write). Rows 2-5 (k = 3, 5)
+  // keep the classic RMW (2 reads, 2 writes each).
+  raid->fail_disk(4);
+  run_straddling_writes(f, *raid, 3);
+
+  EXPECT_EQ(sorted_ids(f.completions), kStraddleIds);
+  EXPECT_EQ(raid->outstanding(), 0u);
+  const auto& stats = raid->stats();
+  EXPECT_EQ(stats.logical_writes, 12u);
+  EXPECT_EQ(stats.rmw_rows, 3u * 6u);
+  EXPECT_EQ(stats.child_reads, 3u * (4u + 2u + 2u + 2u + 2u + 4u));
+  EXPECT_EQ(stats.child_writes, 3u * (1u + 1u + 2u + 2u + 2u + 2u + 1u + 1u));
+  EXPECT_EQ(stats.reconstructed_reads, 0u);
+  EXPECT_TRUE(f.disks[4]->ops.empty());  // the failed member gets nothing
+  EXPECT_EQ(f.total_child_ops(), stats.child_reads + stats.child_writes);
 }
 
 }  // namespace
