@@ -1,11 +1,20 @@
 #!/usr/bin/env python3
 """Perf guardrail over BENCH_micro.json (google-benchmark JSON output).
 
-Fails (exit 1) when the sharded replay kernel's speedup over the classic
-kernel drops below the floor:
+Compares the classic replay kernel with the flat kernel on the HDD-array
+replay micro benchmark:
 
-    speedup = real_time(BM_ReplayHddArray) /
-              real_time(BM_ReplayHddArraySharded/<shards>)
+    ratio = real_time(BM_ReplayHddArray) /
+            real_time(BM_ReplayHddArraySharded/<shards>)
+
+Two modes (exit 1 when the gate fails):
+
+  --max-ratio=R    the classic kernel, which the product path runs, must
+                   stay within R times the flat kernel: fails when
+                   ratio > R. CI runs this with --shards=1 --max-ratio=1.5.
+  --min-speedup=S  the flat kernel must stay at least S times faster than
+                   the classic one: fails when ratio < S. The default mode
+                   (S = 2.0) when --max-ratio is not given.
 
 CI runs this in the bench-smoke job after micro_core; a PR labelled
 `skip-perf-guardrail` skips the step (noisy runners, or a change that
@@ -17,7 +26,8 @@ environment variable (comma-separated, exported by the workflow) contains
 cannot fail a PR that explicitly opted out even if the workflow-level
 condition is missed.
 
-Usage: check_bench_guardrail.py BENCH_micro.json [--shards=4] [--min-speedup=2.0]
+Usage: check_bench_guardrail.py BENCH_micro.json [--shards=4]
+           [--min-speedup=2.0 | --max-ratio=1.5]
 
 Exit codes: 0 pass/skip, 1 guardrail violation, 2 bad input (missing or
 malformed results file, bad flags).
@@ -38,15 +48,20 @@ def fail(message):
 
 
 def parse_args(argv):
+    """Returns (path, shards, min_speedup, max_ratio); exactly one of the
+    two thresholds is set, the other is None."""
     path = None
     shards = 4
-    min_speedup = 2.0
+    min_speedup = None
+    max_ratio = None
     try:
         for arg in argv[1:]:
             if arg.startswith("--shards="):
                 shards = int(arg.split("=", 1)[1])
             elif arg.startswith("--min-speedup="):
                 min_speedup = float(arg.split("=", 1)[1])
+            elif arg.startswith("--max-ratio="):
+                max_ratio = float(arg.split("=", 1)[1])
             elif arg.startswith("--"):
                 fail(f"unknown flag: {arg}")
             elif path is None:
@@ -59,9 +74,15 @@ def parse_args(argv):
         fail(__doc__)
     if shards < 1:
         fail(f"--shards must be >= 1, got {shards}")
-    if min_speedup <= 0:
+    if min_speedup is not None and max_ratio is not None:
+        fail("--min-speedup and --max-ratio are exclusive modes")
+    if max_ratio is None and min_speedup is None:
+        min_speedup = 2.0
+    if min_speedup is not None and min_speedup <= 0:
         fail(f"--min-speedup must be > 0, got {min_speedup}")
-    return path, shards, min_speedup
+    if max_ratio is not None and max_ratio <= 0:
+        fail(f"--max-ratio must be > 0, got {max_ratio}")
+    return path, shards, min_speedup, max_ratio
 
 
 def skip_labelled(environ=os.environ):
@@ -105,7 +126,7 @@ def best_time(benchmarks, name):
 
 
 def main(argv, environ=os.environ):
-    path, shards, min_speedup = parse_args(argv)
+    path, shards, min_speedup, max_ratio = parse_args(argv)
     if skip_labelled(environ):
         print(f"SKIPPED: PR carries the '{SKIP_LABEL}' label")
         return 0
@@ -113,17 +134,28 @@ def main(argv, environ=os.environ):
 
     classic = best_time(benchmarks, "BM_ReplayHddArray")
     sharded = best_time(benchmarks, f"BM_ReplayHddArraySharded/{shards}")
-    speedup = classic / sharded
+    ratio = classic / sharded
     print(f"BM_ReplayHddArray:           {classic:12.0f} ns")
     print(f"BM_ReplayHddArraySharded/{shards}: {sharded:12.0f} ns")
-    print(f"speedup: {speedup:.2f}x (guardrail: {min_speedup:.2f}x)")
-    if speedup < min_speedup:
-        print(
-            f"FAIL: sharded replay speedup {speedup:.2f}x is below the "
-            f"{min_speedup:.2f}x guardrail",
-            file=sys.stderr,
-        )
-        return 1
+    if max_ratio is not None:
+        print(f"classic/sharded: {ratio:.2f}x (guardrail: at most "
+              f"{max_ratio:.2f}x)")
+        if ratio > max_ratio:
+            print(
+                f"FAIL: classic replay is {ratio:.2f}x the sharded kernel's "
+                f"time, above the {max_ratio:.2f}x guardrail",
+                file=sys.stderr,
+            )
+            return 1
+    else:
+        print(f"speedup: {ratio:.2f}x (guardrail: {min_speedup:.2f}x)")
+        if ratio < min_speedup:
+            print(
+                f"FAIL: sharded replay speedup {ratio:.2f}x is below the "
+                f"{min_speedup:.2f}x guardrail",
+                file=sys.stderr,
+            )
+            return 1
     print("PASS")
     return 0
 

@@ -61,13 +61,34 @@ class TempFileMixin(unittest.TestCase):
 
 class ParseArgsTest(TempFileMixin):
     def test_defaults(self):
-        path, shards, min_speedup = guardrail.parse_args(["x", "b.json"])
-        self.assertEqual((path, shards, min_speedup), ("b.json", 4, 2.0))
+        args = guardrail.parse_args(["x", "b.json"])
+        self.assertEqual(args, ("b.json", 4, 2.0, None))
 
     def test_threshold_and_shards_flags(self):
-        path, shards, min_speedup = guardrail.parse_args(
+        args = guardrail.parse_args(
             ["x", "--shards=8", "--min-speedup=3.5", "b.json"])
-        self.assertEqual((path, shards, min_speedup), ("b.json", 8, 3.5))
+        self.assertEqual(args, ("b.json", 8, 3.5, None))
+
+    def test_max_ratio_flag_selects_ratio_mode(self):
+        args = guardrail.parse_args(
+            ["x", "--shards=1", "--max-ratio=1.5", "b.json"])
+        self.assertEqual(args, ("b.json", 1, None, 1.5))
+
+    def test_both_modes_exit_2(self):
+        code, _, err = self.run_main(
+            ["--min-speedup=2.0", "--max-ratio=1.5", "b.json"])
+        self.assertEqual(code, 2)
+        self.assertIn("exclusive", err)
+
+    def test_nonpositive_max_ratio_exits_2(self):
+        code, _, err = self.run_main(["--max-ratio=-1", "b.json"])
+        self.assertEqual(code, 2)
+        self.assertIn("max-ratio", err)
+
+    def test_non_numeric_max_ratio_exits_2(self):
+        code, _, err = self.run_main(["--max-ratio=slow", "b.json"])
+        self.assertEqual(code, 2)
+        self.assertIn("bad flag value", err)
 
     def test_non_numeric_threshold_exits_2(self):
         code, _, err = self.run_main(["--min-speedup=fast", "b.json"])
@@ -123,6 +144,53 @@ class GuardrailTest(TempFileMixin):
         code, _, err = self.run_main([path])
         self.assertEqual(code, 2)
         self.assertIn("not found", err)
+
+
+class MaxRatioTest(TempFileMixin):
+    """--max-ratio: the classic kernel must stay within R x the flat one."""
+
+    def test_passes_at_or_below_ratio(self):
+        path = self.write(json.dumps(bench_json([1200.0], [1000.0], 1)))
+        code, out, _ = self.run_main([path, "--shards=1", "--max-ratio=1.5"])
+        self.assertEqual(code, 0)
+        self.assertIn("1.20x", out)
+        self.assertIn("PASS", out)
+
+    def test_ratio_equal_to_bound_passes(self):
+        path = self.write(json.dumps(bench_json([1500.0], [1000.0], 1)))
+        code, out, _ = self.run_main([path, "--shards=1", "--max-ratio=1.5"])
+        self.assertEqual(code, 0)
+        self.assertIn("PASS", out)
+
+    def test_fails_above_ratio(self):
+        # A result the old speedup gate would pass (2.5x >= 2.0x) is what
+        # the ratio gate exists to reject.
+        path = self.write(json.dumps(bench_json([2500.0], [1000.0], 1)))
+        code, _, err = self.run_main([path, "--shards=1", "--max-ratio=1.5"])
+        self.assertEqual(code, 1)
+        self.assertIn("above the 1.50x guardrail", err)
+
+    def test_uses_min_of_repetitions(self):
+        # Best classic 1400 / best sharded 1000 = 1.4x; the slow classic
+        # repetition and the poisoned aggregate row must not count.
+        path = self.write(json.dumps(
+            bench_json([9000.0, 1400.0], [1000.0, 1100.0], 1)))
+        code, out, _ = self.run_main([path, "--shards=1", "--max-ratio=1.5"])
+        self.assertEqual(code, 0)
+        self.assertIn("1.40x", out)
+
+    def test_reads_the_requested_shard_count(self):
+        path = self.write(json.dumps(bench_json([1200.0], [1000.0], 4)))
+        code, _, err = self.run_main([path, "--shards=1", "--max-ratio=1.5"])
+        self.assertEqual(code, 2)
+        self.assertIn("BM_ReplayHddArraySharded/1", err)
+
+    def test_label_skips_ratio_mode(self):
+        code, out, _ = self.run_main(
+            ["/nonexistent/bench.json", "--shards=1", "--max-ratio=1.5"],
+            environ={"PR_LABELS": "skip-perf-guardrail"})
+        self.assertEqual(code, 0)
+        self.assertIn("SKIPPED", out)
 
 
 class SkipLabelTest(TempFileMixin):
