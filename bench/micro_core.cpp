@@ -16,7 +16,6 @@
 #include "workload/cello_model.h"
 #include "workload/zipf.h"
 #include "core/replay_engine.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "storage/disk_array.h"
 #include "trace/blk_format.h"
@@ -157,30 +156,12 @@ void BM_SimulatorEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvents);
 
-// POD-event counterpart of BM_SimulatorEvents: the sharded kernel's event
-// core dispatching the same 100k events through per-shard heaps (batch
-// mode: no closures, no slab, a switch in the caller instead of an
-// indirect call). Arg = shard count.
-void BM_ShardedSimulatorEvents(benchmark::State& state) {
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::ShardedSimulator sim(shards);
-    sim.reserve(100000 / shards + 16);
-    std::uint64_t fired = 0;
-    for (int i = 0; i < 100000; ++i) {
-      sim.schedule(static_cast<std::size_t>(i) % shards,
-                   static_cast<double>(i % 977) * 1e-3, 0,
-                   static_cast<std::uint32_t>(i));
-    }
-    sim::ShardEvent ev;
-    while (sim.pop(ev)) ++fired;
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          100000);
-}
-BENCHMARK(BM_ShardedSimulatorEvents)->Arg(1)->Arg(4)->Arg(8);
-
+// The whole replay path a campaign test runs: ReplayEngine::replay onto a
+// 6-disk RAID-5 DiskArray (controller, HDD models, power metering). The
+// CI perf guardrail (scripts/check_bench_guardrail.py) compares it with
+// BM_ProportionalFilter/100 from the same run. docs/PERF.md records the
+// removed flat replay kernel's last same-run figure on this trace as the
+// target for this path.
 void BM_ReplayHddArray(benchmark::State& state) {
   const trace::Trace trace = make_trace(2000, 4);
   for (auto _ : state) {
@@ -194,26 +175,6 @@ void BM_ReplayHddArray(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.package_count()));
 }
 BENCHMARK(BM_ReplayHddArray);
-
-// The sharded kernel replaying the identical trace/array — the tentpole's
-// headline number. Arg = shard count; results are bit-identical to
-// BM_ReplayHddArray's at every arg (tests/test_sharded_replay.cpp), so this
-// measures pure kernel overhead: POD events + flat txns + SoA batch
-// planning vs closures + shared_ptr + per-request math.
-void BM_ReplayHddArraySharded(benchmark::State& state) {
-  const trace::Trace trace = make_trace(2000, 4);
-  const auto config = storage::ArrayConfig::hdd_testbed(6);
-  core::ShardedReplayOptions sharded;
-  sharded.shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    core::ReplayEngine engine;
-    auto report = engine.replay_sharded(trace, config, sharded);
-    benchmark::DoNotOptimize(report.perf.iops);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.package_count()));
-}
-BENCHMARK(BM_ReplayHddArraySharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Same replay as BM_ReplayHddArray but streamed from an on-disk columnar
 // trace through the shared TraceSource loop (windowed decode + page

@@ -24,6 +24,7 @@
 
 #include "core/replay_engine.h"
 #include "obs/registry.h"
+#include "storage/cache_tier.h"
 #include "storage/disk_array.h"
 #include "storage/power_policy.h"
 #include "util/rng.h"
@@ -105,18 +106,16 @@ Outcome run(const trace::Trace& trace, Variant variant, Seconds duration,
   options.warmup_window = warmup;
   core::ReplayEngine engine(options);
 
-  auto config = storage::ArrayConfig::hdd_testbed(6);
-  if (has_cache(variant)) {
-    config.cache.enabled = true;
-    if (variant == Variant::kTierSpindown) {
-      // Deliberately undersized DRAM so the hot set spills into the SSD
-      // tier and the tier path carries real traffic.
-      config.cache.capacity = 256 * kKiB;  // 4 lines < the 8-line hot set
-      config.cache.tier_enabled = true;
-      config.cache.tier_capacity = 8 * kMiB;
-    }
+  storage::CacheTierParams cache_params;
+  if (variant == Variant::kTierSpindown) {
+    // Deliberately undersized DRAM so the hot set spills into the SSD
+    // tier and the tier path carries real traffic.
+    cache_params.capacity = 256 * kKiB;  // 4 lines < the 8-line hot set
+    cache_params.tier_enabled = true;
+    cache_params.tier_capacity = 8 * kMiB;
   }
-  storage::DiskArray array(engine.simulator(), config);
+  storage::DiskArray array(engine.simulator(),
+                           storage::ArrayConfig::hdd_testbed(6));
 
   storage::SpinDownPolicyParams policy;
   policy.idle_timeout = 10.0;
@@ -130,7 +129,7 @@ Outcome run(const trace::Trace& trace, Variant variant, Seconds duration,
   core::ReplayReport report;
   Outcome outcome;
   if (has_cache(variant)) {
-    storage::CacheTier cache(engine.simulator(), config.cache, array);
+    storage::CacheTier cache(engine.simulator(), cache_params, array);
     report = engine.replay(trace, cache);
     const auto& stats = cache.stats();
     const double lookups =

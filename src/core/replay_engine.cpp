@@ -48,8 +48,8 @@ void ReplayEngine::schedule_bunch(const trace::TraceSource& source,
   }
   auto issue = [this, &source, index, &device, warm_end] {
     // Warm-up bunches populate device state (caches, tiers) but stay out of
-    // the perf metrics; classification is by submit time, matching the
-    // sharded kernel. With warmup_window == 0 this is always true.
+    // the perf metrics; classification is by submit time (the hdd_warmup
+    // golden report pins it). With warmup_window == 0 this is always true.
     const bool measured = !(sim_.now() < warm_end);
     if (measured) {
       ++bunches_submitted_;

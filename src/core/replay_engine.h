@@ -24,10 +24,6 @@
 #include "trace/trace_source.h"
 #include "trace/trace_view.h"
 
-namespace tracer::storage {
-struct ArrayConfig;  // storage/disk_array.h; replay_sharded takes it by ref
-}
-
 namespace tracer::core {
 
 /// Fold a trace sector into the device, keeping request-size alignment so
@@ -88,34 +84,15 @@ struct ReplayReport {
   /// perf metrics above; zero when ReplayOptions::warmup_window is 0).
   std::uint64_t warmup_bunches = 0;
   std::uint64_t warmup_packages = 0;
-  /// DES events fired while this replay ran (both kernels report it).
+  /// DES events fired while this replay ran; pinned per case by the golden
+  /// reports (tests/test_golden_reports.cpp), so a change to the event
+  /// schedule shows up here.
   std::uint64_t events_dispatched = 0;
   /// Events scheduled at a time already in the past and clamped to now().
   /// Nonzero means the replayer silently drifted from the trace's timing —
   /// the accuracy benches assert this stays 0.
   std::uint64_t late_schedules = 0;
   std::vector<power::PowerSample> power_series;
-};
-
-/// Tuning for ReplayEngine::replay_sharded — the flat, shardable replay
-/// kernel (DESIGN.md §6g). The defaults reproduce the classic kernel's
-/// results exactly; `shards`/`planner_threads` only change how the work is
-/// partitioned, never the metrics (the determinism contract tested by
-/// tests/test_sharded_replay.cpp).
-struct ShardedReplayOptions {
-  /// Event-queue shards. Member disk d maps to shard d % shards;
-  /// controller/admission/sampler events pin to shard 0. Clamped to
-  /// [1, disk_count].
-  std::size_t shards = 1;
-  /// Service-plan worker threads. -1 = auto (min(shards - 1,
-  /// hardware_concurrency - 1)); 0 = plan inline on the replay thread in
-  /// SoA batches.
-  int planner_threads = 0;
-  /// Mark one member failed before replay (degraded RAID-5), mirroring
-  /// RaidController::fail_disk. -1 = healthy array.
-  int failed_disk = -1;
-  /// SoA staging-batch size for the mech planners.
-  std::size_t plan_block = 256;
 };
 
 class ReplayEngine {
@@ -156,36 +133,16 @@ class ReplayEngine {
   ReplayReport replay(const trace::Trace& trace, storage::BlockDevice& device,
                       const std::vector<power::PowerSource*>& extra_sources = {});
 
-  /// Sharded replay kernel (the tentpole of DESIGN.md §6g): replays the
-  /// trace against a disk array described by `config` using per-shard event
-  /// queues, POD events, a flat transaction slab, and batched SoA service
-  /// planning — no per-event closures, no shared_ptr transactions. Metrics
-  /// are bit-identical to replay() against a DiskArray built from the same
-  /// config, for every shard count and planner-thread count. Arrays whose
-  /// HDDs use a non-FIFO discipline fall back to the classic kernel
-  /// (service order would depend on queue inspection timing).
-  ReplayReport replay_sharded(const trace::TraceSource& source,
-                              const storage::ArrayConfig& config,
-                              const ShardedReplayOptions& sharded = {});
-  ReplayReport replay_sharded(const trace::TraceView& view,
-                              const storage::ArrayConfig& config,
-                              const ShardedReplayOptions& sharded = {});
-  ReplayReport replay_sharded(const trace::Trace& trace,
-                              const storage::ArrayConfig& config,
-                              const ShardedReplayOptions& sharded = {});
-
   sim::Simulator& simulator() { return sim_; }
 
  private:
-  friend class ShardedReplayKernel;  // replay_sharded.cpp implementation
-
   void schedule_bunch(const trace::TraceSource& source, std::size_t index,
                       storage::BlockDevice& device, Seconds warm_end);
 
-  /// Build the ReplayReport both kernels share: perf over the trace window,
-  /// channel-0 power statistics, extra channels, efficiency. Reads
-  /// monitor_ and the replay counters; the caller fills kernel-specific
-  /// fields (events_dispatched, late_schedules).
+  /// Build the ReplayReport of a finished replay: perf over the trace
+  /// window, channel-0 power statistics, extra channels, efficiency. Reads
+  /// monitor_ and the replay counters; the caller fills the simulator's
+  /// counters (events_dispatched, late_schedules).
   ReplayReport assemble_report(const trace::TraceSource& source,
                                power::PowerAnalyzer& analyzer, Seconds end,
                                std::size_t extra_channel_count);

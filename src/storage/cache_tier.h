@@ -1,6 +1,7 @@
 // Controller DRAM write-back cache + optional SSD-over-HDD tier, layered as
 // a BlockDevice wrapper in front of any backing device (DiskArray,
-// RaidController, a single drive). Both replay kernels drive it unchanged.
+// RaidController, a single drive). The replay engine drives it like any
+// other device.
 //
 // Why it exists: TRACER compares energy-conservation techniques by
 // IOPS/Watt, but a media-direct array model makes spin-down almost never
@@ -47,7 +48,6 @@
 namespace tracer::storage {
 
 struct CacheTierParams {
-  bool enabled = false;            ///< disabled ⇒ replay is bit-identical to media-direct
   Bytes capacity = 256 * kMiB;     ///< DRAM write-back cache size
   Bytes line_size = 64 * kKiB;     ///< cache line; multiple of kSectorSize
   double flush_threshold = 0.5;    ///< dirty ratio that triggers a flush batch

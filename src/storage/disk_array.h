@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "power/power_timeline.h"
-#include "storage/cache_tier.h"
 #include "storage/hdd_model.h"
 #include "storage/raid_controller.h"
 #include "storage/ssd_model.h"
@@ -32,11 +31,6 @@ struct ArrayConfig {
   Watts psu_overhead_fraction = 0.0;  ///< AC-side conversion loss multiplier
   Seconds controller_overhead = 0.05e-3;
   std::uint64_t seed = 42;
-  /// Controller cache / SSD tier in front of the array. Disabled by default
-  /// (the paper's testbeds run with the controller cache off); consumed by
-  /// the replay kernels and benches, which wrap the array in a CacheTier
-  /// when `cache.enabled`.
-  CacheTierParams cache;
 
   /// Table II HDD testbed: 6 x Seagate 7200.12, RAID-5, 128 KB strips,
   /// controller cache disabled.

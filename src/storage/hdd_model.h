@@ -124,7 +124,7 @@ class HddModel final : public BlockDevice {
   std::size_t queue_count_ = 0;
   Pending in_service_;  ///< valid while busy_; its completion reads it
   bool busy_ = false;
-  // Service mechanics are shared with the batch planners (mech_batch.h):
+  // Service mechanics come from the shared planner (mech_batch.h):
   // geometry is derived once, head/sequential state advances per request.
   HddMechGeometry geom_;
   HddMechState mech_;

@@ -70,54 +70,6 @@ HddServicePlan hdd_plan_service(const HddParams& params,
   return plan;
 }
 
-void hdd_plan_batch(const HddParams& params, const HddMechGeometry& geom,
-                    HddMechState& state, util::Rng& rng,
-                    const Sector* sectors, const Bytes* bytes,
-                    std::size_t count, HddServicePlan* out) {
-  // Hoist the loop-invariant constants; the per-element body is the same
-  // arithmetic as hdd_plan_service with the helper calls flattened.
-  const std::uint64_t spc = geom.sectors_per_cylinder;
-  const std::uint64_t max_cyl = params.cylinders - 1;
-  const double cyl_norm = static_cast<double>(max_cyl);
-  const double rate_base = params.outer_rate_mbps;
-  const double rate_slope = params.inner_rate_mbps - params.outer_rate_mbps;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Sector sector = sectors[i];
-    const Bytes size = bytes[i];
-    HddServicePlan& plan = out[i];
-    const std::uint64_t target_cyl =
-        std::min<std::uint64_t>(sector / spc, max_cyl);
-    const bool sequential =
-        state.have_position && sector == state.next_sequential_sector;
-    plan.sequential = sequential;
-    if (sequential) {
-      plan.seek = 0.0;
-      plan.rotation = 0.0;
-    } else {
-      const std::uint64_t from = state.head_cylinder;
-      const std::uint64_t distance =
-          from > target_cyl ? from - target_cyl : target_cyl - from;
-      plan.seek = distance == 0
-                      ? params.settle_time
-                      : params.track_to_track_seek +
-                            geom.seek_coefficient *
-                                std::sqrt(static_cast<double>(distance));
-      plan.rotation = rng.uniform(0.0, geom.rotation_period);
-    }
-    const double frac = static_cast<double>(target_cyl) / cyl_norm;
-    const double rate = (rate_base + rate_slope * frac) * 1.0e6;
-    plan.transfer = static_cast<double>(size) / rate;
-    plan.service =
-        params.command_overhead + plan.seek + plan.rotation + plan.transfer;
-
-    const Sector end_sector = sector + (size + kSectorSize - 1) / kSectorSize;
-    const Sector head_sector = end_sector ? end_sector - 1 : sector;
-    state.head_cylinder = std::min<std::uint64_t>(head_sector / spc, max_cyl);
-    state.next_sequential_sector = end_sector;
-    state.have_position = true;
-  }
-}
-
 std::size_t ssd_channels_for(const SsdParams& params, Bytes bytes) {
   const Bytes stripes =
       (bytes + params.internal_stripe - 1) / params.internal_stripe;
@@ -152,16 +104,6 @@ SsdServicePlan ssd_plan_service(const SsdParams& params, SsdMechState& state,
   plan.transfer = transfer;
   plan.service = params.command_overhead + transfer;
   return plan;
-}
-
-void ssd_plan_batch(const SsdParams& params, SsdMechState& state,
-                    const Sector* sectors, const Bytes* bytes,
-                    const std::uint8_t* ops, std::size_t count,
-                    SsdServicePlan* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = ssd_plan_service(params, state, sectors[i], bytes[i],
-                              ops[i] ? OpType::kWrite : OpType::kRead);
-  }
 }
 
 }  // namespace tracer::storage

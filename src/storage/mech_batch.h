@@ -1,18 +1,9 @@
 // Shared service-time mechanics for the disk models — the single source of
 // truth for HDD seek/rotation/transfer arithmetic and SSD channel/latency
-// math, extracted from HddModel/SsdModel so the sharded replay kernel can
-// precompute service plans in batches while staying bit-identical to the
-// per-request models.
-//
-// Key property exploited by the batch planners: with a FIFO discipline the
-// *duration* of a request's service depends only on the order of requests
-// on the disk (head position, sequential detection, the per-disk RNG
-// sequence), never on the absolute time service starts. So plans for every
-// queued request can be computed ahead of time — on another thread, in SoA
-// batches — and applied later at the legacy-faithful service-start moments.
-// The plan functions below consume the mech state and RNG in exactly the
-// order HddModel::start_next / SsdModel::start would, so the resulting
-// doubles are the same bits either way.
+// math. HddModel and SsdModel plan each request here when its service
+// starts; the plan functions consume the mech state and RNG in a fixed
+// order, so a replay's doubles are reproducible bit for bit (the golden
+// reports in tests/test_golden_reports.cpp pin them).
 #pragma once
 
 #include <cstddef>
@@ -51,15 +42,6 @@ HddServicePlan hdd_plan_service(const HddParams& params,
                                 HddMechState& state, util::Rng& rng,
                                 Sector sector, Bytes bytes);
 
-/// Batch planner: plan `count` FIFO-ordered requests in one pass over SoA
-/// inputs. Equivalent to calling hdd_plan_service per element — same state
-/// evolution, same RNG consumption — but branch-light and cache-friendly
-/// for the sharded kernel's staging arrays.
-void hdd_plan_batch(const HddParams& params, const HddMechGeometry& geom,
-                    HddMechState& state, util::Rng& rng,
-                    const Sector* sectors, const Bytes* bytes,
-                    std::size_t count, HddServicePlan* out);
-
 // ---------------------------------------------------------------------------
 // SSD mechanics
 // ---------------------------------------------------------------------------
@@ -71,11 +53,5 @@ std::size_t ssd_channels_for(const SsdParams& params, Bytes bytes);
 /// order of SsdModel::start (no RNG in the SSD service path).
 SsdServicePlan ssd_plan_service(const SsdParams& params, SsdMechState& state,
                                 Sector sector, Bytes bytes, OpType op);
-
-/// Batch planner over SoA inputs; ops packed as 0 = read, 1 = write.
-void ssd_plan_batch(const SsdParams& params, SsdMechState& state,
-                    const Sector* sectors, const Bytes* bytes,
-                    const std::uint8_t* ops, std::size_t count,
-                    SsdServicePlan* out);
 
 }  // namespace tracer::storage

@@ -1,4 +1,4 @@
-// POD mechanics types shared by the disk models and the batch planners in
+// POD mechanics types shared by the disk models and the planners in
 // mech_batch.h. Split out so hdd_model.h/ssd_model.h can embed them as
 // members while mech_batch.h (which needs the full param structs) sits
 // above both headers.

@@ -53,8 +53,8 @@ struct RaidGeometry {
   /// Allocation-free variant for hot paths: clears `out` and fills it with
   /// exactly what map() would return, reusing the vector's capacity. The
   /// extents' `row` fields are non-decreasing (logical order walks rows
-  /// forward), which the sharded replay kernel exploits to group rows with
-  /// a linear scan instead of a std::map.
+  /// forward), which RaidController exploits to group rows with a linear
+  /// scan instead of a std::map.
   void map_into(Bytes logical_byte, Bytes bytes, std::vector<Extent>& out) const;
 
   /// Disk-local sector of the parity unit in `row`, plus its disk.

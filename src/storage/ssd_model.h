@@ -79,8 +79,8 @@ class SsdModel final : public BlockDevice {
   std::deque<Pending> queue_;
   std::size_t busy_channels_ = 0;
   std::size_t active_requests_ = 0;
-  // Sequential-detection state shared with the batch planners
-  // (mech_batch.h); advances per dispatched request.
+  // Sequential-detection state for the shared planner (mech_batch.h);
+  // advances per dispatched request.
   SsdMechState mech_;
   std::uint64_t completed_ = 0;
 };

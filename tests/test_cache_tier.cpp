@@ -46,7 +46,6 @@ class FakeBacking final : public BlockDevice {
 
 CacheTierParams small_cache(std::size_t lines) {
   CacheTierParams params;
-  params.enabled = true;
   params.line_size = 64 * kKiB;
   params.capacity = lines * params.line_size;
   params.flush_threshold = 1.0;  // tests trigger flushes explicitly

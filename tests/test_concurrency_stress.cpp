@@ -13,10 +13,12 @@
 #include "core/evaluation_host.h"
 #include "core/realtime_replayer.h"
 #include "core/replay_engine.h"
+#include "mixed_trace.h"
 #include "net/communicator.h"
 #include "net/messenger.h"
 #include "obs/registry.h"
 #include "power/power_analyzer.h"
+#include "storage/disk_array.h"
 #include "util/thread_pool.h"
 
 namespace tracer {
@@ -296,91 +298,47 @@ TEST(ConcurrencyStress, ThreadPoolShutdownChurn) {
   EXPECT_EQ(executed.load(), 50u * 3u * 20u);
 }
 
-// Sharded replay with forced planner workers: the coordinator's append
-// (tail release-store) races the planner's batch planning (planned
-// release-store) on every lane, and a tiny plan block maximises
-// ensure_planned stalls and cv wakeups. TSan must see a clean handoff;
-// the default preset doubles this as a determinism check — worker-planned
-// results must equal inline-planned results exactly.
-TEST(ConcurrencyStress, ShardedPlannerHandoffUnderLoad) {
-  trace::Trace trace;
-  trace.device = "stress-sharded";
-  std::uint64_t state = 7;
-  for (std::size_t b = 0; b < 600; ++b) {
-    trace::Bunch bunch;
-    bunch.timestamp = static_cast<double>(b) * 0.002;
-    for (std::size_t p = 0; p < 1 + b % 3; ++p) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      bunch.packages.push_back(
-          trace::IoPackage{(state >> 16) % (1 << 20),
-                           4096 + (state >> 40) % 8 * 4096,
-                           (state >> 7) % 2 ? OpType::kRead : OpType::kWrite});
-    }
-    trace.bunches.push_back(std::move(bunch));
-  }
+// Four replays at once, each on its own ReplayEngine + DiskArray, the way
+// campaign executors run: the obs registry is shared, the simulations are
+// not. Each report must be the same bits as the same replay run alone.
+TEST(ConcurrencyStress, ConcurrentReplaysMatchSerial) {
+  auto replay = [](std::size_t r) {
+    const storage::ArrayConfig config =
+        r % 2 == 0 ? storage::ArrayConfig::hdd_testbed(6)
+                   : storage::ArrayConfig::ssd_testbed(4);
+    core::ReplayEngine engine;
+    storage::DiskArray array(engine.simulator(), config);
+    return engine.replay(test_support::mixed_trace(300, 100 + r), array);
+  };
 
-  for (const bool ssd : {false, true}) {
-    const storage::ArrayConfig config = ssd
-                                            ? storage::ArrayConfig::ssd_testbed(4)
-                                            : storage::ArrayConfig::hdd_testbed(6);
-    core::ShardedReplayOptions inline_opts;
-    inline_opts.shards = 4;
-    inline_opts.planner_threads = 0;
-    core::ReplayEngine inline_engine;
-    const core::ReplayReport reference =
-        inline_engine.replay_sharded(trace, config, inline_opts);
-
-    for (const int workers : {1, 2}) {
-      core::ShardedReplayOptions opts;
-      opts.shards = 4;
-      opts.planner_threads = workers;
-      opts.plan_block = 4;  // forces constant coordinator/planner traffic
-      core::ReplayEngine engine;
-      const core::ReplayReport report =
-          engine.replay_sharded(trace, config, opts);
-      EXPECT_EQ(report.perf.completions, reference.perf.completions);
-      EXPECT_EQ(report.perf.avg_response_ms, reference.perf.avg_response_ms);
-      EXPECT_EQ(report.joules, reference.joules);
-      EXPECT_EQ(report.events_dispatched, reference.events_dispatched);
-      EXPECT_EQ(report.late_schedules, 0u);
-    }
-  }
-}
-
-// Two sharded replays with planner workers running simultaneously on
-// different engines: per-shard obs counters and the global registry are
-// shared, the kernels are not — nothing may bleed between them.
-TEST(ConcurrencyStress, ConcurrentShardedReplays) {
-  const storage::ArrayConfig config = storage::ArrayConfig::hdd_testbed(6);
-  core::ShardedReplayOptions opts;
-  opts.shards = 3;
-  opts.planner_threads = 1;
-  opts.plan_block = 8;
-
-  std::vector<core::ReplayReport> reports(4);
+  std::vector<core::ReplayReport> concurrent(4);
   {
     std::vector<std::thread> replayers;
-    for (std::size_t r = 0; r < reports.size(); ++r) {
-      replayers.emplace_back([&, r] {
-        trace::Trace trace;
-        trace.device = "stress-parallel";
-        for (std::size_t b = 0; b < 300; ++b) {
-          trace::Bunch bunch;
-          bunch.timestamp = static_cast<double>(b) * 0.003;
-          bunch.packages.push_back(trace::IoPackage{
-              (b * 977 + r) % (1 << 18), 8192,
-              b % 2 ? OpType::kRead : OpType::kWrite});
-          trace.bunches.push_back(std::move(bunch));
-        }
-        core::ReplayEngine engine;
-        reports[r] = engine.replay_sharded(trace, config, opts);
-      });
+    for (std::size_t r = 0; r < concurrent.size(); ++r) {
+      replayers.emplace_back([&, r] { concurrent[r] = replay(r); });
     }
     for (auto& t : replayers) t.join();
   }
-  for (const auto& report : reports) {
-    EXPECT_EQ(report.late_schedules, 0u);
+  for (std::size_t r = 0; r < concurrent.size(); ++r) {
+    SCOPED_TRACE(r);
+    const core::ReplayReport serial = replay(r);
+    const core::ReplayReport& report = concurrent[r];
     EXPECT_GT(report.perf.completions, 0u);
+    EXPECT_EQ(report.late_schedules, 0u);
+    EXPECT_EQ(report.perf.completions, serial.perf.completions);
+    EXPECT_EQ(report.perf.bytes, serial.perf.bytes);
+    EXPECT_EQ(report.perf.avg_response_ms, serial.perf.avg_response_ms);
+    EXPECT_EQ(report.perf.p95_response_ms, serial.perf.p95_response_ms);
+    EXPECT_EQ(report.perf.max_response_ms, serial.perf.max_response_ms);
+    EXPECT_EQ(report.perf.iops_series, serial.perf.iops_series);
+    EXPECT_EQ(report.avg_watts, serial.avg_watts);
+    EXPECT_EQ(report.joules, serial.joules);
+    EXPECT_EQ(report.replay_duration, serial.replay_duration);
+    EXPECT_EQ(report.events_dispatched, serial.events_dispatched);
+    ASSERT_EQ(report.power_series.size(), serial.power_series.size());
+    for (std::size_t i = 0; i < report.power_series.size(); ++i) {
+      EXPECT_EQ(report.power_series[i].watts, serial.power_series[i].watts);
+    }
   }
 }
 

@@ -408,17 +408,33 @@ TEST(FleetEndToEnd, KillRestartResumeMatchesCleanRunExactly) {
   options.lease_duration = 2.0;
   options.shard_size = 16;
 
-  // Phase 1: coordinator runs, then is "killed" after ~60 merges.
+  // Phase 1: the coordinator runs until it has merged at least 60 records
+  // AND seen worker 0 hang up, then is "killed". The first step() leases
+  // tests 0-15 to worker 0, which dies before its 11th. Phase 1's lease
+  // is long enough never to lapse, so that shard stays worker 0's until
+  // it dies and the campaign cannot finish first: the kill and its
+  // detection happen in phase 1 however the threads are scheduled.
   CoordinatorOptions phase1 = options;
-  phase1.stop_after_merged = 60;
+  phase1.lease_duration = 600.0;
   FleetReport report1;
   {
     CampaignCoordinator coordinator(CampaignIdentity{"e2e", 0},
                                     dir / "journal.csv", links, phase1);
-    report1 = coordinator.run(matrix);
+    coordinator.begin(matrix);
+    const auto deadline = steady_clock::now() + std::chrono::seconds(60);
+    while (!(coordinator.report().merged >= 60 &&
+             coordinator.report().workers_dead == 1) &&
+           steady_clock::now() < deadline) {
+      if (!coordinator.step()) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(phase1.idle_sleep));
+      }
+    }
+    report1 = coordinator.report();
   }  // coordinator object destroyed; links and workers survive
   EXPECT_FALSE(report1.complete);
   EXPECT_GE(report1.merged, 60u);
+  ASSERT_EQ(report1.workers_dead, 1u) << "worker 0 not seen dead in 60 s";
 
   // Phase 2: a fresh coordinator adopts the links, re-opens the journal,
   // and finishes exactly the missing tests.

@@ -1,4 +1,5 @@
-// Golden ReplayReport literals for the classic replay kernel.
+// Golden ReplayReport literals for the replay path (ReplayEngine::replay
+// onto DiskArray, the path every campaign runs).
 //
 // Each case replays a fixed, seeded trace through ReplayEngine::replay on a
 // fixed device configuration and compares the report's headline numbers
@@ -19,10 +20,12 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/replay_engine.h"
+#include "mixed_trace.h"
 #include "storage/cache_tier.h"
 #include "storage/disk_array.h"
 #include "storage/hdd_model.h"
@@ -32,36 +35,7 @@
 namespace tracer::core {
 namespace {
 
-/// Multi-package bunches mixing random extents with contiguous 64 KiB run
-/// fragments, so one trace exercises the controller's elevator merge, RMW
-/// and full-stripe writes, and sequential HDD hits.
-trace::Trace mixed_trace(std::size_t bunches, std::uint64_t seed,
-                         double read_ratio) {
-  util::Rng rng(seed);
-  trace::Trace trace;
-  trace.device = "dev";
-  Sector seq_cursor = 4096;
-  for (std::size_t b = 0; b < bunches; ++b) {
-    trace::Bunch bunch;
-    bunch.timestamp = static_cast<double>(b) * 0.002;
-    const std::size_t packages = 1 + rng.below(4);
-    for (std::size_t p = 0; p < packages; ++p) {
-      trace::IoPackage pkg;
-      if (rng.chance(0.4)) {
-        pkg.sector = seq_cursor;
-        pkg.bytes = 64 * kKiB;
-        seq_cursor += pkg.bytes / kSectorSize;
-      } else {
-        pkg.sector = rng.below(1ULL << 28) * 8;
-        pkg.bytes = (1 + rng.below(32)) * 4096;
-      }
-      pkg.op = rng.chance(read_ratio) ? OpType::kRead : OpType::kWrite;
-      bunch.packages.push_back(pkg);
-    }
-    trace.bunches.push_back(std::move(bunch));
-  }
-  return trace;
-}
+using test_support::mixed_trace;
 
 /// Requests confined to stripe row 0 of a 6-disk, 128 KiB-unit RAID-5
 /// array. Left-symmetric parity puts row 0's parity on disk 5 and its first
@@ -99,18 +73,20 @@ struct Golden {
   std::uint64_t events_dispatched;
 };
 
-ReplayReport replay_array(const trace::Trace& trace,
-                          const storage::ArrayConfig& config,
-                          const ReplayOptions& options = {},
-                          int failed_disk = -1) {
+/// Replays onto a DiskArray, optionally behind a CacheTier built from
+/// `cache`.
+ReplayReport replay_array(
+    const trace::Trace& trace, const storage::ArrayConfig& config,
+    const ReplayOptions& options = {}, int failed_disk = -1,
+    const std::optional<storage::CacheTierParams>& cache = std::nullopt) {
   ReplayEngine engine(options);
   storage::DiskArray array(engine.simulator(), config);
   if (failed_disk >= 0) {
     array.controller().fail_disk(static_cast<std::size_t>(failed_disk));
   }
-  if (!config.cache.enabled) return engine.replay(trace, array);
-  storage::CacheTier cache(engine.simulator(), config.cache, array);
-  return engine.replay(trace, cache);
+  if (!cache) return engine.replay(trace, array);
+  storage::CacheTier tier(engine.simulator(), *cache, array);
+  return engine.replay(trace, tier);
 }
 
 /// DiskArray always merges; the merge-disabled controller is assembled by
@@ -135,13 +111,12 @@ ReplayReport replay_unmerged(const trace::Trace& trace) {
   return engine.replay(trace, controller);
 }
 
-storage::ArrayConfig cached_hdd() {
-  auto config = storage::ArrayConfig::hdd_testbed(6);
-  config.cache.enabled = true;
-  config.cache.capacity = 2 * kMiB;  // small: forces evictions and flushes
-  config.cache.tier_enabled = true;
-  config.cache.tier_capacity = 1 * kMiB;
-  return config;
+storage::CacheTierParams small_cache() {
+  storage::CacheTierParams params;
+  params.capacity = 2 * kMiB;  // small: forces evictions and flushes
+  params.tier_enabled = true;
+  params.tier_capacity = 1 * kMiB;
+  return params;
 }
 
 ReplayOptions warmed() {
@@ -182,11 +157,11 @@ std::vector<Case> cases() {
       {{"hdd_look_degraded", 765, 52.948991999999997, 1676.8037292180791, 82.932500000000005, 331.41939045150917, 3414},
        [=] { return replay_array(writes, look, {}, 3); }},
       {{"hdd_cache", 754, 50.720768, 519.42758952258555, 97.902500000000003, 418.94210073144393, 3451},
-       [=] { return replay_array(mixed, cached_hdd()); }},
+       [=] { return replay_array(mixed, hdd, {}, -1, small_cache()); }},
       {{"hdd_warmup", 513, 34.598911999999999, 2063.7588927681113, 91.527500000000003, 365.77945936034359, 2776},
        [=] { return replay_array(mixed, hdd, warmed()); }},
       {{"hdd_cache_warmup", 513, 34.598911999999999, 701.35433544647583, 97.717500000000001, 399.16317548691427, 3452},
-       [=] { return replay_array(mixed, cached_hdd(), warmed()); }},
+       [=] { return replay_array(mixed, hdd, warmed(), -1, small_cache()); }},
       {{"hdd_merge_disabled", 754, 50.720768, 1731.27354318826, 62.4375, 249.49355658383965, 2876},
        [=] { return replay_unmerged(mixed); }},
       {{"hdd_raid0_demotion", 754, 50.720768, 2969.2708553304446, 51.482857142857149, 360.56095231703779, 1566},
@@ -242,12 +217,29 @@ TEST(GoldenReports, MatrixExercisesEveryPath) {
   }
 
   ReplayEngine engine;
-  const auto config = cached_hdd();
-  storage::DiskArray array(engine.simulator(), config);
-  storage::CacheTier cache(engine.simulator(), config.cache, array);
+  storage::DiskArray array(engine.simulator(), hdd);
+  storage::CacheTier cache(engine.simulator(), small_cache(), array);
   engine.replay(mixed_trace(300, 7, 0.5), cache);
   EXPECT_GT(cache.stats().hits, 0u);
   EXPECT_GT(cache.stats().misses, 0u);
+}
+
+TEST(GoldenReports, CacheDisabledMetricsUnchanged) {
+  // Golden anchor for the cache-disabled default path: these literals were
+  // produced BEFORE CacheTier and warm-up landed and must never move for a
+  // bare DiskArray with warmup_window 0 — new options have to be invisible
+  // when off. Bits, not tolerances.
+  const trace::Trace trace = mixed_trace(200, 101, 0.5);
+  const ReplayReport report =
+      replay_array(trace, storage::ArrayConfig::hdd_testbed(6));
+  EXPECT_EQ(report.perf.completions, 499u);
+  EXPECT_EQ(report.joules, 272.04127048099122);
+  EXPECT_EQ(report.avg_watts, 90.740000000000009);
+  EXPECT_EQ(report.perf.avg_response_ms, 1122.5210565959744);
+  EXPECT_EQ(report.perf.iops, 499.0);
+  EXPECT_EQ(report.replay_duration, 3.0);
+  EXPECT_EQ(report.warmup_bunches, 0u);
+  EXPECT_EQ(report.warmup_packages, 0u);
 }
 
 }  // namespace

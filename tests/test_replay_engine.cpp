@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "core/proportional_filter.h"
+#include "mixed_trace.h"
+#include "storage/cache_tier.h"
 #include "storage/disk_array.h"
 #include "util/rng.h"
 
@@ -123,7 +125,6 @@ TEST(ReplayEngine, WarmupWarmsDeviceStateBeforeMeasurement) {
     storage::DiskArray array(engine.simulator(),
                              storage::ArrayConfig::hdd_testbed(6));
     storage::CacheTierParams params;
-    params.enabled = true;
     params.capacity = 1 * kMiB;  // 16 lines, holds the whole hot set
     storage::CacheTier cache(engine.simulator(), params, array);
     return engine.replay(trace, cache);
@@ -275,6 +276,21 @@ TEST(ReplayEngine, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.perf.iops, b.perf.iops);
   EXPECT_DOUBLE_EQ(a.avg_watts, b.avg_watts);
   EXPECT_DOUBLE_EQ(a.replay_duration, b.replay_duration);
+}
+
+TEST(ReplayEngine, SimulatorCapacityStableAcrossReplay) {
+  // Steady-state replay must not grow the simulator's event heap or action
+  // slots: the reserve() estimate covers the device's worst case.
+  const trace::Trace trace = test_support::mixed_trace(300, 43);
+  ReplayEngine engine;
+  storage::DiskArray array(engine.simulator(),
+                           storage::ArrayConfig::hdd_testbed(6));
+  engine.replay(trace, array);
+  const std::size_t heap_after_first = engine.simulator().heap_capacity();
+  const std::size_t slots_after_first = engine.simulator().slot_capacity();
+  engine.replay(trace, array);
+  EXPECT_EQ(engine.simulator().heap_capacity(), heap_after_first);
+  EXPECT_EQ(engine.simulator().slot_capacity(), slots_after_first);
 }
 
 TEST(WrapSector, CanPlaceRequestAtLastValidStartSector) {

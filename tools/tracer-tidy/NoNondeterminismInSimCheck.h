@@ -1,10 +1,10 @@
 // tracer-no-nondeterminism-in-sim: replay must be bit-reproducible.
 //
-// The sharded replay kernel's contract is EXPECT_EQ on doubles against the
-// classic kernel for every shard/worker count (docs/PERF.md); the fleet
-// soak's contract is a merged journal bit-identical to a clean run. Both
-// die the moment anything in a simulation path consumes entropy or
-// iterates a hash container in address order. The sanctioned randomness is
+// The replay path's contract is the golden ReplayReport literals, compared
+// as exact doubles (tests/test_golden_reports.cpp); the fleet soak's
+// contract is a merged journal bit-identical to a clean run. Both die the
+// moment anything in a simulation path consumes entropy or iterates a hash
+// container in address order. The sanctioned randomness is
 // util::Rng, seeded from config; the sanctioned iteration order is
 // insertion/index order (vector, map, or an explicit sort).
 //
@@ -22,8 +22,8 @@
 //
 // Options:
 //   PathFilter — POSIX regex selecting simulation paths. Default
-//                "/(sim|storage)/|/core/replay": the DES kernels, the
-//                device/energy models, and both replay kernels.
+//                "/(sim|storage)/|/core/replay": the DES kernel, the
+//                device/energy models, and the replay engine.
 #pragma once
 
 #include "TracerTidyUtils.h"

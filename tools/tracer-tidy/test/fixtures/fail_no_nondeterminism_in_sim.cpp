@@ -1,6 +1,6 @@
 // Fail fixture for tracer-no-nondeterminism-in-sim: entropy and
 // address-ordered iteration break the bit-reproducible replay contract
-// (classic kernel == sharded kernel, fleet run == clean run).
+// (golden replay reports, fleet run == clean run).
 #include <cstdlib>
 #include <random>
 #include <unordered_map>
