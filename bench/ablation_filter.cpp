@@ -8,7 +8,7 @@
 #include "bench_common.h"
 
 #include "core/proportional_filter.h"
-#include "trace/trace.h"
+#include "trace/trace_source.h"
 #include "util/stats.h"
 #include "workload/web_server_model.h"
 
@@ -18,11 +18,12 @@ namespace {
 
 // Per-interval package-count series of a trace (pure trace-domain measure;
 // no replay needed to judge filter fidelity).
-std::vector<double> interval_series(const tracer::trace::Trace& trace,
+std::vector<double> interval_series(const tracer::trace::TraceSource& source,
                                     double interval) {
   tracer::util::TimeBinnedSeries series(interval);
-  for (const auto& bunch : trace.bunches) {
-    series.add(bunch.timestamp, static_cast<double>(bunch.packages.size()));
+  for (std::size_t i = 0; i < source.bunch_count(); ++i) {
+    series.add(source.timestamp(i),
+               static_cast<double>(source.packages(i).size()));
   }
   return series.sums();
 }
@@ -51,24 +52,25 @@ int main() {
 
   workload::WebServerParams params;
   workload::WebServerModel model(params);
-  const trace::Trace web = model.generate();
+  const auto web =
+      trace::make_source(trace::TraceView::owning(model.generate()));
   const double interval = 10.0;  // fine-grained: where distortion shows
-  const std::vector<double> full = interval_series(web, interval);
+  const std::vector<double> full = interval_series(*web, interval);
 
   util::Table table({"load %", "uniform RMS dev %", "random RMS dev %",
                      "uniform corr", "random corr"});
   double uniform_worst = 0.0;
   double random_worst = 0.0;
   for (double load : {0.1, 0.2, 0.3, 0.5, 0.7}) {
-    const trace::Trace uniform = core::ProportionalFilter::apply(web, load);
-    const trace::Trace random =
+    const auto uniform = core::ProportionalFilter::apply(web, load);
+    const auto random =
         core::ProportionalFilter::apply_random(web, load, /*seed=*/1234);
 
     std::vector<double> ideal(full.size());
     for (std::size_t i = 0; i < full.size(); ++i) ideal[i] = full[i] * load;
 
-    auto u_series = interval_series(uniform, interval);
-    auto r_series = interval_series(random, interval);
+    auto u_series = interval_series(*uniform, interval);
+    auto r_series = interval_series(*random, interval);
     u_series.resize(full.size());
     r_series.resize(full.size());
 

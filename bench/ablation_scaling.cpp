@@ -26,13 +26,14 @@ int main() {
   workload::WebServerParams params;
   params.duration = 900.0;  // 15 min is enough for steady statistics
   workload::WebServerModel model(params);
-  const trace::Trace web = model.generate();
+  const auto web =
+      trace::make_source(trace::TraceView::owning(model.generate()));
 
-  auto run = [&](const trace::Trace& trace) {
+  auto run = [&](const std::shared_ptr<const trace::TraceSource>& source) {
     core::ReplayEngine engine;
     storage::DiskArray array(engine.simulator(),
                              storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(trace, array);
+    return engine.replay(*source, array);
   };
 
   util::Table table({"intensity %", "filter IOPS", "scale IOPS",

@@ -42,7 +42,10 @@ int main() {
   std::vector<double> temps;
   for (double load : {0.1, 0.25, 0.5, 0.75, 1.0}) {
     const trace::Trace filtered =
-        load >= 1.0 ? peak : core::ProportionalFilter::apply(peak, load);
+        load >= 1.0 ? peak
+                    : trace::materialize(*core::ProportionalFilter::apply(
+                          trace::make_source(trace::TraceView::borrowed(peak)),
+                          load));
 
     sim::Simulator sim;
     storage::DiskArray array(sim, storage::ArrayConfig::hdd_testbed(6));

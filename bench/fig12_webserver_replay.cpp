@@ -24,6 +24,8 @@ int main() {
               static_cast<unsigned long long>(web.package_count()),
               web.duration());
 
+  const auto web_source = trace::make_source(trace::TraceView::borrowed(web));
+
   // Per-minute interval series, like the paper's one-minute recording.
   const Seconds interval = 60.0;
   const std::vector<double> loads = {0.2, 0.4, 0.6, 0.8, 1.0};
@@ -32,14 +34,15 @@ int main() {
   std::vector<double> mean_iops;
   std::vector<double> mean_mbps;
   for (double load : loads) {
-    const trace::Trace filtered =
-        load >= 1.0 ? web : core::ProportionalFilter::apply(web, load);
+    const auto filtered =
+        load >= 1.0 ? web_source
+                    : core::ProportionalFilter::apply(web_source, load);
     core::ReplayOptions options;
     options.sampling_cycle = interval;
     core::ReplayEngine engine(options);
     storage::DiskArray array(engine.simulator(),
                              storage::ArrayConfig::hdd_testbed(6));
-    const core::ReplayReport report = engine.replay(filtered, array);
+    const core::ReplayReport report = engine.replay(*filtered, array);
     if (report.late_schedules != 0) {
       // A late schedule means the DES clamped an event into the present —
       // the replayed timing silently drifted. Figure data would be invalid.

@@ -20,7 +20,8 @@ int main() {
   params.duration = 7200.0;
   workload::WebServerModel model(params);
   const trace::Trace web = model.generate();
-  const trace::TraceStats stats = trace::compute_stats(web);
+  const trace::TraceStats stats =
+      trace::compute_stats(trace::TraceView::borrowed(web));
 
   util::Table table({"metric", "paper", "measured"});
   const double span_gb = static_cast<double>(stats.address_span_bytes) / 1e9;

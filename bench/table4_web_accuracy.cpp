@@ -18,14 +18,15 @@ int main() {
 
   workload::WebServerParams params;
   workload::WebServerModel model(params);
-  const trace::Trace web = model.generate();
+  const auto web =
+      trace::make_source(trace::TraceView::owning(model.generate()));
 
-  auto run = [&](const trace::Trace& trace) {
+  auto run = [&](const std::shared_ptr<const trace::TraceSource>& source) {
     core::ReplayOptions options;
     core::ReplayEngine engine(options);
     storage::DiskArray array(engine.simulator(),
                              storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(trace, array);
+    return engine.replay(*source, array);
   };
 
   const core::ReplayReport base = run(web);

@@ -24,20 +24,22 @@ int main() {
   workload::CelloModel model(params);
   const std::vector<trace::SrtRecord> srt = model.generate_srt();
   const trace::Trace cello = trace::srt_to_blk(srt, 0.5e-3, "cello99");
-  const trace::TraceStats stats = trace::compute_stats(cello);
+  const auto cello_source =
+      trace::make_source(trace::TraceView::borrowed(cello));
+  const trace::TraceStats stats = trace::compute_stats(*cello_source);
   std::printf(
       "srt records: %zu -> %zu bunches; read ratio %.1f %%, mean req %.1f KB\n",
       srt.size(), cello.bunch_count(), stats.read_ratio * 100.0,
       stats.mean_request_kb);
 
-  auto run = [&](const trace::Trace& trace) {
+  auto run = [&](const std::shared_ptr<const trace::TraceSource>& source) {
     core::ReplayOptions options;
     core::ReplayEngine engine(options);
     storage::DiskArray array(engine.simulator(),
                              storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(trace, array);
+    return engine.replay(*source, array);
   };
-  const core::ReplayReport base = run(cello);
+  const core::ReplayReport base = run(cello_source);
 
   util::Table table({"configured %", "measured % (MBPS)", "acc (MBPS)"});
   double max_error = 0.0;
@@ -45,7 +47,7 @@ int main() {
   for (double load : bench::load_levels()) {
     const core::ReplayReport report =
         load >= 1.0 ? base
-                    : run(core::ProportionalFilter::apply(cello, load));
+                    : run(core::ProportionalFilter::apply(cello_source, load));
     const double measured =
         core::load_proportion(base.perf.mbps, report.perf.mbps);
     const double accuracy = core::load_control_accuracy(measured, load);

@@ -130,7 +130,7 @@ Outcome run(const trace::Trace& trace, Variant variant, Seconds duration,
   Outcome outcome;
   if (has_cache(variant)) {
     storage::CacheTier cache(engine.simulator(), cache_params, array);
-    report = engine.replay(trace, cache);
+    report = engine.replay(trace::TraceView::borrowed(trace), cache);
     const auto& stats = cache.stats();
     const double lookups =
         static_cast<double>(stats.hits + stats.tier_hits + stats.misses);
@@ -139,7 +139,7 @@ Outcome run(const trace::Trace& trace, Variant variant, Seconds duration,
             ? static_cast<double>(stats.hits + stats.tier_hits) / lookups
             : 0.0;
   } else {
-    report = engine.replay(trace, array);
+    report = engine.replay(trace::TraceView::borrowed(trace), array);
   }
 
   outcome.avg_watts = report.avg_watts;

@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
   params.duration = minutes * 60.0;
   params.session_rate = 3.0;
   workload::WebServerModel model(params);
-  const trace::Trace cold =
-      core::InterarrivalScaler::scale(model.generate(), 0.02);
+  const trace::Trace cold = trace::materialize(*core::InterarrivalScaler::scale(
+      trace::make_source(trace::TraceView::owning(model.generate())), 0.02));
 
   std::printf("spin-down policy frontier on a cold web workload "
               "(%.0f min stretched to %.0f min)\n\n",

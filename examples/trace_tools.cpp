@@ -54,13 +54,17 @@ bool is_columnar_file(const char* path) {
          std::memcmp(magic, trace::kColumnarMagic, 4) == 0;
 }
 
-trace::Trace load_any(const char* path) {
-  if (!is_columnar_file(path)) return trace::read_blk_file(path);
-  trace::ColumnarTraceReader reader(path);
-  trace::Trace trace;
-  trace.device = reader.device();
-  reader.read_window(0, reader.bunch_count(), trace.bunches);
-  return trace;
+/// Read a v1 file into memory as a source.
+std::shared_ptr<const trace::TraceSource> open_blk(const char* path) {
+  return trace::make_source(
+      trace::TraceView::owning(trace::read_blk_file(path)));
+}
+
+/// A v2 file streams through one decode window of RAM, however large it
+/// is; a v1 file is read into memory.
+std::shared_ptr<const trace::TraceSource> open_any(const char* path) {
+  return is_columnar_file(path) ? trace::open_columnar_source(path)
+                                : open_blk(path);
 }
 
 void print_stats(const std::string& device, const trace::TraceStats& stats) {
@@ -81,8 +85,8 @@ void print_stats(const std::string& device, const trace::TraceStats& stats) {
               stats.mean_mbps);
 }
 
-void print_info(const trace::Trace& trace) {
-  print_stats(trace.device, trace::compute_stats(trace));
+void print_info(const trace::TraceSource& source) {
+  print_stats(source.device(), trace::compute_stats(source));
 }
 
 }  // namespace
@@ -92,15 +96,7 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     if (command == "info" && argc == 3) {
-      if (is_columnar_file(argv[2])) {
-        // Stream the statistics pass: one decode window of RAM, however
-        // large the .replay2 file is (the stats are identical to the
-        // materialized path — tests/test_trace_stats.cpp).
-        const auto source = trace::open_columnar_source(argv[2]);
-        print_stats(source->device(), trace::compute_stats(*source));
-      } else {
-        print_info(load_any(argv[2]));
-      }
+      print_info(*open_any(argv[2]));
       return 0;
     }
     if (command == "convert" && argc == 4) {
@@ -132,21 +128,22 @@ int main(int argc, char** argv) {
     }
     if (command == "filter" && argc == 5) {
       const double percent = std::atof(argv[4]);
-      const trace::Trace in = trace::read_blk_file(argv[2]);
-      const trace::Trace out =
-          core::ProportionalFilter::apply(in, percent / 100.0);
+      const auto in = open_blk(argv[2]);
+      const trace::Trace out = trace::materialize(
+          *core::ProportionalFilter::apply(in, percent / 100.0));
       trace::write_blk_file(argv[3], out);
-      std::printf("%zu -> %zu bunches at %.0f %% -> %s\n", in.bunch_count(),
+      std::printf("%zu -> %zu bunches at %.0f %% -> %s\n", in->bunch_count(),
                   out.bunch_count(), percent, argv[3]);
       return 0;
     }
     if (command == "scale" && argc == 5) {
       const double factor = std::atof(argv[4]);
-      const trace::Trace in = trace::read_blk_file(argv[2]);
-      const trace::Trace out = core::InterarrivalScaler::scale(in, factor);
+      const auto in = open_blk(argv[2]);
+      const trace::Trace out =
+          trace::materialize(*core::InterarrivalScaler::scale(in, factor));
       trace::write_blk_file(argv[3], out);
       std::printf("duration %.3f s -> %.3f s (intensity x%.2f) -> %s\n",
-                  in.duration(), out.duration(), factor, argv[3]);
+                  in->duration(), out.duration(), factor, argv[3]);
       return 0;
     }
     if (command == "gen-web" && (argc == 3 || argc == 4)) {
@@ -155,7 +152,7 @@ int main(int argc, char** argv) {
       workload::WebServerModel model(params);
       const trace::Trace trace = model.generate();
       trace::write_blk_file(argv[2], trace);
-      print_info(trace);
+      print_info(trace::TraceView::borrowed(trace));
       return 0;
     }
     if (command == "gen-cello" && (argc == 3 || argc == 4)) {

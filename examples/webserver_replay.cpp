@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
   workload::WebServerParams params;
   params.duration = minutes * 60.0;
   workload::WebServerModel model(params);
-  const trace::Trace web = model.generate();
-  const trace::TraceStats stats = trace::compute_stats(web);
+  const auto web =
+      trace::make_source(trace::TraceView::owning(model.generate()));
+  const trace::TraceStats stats = trace::compute_stats(*web);
   std::printf("web trace: %llu requests, read %.1f %%, avg %.1f KB, "
               "footprint %.2f GB\n\n",
               static_cast<unsigned long long>(stats.packages),
@@ -45,14 +46,14 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> minute_series;
 
   for (double load : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-    const trace::Trace filtered =
+    const auto filtered =
         load >= 1.0 ? web : core::ProportionalFilter::apply(web, load);
     core::ReplayOptions options;
     options.sampling_cycle = 60.0;  // the paper's one-minute intervals
     core::ReplayEngine engine(options);
     storage::DiskArray array(engine.simulator(),
                              storage::ArrayConfig::hdd_testbed(6));
-    const core::ReplayReport report = engine.replay(filtered, array);
+    const core::ReplayReport report = engine.replay(*filtered, array);
     table.row()
         .add(static_cast<int>(load * 100))
         .add(report.perf.iops, 1)

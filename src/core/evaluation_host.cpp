@@ -261,19 +261,6 @@ TestResult EvaluationHost::run_test(const workload::WorkloadMode& mode) {
                          mode.trace_key(array_.name).file_name(), mode);
 }
 
-TestResult EvaluationHost::run_trace(const trace::Trace& trace,
-                                     const std::string& trace_name,
-                                     double load_proportion) {
-  workload::WorkloadMode mode;
-  mode.request_size = static_cast<Bytes>(trace.mean_request_size());
-  mode.read_ratio = trace.read_ratio();
-  mode.random_ratio = 0.0;  // unknown for external traces
-  mode.load_proportion = load_proportion;
-  // Borrow: `trace` stays alive for this synchronous call.
-  return replay_filtered(
-      trace::make_source(trace::TraceView::borrowed(trace)), trace_name, mode);
-}
-
 TestResult EvaluationHost::run_source(
     std::shared_ptr<const trace::TraceSource> source,
     const std::string& trace_name, double load_proportion) {

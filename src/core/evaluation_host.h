@@ -26,7 +26,6 @@
 #include "storage/disk_array.h"
 #include "trace/repository.h"
 #include "trace/trace_source.h"
-#include "trace/trace_view.h"
 #include "workload/workload_mode.h"
 
 namespace tracer::util {
@@ -103,14 +102,10 @@ class EvaluationHost {
   TestResult run_test(const workload::WorkloadMode& mode);
 
   /// Replay an externally supplied trace (real-world workloads) at a load
-  /// proportion. `trace_name` labels the database record.
-  TestResult run_trace(const trace::Trace& trace, const std::string& trace_name,
-                       double load_proportion);
-
-  /// Replay a streaming source (e.g. a columnar on-disk trace from
-  /// TraceRepository::load_source) at a load proportion — the
-  /// bounded-memory twin of run_trace: the trace is never materialized,
-  /// and produces bit-identical metrics to the in-memory path.
+  /// proportion. `trace_name` labels the database record. The source may be
+  /// an in-memory TraceView or a columnar on-disk trace from
+  /// TraceRepository::load_source; the latter is never materialized, and
+  /// both produce bit-identical metrics for the same trace.
   TestResult run_source(std::shared_ptr<const trace::TraceSource> source,
                         const std::string& trace_name,
                         double load_proportion);
@@ -146,8 +141,7 @@ class EvaluationHost {
   trace::TraceRepository& repository() { return repository_; }
 
  private:
-  /// The one test body: filter (streamed, lazy) -> replay -> meter ->
-  /// record. Views and columnar sources both funnel through here.
+  /// The one test body: filter (lazy) -> replay -> meter -> record.
   TestResult replay_filtered(std::shared_ptr<const trace::TraceSource> peak,
                              const std::string& trace_name,
                              const workload::WorkloadMode& mode);

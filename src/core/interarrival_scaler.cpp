@@ -4,52 +4,6 @@
 
 namespace tracer::core {
 
-trace::Trace InterarrivalScaler::scale(const trace::Trace& trace,
-                                       double factor) {
-  if (!(factor > 0.0)) {
-    throw std::invalid_argument("InterarrivalScaler: factor must be > 0");
-  }
-  trace::Trace out;
-  out.device = trace.device;
-  out.bunches.reserve(trace.bunches.size());
-  for (const auto& bunch : trace.bunches) {
-    trace::Bunch scaled = bunch;
-    scaled.timestamp = bunch.timestamp / factor;
-    out.bunches.push_back(std::move(scaled));
-  }
-  return out;
-}
-
-trace::TraceView InterarrivalScaler::scale(const trace::TraceView& view,
-                                           double factor) {
-  if (!(factor > 0.0)) {
-    throw std::invalid_argument("InterarrivalScaler: factor must be > 0");
-  }
-  return view.scaled(factor);
-}
-
-trace::Trace InterarrivalScaler::scale_to_duration(const trace::Trace& trace,
-                                                   Seconds target_duration) {
-  if (!(target_duration > 0.0)) {
-    throw std::invalid_argument(
-        "InterarrivalScaler: target duration must be > 0");
-  }
-  const Seconds duration = trace.duration();
-  if (duration <= 0.0) return trace;  // single-instant traces can't stretch
-  return scale(trace, duration / target_duration);
-}
-
-trace::TraceView InterarrivalScaler::scale_to_duration(
-    const trace::TraceView& view, Seconds target_duration) {
-  if (!(target_duration > 0.0)) {
-    throw std::invalid_argument(
-        "InterarrivalScaler: target duration must be > 0");
-  }
-  const Seconds duration = view.duration();
-  if (duration <= 0.0) return view;  // single-instant traces can't stretch
-  return view.scaled(duration / target_duration);
-}
-
 std::shared_ptr<const trace::TraceSource> InterarrivalScaler::scale(
     std::shared_ptr<const trace::TraceSource> source, double factor) {
   if (!(factor > 0.0)) {

@@ -11,33 +11,19 @@
 
 #include <memory>
 
-#include "trace/trace.h"
 #include "trace/trace_source.h"
-#include "trace/trace_view.h"
 
 namespace tracer::core {
 
 class InterarrivalScaler {
  public:
-  /// Scale intensity by `factor` in (0, +inf): timestamps divide by factor.
-  static trace::Trace scale(const trace::Trace& trace, double factor);
-
-  /// Zero-copy variant: no bunch is touched; the view remaps timestamps
-  /// lazily at iteration time (TraceView::timestamp).
-  static trace::TraceView scale(const trace::TraceView& view, double factor);
-
-  /// Convenience: rescale so the trace spans `target_duration` seconds.
-  static trace::Trace scale_to_duration(const trace::Trace& trace,
-                                        Seconds target_duration);
-
-  static trace::TraceView scale_to_duration(const trace::TraceView& view,
-                                            Seconds target_duration);
-
-  /// Streaming variants: lazy slices over any TraceSource, accumulating
-  /// the time divisor exactly like the view path (bit-identical replay).
+  /// Scale intensity by `factor` in (0, +inf): timestamps divide by factor,
+  /// lazily at iteration time (no bunch is copied).
   static std::shared_ptr<const trace::TraceSource> scale(
       std::shared_ptr<const trace::TraceSource> source, double factor);
 
+  /// Rescale so the source spans `target_duration` seconds. A source whose
+  /// duration is 0 cannot stretch and comes back unchanged.
   static std::shared_ptr<const trace::TraceSource> scale_to_duration(
       std::shared_ptr<const trace::TraceSource> source,
       Seconds target_duration);

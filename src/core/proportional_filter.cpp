@@ -4,17 +4,17 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace tracer::core {
 
 namespace {
 
-using Index = trace::TraceView::Index;
+using Index = trace::TraceSource::Index;
 
 // Selected positions under the uniform pattern for a sequence of `count`
-// bunches. Shared by the materializing and view paths so they are
-// bunch-for-bunch identical by construction.
+// bunches.
 std::vector<Index> uniform_positions(std::size_t count,
                                      const std::vector<bool>& pattern,
                                      std::size_t select_count,
@@ -30,8 +30,8 @@ std::vector<Index> uniform_positions(std::size_t count,
 }
 
 // Selected positions for the random-within-group baseline. The RNG draw
-// sequence matches the original materializing implementation, so a given
-// seed selects the same bunches on either path.
+// sequence is part of the contract: a given seed selects the same bunches
+// in every release.
 std::vector<Index> random_positions(std::size_t count, std::size_t select_count,
                                     std::size_t group_size,
                                     std::uint64_t seed) {
@@ -58,17 +58,6 @@ std::vector<Index> random_positions(std::size_t count, std::size_t select_count,
     }
   }
   return selected;
-}
-
-trace::Trace copy_positions(const trace::Trace& trace,
-                            const std::vector<Index>& positions) {
-  trace::Trace out;
-  out.device = trace.device;
-  out.bunches.reserve(positions.size());
-  for (const Index i : positions) {
-    out.bunches.push_back(trace.bunches[i]);
-  }
-  return out;
 }
 
 }  // namespace
@@ -108,41 +97,6 @@ std::size_t ProportionalFilter::select_count_for(double proportion,
   }
   const auto k = static_cast<std::size_t>(std::lround(scaled));
   return std::clamp<std::size_t>(k, 1, group_size);
-}
-
-trace::Trace ProportionalFilter::apply(const trace::Trace& trace,
-                                       double proportion,
-                                       std::size_t group_size) {
-  const std::size_t k = select_count_for(proportion, group_size);
-  const auto pattern = selection_pattern(group_size, k);
-  return copy_positions(
-      trace, uniform_positions(trace.bunches.size(), pattern, k, group_size));
-}
-
-trace::TraceView ProportionalFilter::apply(const trace::TraceView& view,
-                                           double proportion,
-                                           std::size_t group_size) {
-  const std::size_t k = select_count_for(proportion, group_size);
-  const auto pattern = selection_pattern(group_size, k);
-  return view.select(
-      uniform_positions(view.bunch_count(), pattern, k, group_size));
-}
-
-trace::Trace ProportionalFilter::apply_random(const trace::Trace& trace,
-                                              double proportion,
-                                              std::uint64_t seed,
-                                              std::size_t group_size) {
-  const std::size_t k = select_count_for(proportion, group_size);
-  return copy_positions(
-      trace, random_positions(trace.bunches.size(), k, group_size, seed));
-}
-
-trace::TraceView ProportionalFilter::apply_random(const trace::TraceView& view,
-                                                  double proportion,
-                                                  std::uint64_t seed,
-                                                  std::size_t group_size) {
-  const std::size_t k = select_count_for(proportion, group_size);
-  return view.select(random_positions(view.bunch_count(), k, group_size, seed));
 }
 
 std::shared_ptr<const trace::TraceSource> ProportionalFilter::apply(

@@ -21,10 +21,7 @@
 #include <memory>
 #include <vector>
 
-#include "trace/trace.h"
 #include "trace/trace_source.h"
-#include "trace/trace_view.h"
-#include "util/rng.h"
 
 namespace tracer::core {
 
@@ -41,40 +38,16 @@ class ProportionalFilter {
   static std::size_t select_count_for(double proportion,
                                       std::size_t group_size);
 
-  /// Uniform filter (the paper's algorithm).
-  static trace::Trace apply(const trace::Trace& trace, double proportion,
-                            std::size_t group_size = kDefaultGroupSize);
-
-  /// Zero-copy variant: selects the same bunches as `apply` but returns a
-  /// view (index selection over the shared trace) instead of copying every
-  /// Bunch. Bunch-for-bunch identical replay input to the materializing
-  /// path (see test_trace_view).
-  static trace::TraceView apply(const trace::TraceView& view,
-                                double proportion,
-                                std::size_t group_size = kDefaultGroupSize);
-
-  /// Random-within-group baseline (ablation): selects the same number of
-  /// bunches per group but at random positions.
-  static trace::Trace apply_random(const trace::Trace& trace,
-                                   double proportion, std::uint64_t seed,
-                                   std::size_t group_size = kDefaultGroupSize);
-
-  /// Zero-copy variant of `apply_random`; same seed selects the same
-  /// bunches as the materializing path.
-  static trace::TraceView apply_random(
-      const trace::TraceView& view, double proportion, std::uint64_t seed,
-      std::size_t group_size = kDefaultGroupSize);
-
-  /// Streaming variant: selects the identical positions over any
-  /// TraceSource (in-memory view or on-disk columnar trace) and returns a
-  /// lazy slice — filtering a multi-GB columnar trace costs one u32 index
-  /// vector, never a decoded copy.
+  /// Uniform filter (the paper's algorithm) over any TraceSource
+  /// (in-memory view or on-disk columnar trace). Returns a lazy slice:
+  /// filtering a multi-GB columnar trace costs one u32 index vector, never
+  /// a decoded copy. Selected bunches keep their timestamps.
   static std::shared_ptr<const trace::TraceSource> apply(
       std::shared_ptr<const trace::TraceSource> source, double proportion,
       std::size_t group_size = kDefaultGroupSize);
 
-  /// Streaming variant of `apply_random`; same seed, same positions as the
-  /// other paths.
+  /// Random-within-group baseline (ablation): selects the same number of
+  /// bunches per group but at random positions; a seed fixes the positions.
   static std::shared_ptr<const trace::TraceSource> apply_random(
       std::shared_ptr<const trace::TraceSource> source, double proportion,
       std::uint64_t seed, std::size_t group_size = kDefaultGroupSize);

@@ -72,14 +72,9 @@ RealtimeReplayer::RealtimeReplayer(double speed) : speed_(speed) {
   }
 }
 
-RealtimeReport RealtimeReplayer::replay(const trace::Trace& trace,
+RealtimeReport RealtimeReplayer::replay(const trace::TraceSource& source,
                                         RealtimeTarget& target) {
-  return replay(trace::TraceView::borrowed(trace), target);
-}
-
-RealtimeReport RealtimeReplayer::replay(const trace::TraceView& view,
-                                        RealtimeTarget& target) {
-  if (view.empty()) {
+  if (source.empty()) {
     throw std::invalid_argument("RealtimeReplayer: empty trace");
   }
   TRACER_SPAN("realtime.replay");
@@ -97,12 +92,12 @@ RealtimeReport RealtimeReplayer::replay(const trace::TraceView& view,
   std::uint64_t next_id = 1;
   double max_skew = 0.0;
 
-  for (std::size_t i = 0; i < view.bunch_count(); ++i) {
+  for (std::size_t i = 0; i < source.bunch_count(); ++i) {
     if (cancel_.cancelled()) {
       report.stopped = true;
       break;
     }
-    const Seconds scheduled = view.timestamp(i) / speed_;
+    const Seconds scheduled = source.timestamp(i) / speed_;
     // Sleep toward the bunch's deadline in <=10 ms slices so a cancel
     // during a long inter-arrival gap takes effect promptly instead of
     // after the gap. The final slice lands on the deadline, so timing
@@ -119,7 +114,7 @@ RealtimeReport RealtimeReplayer::replay(const trace::TraceView& view,
       break;
     }
     max_skew = std::max(max_skew, std::abs(since(start) - scheduled));
-    for (const auto& pkg : view.packages(i)) {
+    for (const auto& pkg : source.packages(i)) {
       storage::IoRequest request;
       request.id = next_id++;
       request.sector = pkg.sector;
@@ -190,7 +185,7 @@ RealtimeReport RealtimeReplayer::replay(const trace::TraceView& view,
     static auto& cancelled = reg.counter("realtime.cancelled");
     if (report.stopped) cancelled.increment();
     runs.increment();
-    bunches.add(view.bunch_count());
+    bunches.add(source.bunch_count());
     packages.add(report.packages);
     depth.update_max(static_cast<double>(max_outstanding));
     skew.update_max(report.max_timing_error_ms);

@@ -20,8 +20,7 @@
 
 #include "core/perf_monitor.h"
 #include "storage/io_request.h"
-#include "trace/trace.h"
-#include "trace/trace_view.h"
+#include "trace/trace_source.h"
 #include "util/cancel_token.h"
 #include "util/spsc_queue.h"
 #include "util/sync.h"
@@ -87,13 +86,11 @@ class RealtimeReplayer {
   /// speed: >1 replays faster than the trace's own clock.
   explicit RealtimeReplayer(double speed = 1.0);
 
-  /// Blocking: replays the whole view, then waits for completions. The
-  /// zero-copy primary path — the issuing thread reads bunches through the
-  /// view's selection.
-  RealtimeReport replay(const trace::TraceView& view, RealtimeTarget& target);
-
-  /// Materializing-API compatibility wrapper (borrows, no copy).
-  RealtimeReport replay(const trace::Trace& trace, RealtimeTarget& target);
+  /// Blocking: replays the whole source, then waits for completions. The
+  /// issuing thread reads bunches in order through the source's selection
+  /// (no copy). Wrap a plain Trace with TraceView::borrowed.
+  RealtimeReport replay(const trace::TraceSource& source,
+                        RealtimeTarget& target);
 
   /// Cooperative stop latch for a replay running on another thread (a
   /// wall-clock replay of a long trace blocks for its full duration, so a

@@ -90,24 +90,6 @@ void ReplayEngine::schedule_bunch(const trace::TraceSource& source,
 }
 
 ReplayReport ReplayEngine::replay(
-    const trace::Trace& trace, storage::BlockDevice& device,
-    const std::vector<power::PowerSource*>& extra_sources) {
-  // The borrowed view only lives for this call; `trace` outlives it.
-  return replay(trace::TraceView::borrowed(trace), device, extra_sources);
-}
-
-ReplayReport ReplayEngine::replay(
-    const trace::TraceView& view, storage::BlockDevice& device,
-    const std::vector<power::PowerSource*>& extra_sources) {
-  // The adapter only lives for this call; the view's shared trace outlives
-  // it. Same loop, same arithmetic, same metrics as before the source
-  // abstraction existed.
-  const trace::ViewSource source(view);
-  return replay(static_cast<const trace::TraceSource&>(source), device,
-                extra_sources);
-}
-
-ReplayReport ReplayEngine::replay(
     const trace::TraceSource& source, storage::BlockDevice& device,
     const std::vector<power::PowerSource*>& extra_sources) {
   if (source.empty()) {
@@ -143,11 +125,11 @@ ReplayReport ReplayEngine::replay(
   power::PowerAnalyzer analyzer(options_.sampling_cycle, options_.sensor,
                                 options_.sensor_seed);
   analyzer.add_channel(device);
-  for (auto* source : extra_sources) {
-    if (source == nullptr) {
+  for (auto* extra : extra_sources) {
+    if (extra == nullptr) {
       throw std::invalid_argument("ReplayEngine: null extra power source");
     }
-    analyzer.add_channel(*source);
+    analyzer.add_channel(*extra);
   }
   if (options_.warmup_window > 0.0) {
     // Re-starting at the boundary zeroes every channel's energy baseline,

@@ -20,9 +20,7 @@
 #include "power/power_analyzer.h"
 #include "sim/simulator.h"
 #include "storage/block_device.h"
-#include "trace/trace.h"
 #include "trace/trace_source.h"
-#include "trace/trace_view.h"
 
 namespace tracer::core {
 
@@ -101,36 +99,17 @@ class ReplayEngine {
   /// (mirrors one workload-generator machine driving one array).
   explicit ReplayEngine(const ReplayOptions& options = ReplayOptions{});
 
-  /// Build the device under test on this engine's simulator via `factory`,
-  /// then replay `trace` (a Trace or a TraceView) against it. The factory
-  /// receives the simulator.
-  template <typename TraceLike, typename Factory>
-  ReplayReport replay_with(const TraceLike& trace, Factory&& factory) {
-    auto device = factory(sim_);
-    return replay(trace, *device);
-  }
-
-  /// THE replay loop: every other overload funnels here. Bunches are read
-  /// through the source's selection and timestamps remapped at iteration
-  /// time; a window-backed source (ColumnarSource) streams them from disk
-  /// with bounded memory, an in-memory ViewSource reads them directly —
-  /// both produce bit-identical metrics for the same trace (the TraceSource
-  /// contract, trace/trace_source.h). `extra_sources` are metered on
-  /// additional analyzer channels (per-disk breakdowns); they must belong
-  /// to the same simulation as `device`.
+  /// Replay `source` against `device`. Bunches are read through the
+  /// source's selection and timestamps remapped at iteration time; a
+  /// window-backed source (ColumnarSource) streams them from disk with
+  /// bounded memory, an in-memory TraceView reads them directly — both
+  /// produce bit-identical metrics for the same trace (the TraceSource
+  /// contract, trace/trace_source.h). Wrap a plain Trace with
+  /// TraceView::borrowed.
+  /// `extra_sources` are metered on additional analyzer channels (per-disk
+  /// breakdowns); they must belong to the same simulation as `device`.
   ReplayReport replay(const trace::TraceSource& source,
                       storage::BlockDevice& device,
-                      const std::vector<power::PowerSource*>& extra_sources = {});
-
-  /// Zero-copy in-memory path: wraps the view as a ViewSource for the
-  /// duration of the call.
-  ReplayReport replay(const trace::TraceView& view,
-                      storage::BlockDevice& device,
-                      const std::vector<power::PowerSource*>& extra_sources = {});
-
-  /// Materializing-API compatibility wrapper: borrows `trace` as a view
-  /// for the duration of the call (no copy).
-  ReplayReport replay(const trace::Trace& trace, storage::BlockDevice& device,
                       const std::vector<power::PowerSource*>& extra_sources = {});
 
   sim::Simulator& simulator() { return sim_; }

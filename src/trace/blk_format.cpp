@@ -239,53 +239,6 @@ Trace read_blk(std::istream& in) {
   return trace;
 }
 
-Trace read_blk_streamed(std::istream& in) {
-  util::BinaryReader reader(in);
-  Trace trace;
-  std::uint64_t bunch_count = 0;
-  read_blk_header(reader, trace.device, bunch_count);
-  auto budget = remaining_stream_bytes(in);
-  if (budget.has_value() && bunch_count > *budget / kBunchHeaderSize) {
-    throw std::runtime_error(
-        "read_blk: declared bunch count exceeds the remaining stream size");
-  }
-  if (budget.has_value()) {
-    trace.bunches.reserve(bunch_count);
-  }
-  for (std::uint64_t b = 0; b < bunch_count; ++b) {
-    Bunch bunch;
-    bunch.timestamp = reader.f64();
-    validate_timestamp(bunch.timestamp, "read_blk");
-    const std::uint32_t package_count = reader.u32();
-    if (package_count > kMaxPackagesPerBunch) {
-      throw std::runtime_error("read_blk: implausible package count");
-    }
-    if (budget.has_value()) {
-      *budget -= std::min<std::uint64_t>(*budget, kBunchHeaderSize);
-      const std::uint64_t payload =
-          static_cast<std::uint64_t>(package_count) * kPackageSize;
-      if (payload > *budget) {
-        throw std::runtime_error(
-            "read_blk: declared package count exceeds the remaining stream "
-            "size");
-      }
-      *budget -= payload;
-    }
-    bunch.packages.reserve(package_count);
-    for (std::uint32_t p = 0; p < package_count; ++p) {
-      IoPackage pkg;
-      pkg.sector = reader.u64();
-      pkg.bytes = reader.u32();
-      const std::uint8_t op = reader.u8();
-      if (op > 1) throw std::runtime_error("read_blk: bad op code");
-      pkg.op = static_cast<OpType>(op);
-      bunch.packages.push_back(pkg);
-    }
-    trace.bunches.push_back(std::move(bunch));
-  }
-  return trace;
-}
-
 Trace read_blk_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_blk_file: cannot open " + path);

@@ -32,7 +32,7 @@ inline constexpr std::uint16_t kBlkVersion = 1;
 inline constexpr const char* kBlkExtension = ".replay";
 
 /// Format sanity caps, shared by the v1 and v2 codecs: at most 2^32
-/// bunches per trace (TraceView's u32 selection index range) and 2^20
+/// bunches per trace (TraceSource's u32 selection index range) and 2^20
 /// packages per bunch.
 inline constexpr std::uint64_t kMaxTraceBunches = 1ULL << 32;
 inline constexpr std::uint32_t kMaxPackagesPerBunch = 1U << 20;
@@ -45,12 +45,6 @@ void write_blk_file(const std::string& path, const Trace& trace);
 /// buffer (not per-field stream extraction) — the campaign-scale path.
 Trace read_blk(std::istream& in);
 Trace read_blk_file(const std::string& path);
-
-/// Reference decoder: the original per-field streamed implementation.
-/// Kept as the readable specification of the layout and as the baseline
-/// the BM_BlkReadBulk micro-benchmark compares against; produces output
-/// identical to read_blk.
-Trace read_blk_streamed(std::istream& in);
 
 /// Incremental v1 decoder for bounded-memory pipelines (v1 -> v2
 /// conversion, large-trace synthesis checks): the header is parsed at

@@ -7,7 +7,6 @@
 #include "trace/blk_format.h"
 #include "trace/columnar_format.h"
 #include "trace/trace_source.h"
-#include "trace/trace_view.h"
 #include "util/string_util.h"
 
 namespace tracer::trace {

@@ -1,14 +1,42 @@
 #include "trace/trace_source.h"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace tracer::trace {
 
+namespace {
+const std::string kNoDevice;
+}  // namespace
+
 double TraceSource::mean_request_size() const {
   const std::uint64_t packages = package_count();
   if (packages == 0) return 0.0;
   return static_cast<double>(total_bytes()) / static_cast<double>(packages);
+}
+
+TraceView::TraceView(std::shared_ptr<const Trace> trace)
+    : trace_(std::move(trace)) {
+  if (trace_ != nullptr &&
+      trace_->bunches.size() > std::numeric_limits<Index>::max()) {
+    throw std::invalid_argument(
+        "TraceView: trace exceeds the 2^32-bunch selection index range");
+  }
+}
+
+TraceView TraceView::borrowed(const Trace& trace) {
+  // Aliasing shared_ptr with no ownership: the caller keeps `trace` alive.
+  return TraceView(std::shared_ptr<const Trace>(std::shared_ptr<void>(),
+                                                &trace));
+}
+
+TraceView TraceView::owning(Trace trace) {
+  return TraceView(std::make_shared<const Trace>(std::move(trace)));
+}
+
+const std::string& TraceView::device() const {
+  return trace_ ? trace_->device : kNoDevice;
 }
 
 TraceSlice::TraceSlice(std::shared_ptr<const TraceSource> base,
@@ -50,8 +78,8 @@ std::shared_ptr<const TraceSource> TraceSlice::scaled(
   if (!(factor > 0.0)) {
     throw std::invalid_argument("TraceSlice: scale factor must be > 0");
   }
-  // Identical accumulation order to TraceView::scaled (divisor * factor),
-  // so view and source pipelines divide by bit-identical values.
+  // Divisors multiply in application order: scale(f1) then scale(f2)
+  // divides raw timestamps by (1 * f1) * f2.
   const double divisor = base->time_divisor() * factor;
   return std::shared_ptr<const TraceSource>(
       new TraceSlice(std::move(base), {}, true, divisor));
@@ -93,7 +121,7 @@ double TraceSlice::read_ratio() const {
 }
 
 std::shared_ptr<const TraceSource> make_source(TraceView view) {
-  return std::make_shared<ViewSource>(std::move(view));
+  return std::make_shared<const TraceView>(std::move(view));
 }
 
 Trace materialize(const TraceSource& source) {

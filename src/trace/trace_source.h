@@ -1,15 +1,24 @@
-// TraceSource — the common streaming abstraction under the replay pipeline.
+// TraceSource — the one currency of the trace pipeline.
 //
-// A TraceSource is an ordered sequence of bunches addressed by position,
-// with the same lazy timestamp remapping contract as TraceView: every
+// Every pipeline stage (ProportionalFilter, InterarrivalScaler,
+// ReplayEngine, RealtimeReplayer, compute_stats, EvaluationHost) takes a
+// TraceSource: an ordered sequence of bunches addressed by position. Every
 // implementation stores *raw* trace timestamps and a single accumulated
 // time divisor, and `timestamp(i)` is always exactly
-// `raw_timestamp(i) / time_divisor()`. Because the in-memory view path
-// (ViewSource over a TraceView) and the on-disk columnar path
-// (ColumnarSource over a mmap'd v2 file) perform the identical arithmetic
-// and feed the identical replay loop in ReplayEngine, the two paths
-// produce bit-identical replay metrics for the same underlying trace —
-// tests/test_trace_source.cpp holds that line.
+// `raw_timestamp(i) / time_divisor()`. Three implementations exist:
+//
+//   * TraceView — the in-memory leaf: every bunch of one immutable Trace.
+//   * ColumnarSource (trace/columnar_format.h) — the on-disk leaf over a
+//     mmap'd v2 file, streamed through a bounded decode window.
+//   * TraceSlice — the only select/scale decorator. The filter and the
+//     scaler build these, so filtering a multi-GB columnar trace costs one
+//     u32 index vector (O(selection)), never a decoded copy.
+//
+// `materialize()` is the only operation that copies bunches.
+//
+// Because both leaves feed the identical replay loop with the identical
+// arithmetic, an in-memory and an on-disk replay of the same trace produce
+// bit-identical metrics — tests/test_trace_source.cpp holds that line.
 //
 // Bounded memory: `packages(i)` may be backed by a sliding decode window
 // (ColumnarSource); the returned reference stays valid only until the next
@@ -17,11 +26,12 @@
 // positions strictly in order and never holds a reference across bunches,
 // so a whole-trace replay touches at most one window of RAM at a time.
 //
-// Thread model: a TraceSource is confined to the replaying thread (window
-// caches are mutated under const). Share the underlying immutable data
-// (Trace, ColumnarTraceReader) across threads instead, and give each
-// replay its own source object — mirroring how EvaluationHost hands each
-// test its own TraceView over the shared peak trace.
+// Thread model: a window-backed source is confined to the replaying thread
+// (window caches are mutated under const). Share the underlying immutable
+// data (Trace, ColumnarTraceReader) across threads instead, and give each
+// replay its own source object — EvaluationHost hands each test its own
+// TraceView over the shared peak trace. TraceView and TraceSlices over it
+// hold no mutable state, so they are safe to read concurrently.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +40,13 @@
 #include <vector>
 
 #include "trace/trace.h"
-#include "trace/trace_view.h"
 
 namespace tracer::trace {
 
 class TraceSource {
  public:
-  /// Selection index type, shared with TraceView (formats cap traces at
-  /// 2^32 bunches, so positions always fit).
+  /// Selection index type (formats cap traces at 2^32 bunches, so
+  /// positions always fit).
   using Index = std::uint32_t;
 
   virtual ~TraceSource() = default;
@@ -68,7 +77,7 @@ class TraceSource {
   /// Fraction of selected packages that are reads.
   virtual double read_ratio() const = 0;
 
-  /// Replay-clock arrival time — the exact TraceView::timestamp formula.
+  /// Replay-clock arrival time of the i-th selected bunch.
   Seconds timestamp(std::size_t i) const {
     return raw_timestamp(i) / time_divisor();
   }
@@ -85,46 +94,68 @@ class TraceSource {
   double mean_request_size() const;
 };
 
-/// Adapter satisfying TraceSource over a TraceView — the in-memory side of
-/// the shared replay loop. Stateless beyond the (cheap, immutable) view,
-/// so unlike window-backed sources it is safe to read concurrently.
-class ViewSource final : public TraceSource {
+/// The in-memory leaf: every bunch of a `shared_ptr<const Trace>`, at unit
+/// time scale. Ownership rules:
+///   * The underlying trace is immutable shared state, safe to read from
+///     many replay threads at once (EvaluationHost's peak-trace cache
+///     relies on this).
+///   * `borrowed()` makes a non-owning view of a caller-kept Trace; the
+///     caller must keep the trace alive for the view's lifetime and for
+///     every source derived from it.
+///   * Views are cheap to copy (one shared_ptr).
+class TraceView final : public TraceSource {
  public:
-  explicit ViewSource(TraceView view) : view_(std::move(view)) {}
+  /// An invalid view: no trace, no bunches.
+  TraceView() = default;
 
-  const std::string& device() const override { return view_.device(); }
-  std::size_t bunch_count() const override { return view_.bunch_count(); }
-  Seconds raw_timestamp(std::size_t i) const override {
-    return view_.bunch(i).timestamp;
+  explicit TraceView(std::shared_ptr<const Trace> trace);
+
+  /// Non-owning view of `trace`; the caller guarantees `trace` outlives
+  /// the view and every source derived from it.
+  static TraceView borrowed(const Trace& trace);
+
+  /// View that takes ownership of a materialized trace.
+  static TraceView owning(Trace trace);
+
+  bool valid() const { return trace_ != nullptr; }
+
+  const std::string& device() const override;
+  std::size_t bunch_count() const override {
+    return trace_ == nullptr ? 0 : trace_->bunches.size();
   }
-  double time_divisor() const override { return view_.time_divisor(); }
+  Seconds raw_timestamp(std::size_t i) const override {
+    return trace_->bunches[i].timestamp;
+  }
   const std::vector<IoPackage>& packages(std::size_t i) const override {
-    return view_.packages(i);
+    return trace_->bunches[i].packages;
   }
   std::uint64_t package_count() const override {
-    return view_.package_count();
+    return trace_ == nullptr ? 0 : trace_->package_count();
   }
-  Bytes total_bytes() const override { return view_.total_bytes(); }
-  double read_ratio() const override { return view_.read_ratio(); }
-
-  const TraceView& view() const { return view_; }
+  Bytes total_bytes() const override {
+    return trace_ == nullptr ? 0 : trace_->total_bytes();
+  }
+  double read_ratio() const override {
+    return trace_ == nullptr ? 0.0 : trace_->read_ratio();
+  }
 
  private:
-  TraceView view_;
+  std::shared_ptr<const Trace> trace_;
 };
 
-/// Lazy selection/scaling decorator over any TraceSource — the streaming
-/// counterpart of TraceView::select/scaled. ProportionalFilter and
-/// InterarrivalScaler build these, so filtering a multi-GB columnar trace
-/// costs one u32 index vector (O(selection)), never a decoded copy.
+/// Lazy selection/scaling decorator over any TraceSource — the one
+/// select/scale implementation. Composition nests: a slice of a slice
+/// addresses the inner slice's positions, and divisors multiply in
+/// application order.
 class TraceSlice final : public TraceSource {
  public:
   /// Restrict `base` to `positions` — strictly increasing indices into
-  /// base's current selection (same composition rule as TraceView::select).
+  /// base's current selection.
   static std::shared_ptr<const TraceSource> select(
       std::shared_ptr<const TraceSource> base, std::vector<Index> positions);
 
-  /// Multiply replay intensity by `factor` (> 0).
+  /// Multiply replay intensity by `factor` (> 0): the accumulated divisor
+  /// becomes `base->time_divisor() * factor`.
   static std::shared_ptr<const TraceSource> scaled(
       std::shared_ptr<const TraceSource> base, double factor);
 
@@ -157,13 +188,13 @@ class TraceSlice final : public TraceSource {
   double divisor_ = 1.0;  ///< full accumulated divisor (base included)
 };
 
-/// Wrap a view as a shared source (the common entry into the streaming
-/// filter/scale pipeline for in-memory traces).
+/// Share a view as a source (the common entry into the filter/scale
+/// pipeline for in-memory traces).
 std::shared_ptr<const TraceSource> make_source(TraceView view);
 
 /// Deep-copy a source's selection into a plain Trace with remapped
-/// timestamps — the TraceView::materialize of the streaming world. Only
-/// call when the result is known to fit in memory.
+/// timestamps — the only copying operation of the pipeline. Only call when
+/// the result is known to fit in memory.
 Trace materialize(const TraceSource& source);
 
 }  // namespace tracer::trace

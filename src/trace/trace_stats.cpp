@@ -37,8 +37,7 @@ Bytes merge_in_place(std::vector<ByteExtent>& extents) {
   return merged;
 }
 
-/// Shared single-pass accumulator; both overloads funnel through it so the
-/// streaming and in-memory paths cannot drift.
+/// Single-pass accumulator over the packages in trace order.
 struct StatsAccumulator {
   explicit StatsAccumulator(std::size_t compact_threshold)
       : compact_threshold_(std::max<std::size_t>(compact_threshold, 2)) {}
@@ -103,16 +102,6 @@ struct StatsAccumulator {
 };
 
 }  // namespace
-
-TraceStats compute_stats(const Trace& trace) {
-  StatsAccumulator acc(~std::size_t{0});  // never compacts (original path)
-  acc.stats.bunches = trace.bunch_count();
-  acc.stats.duration = trace.duration();
-  for (const auto& bunch : trace.bunches) {
-    for (const auto& pkg : bunch.packages) acc.add(pkg);
-  }
-  return acc.finish();
-}
 
 TraceStats compute_stats(const TraceSource& source,
                          std::size_t compact_threshold) {

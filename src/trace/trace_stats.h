@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "trace/trace.h"
 #include "trace/trace_source.h"
 
 namespace tracer::trace {
@@ -34,15 +33,12 @@ struct TraceStats {
   double mean_mbps = 0.0;  ///< total bytes / duration / 1e6
 };
 
-/// Single pass plus an extent merge for the footprint.
-TraceStats compute_stats(const Trace& trace);
-
-/// Streaming variant over any TraceSource: one in-order pass, identical
-/// results to the in-memory overload on the same trace. The extent buffer
-/// for the footprint is compacted (sorted + merged in place) whenever it
-/// reaches `compact_threshold` entries, so characterising a huge on-disk
-/// columnar trace runs in O(decode window + distinct extents after
-/// merging) memory instead of O(total packages).
+/// One in-order pass over any TraceSource plus an extent merge for the
+/// footprint. The extent buffer is compacted (sorted + merged in place)
+/// whenever it reaches `compact_threshold` entries, so characterising a
+/// huge on-disk columnar trace runs in O(decode window + distinct extents
+/// after merging) memory instead of O(total packages). Compaction never
+/// changes the result. Wrap an in-memory Trace with TraceView::borrowed.
 TraceStats compute_stats(const TraceSource& source,
                          std::size_t compact_threshold = 1u << 20);
 

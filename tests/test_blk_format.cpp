@@ -142,8 +142,6 @@ TEST(BlkFormatHardening, HugeDeclaredCountWithEmptyBodyRejected) {
   // ~100M declared bunches, zero bytes of body: must throw, not allocate.
   std::istringstream in(crafted_header(100'000'000ULL));
   EXPECT_THROW(read_blk(in), std::runtime_error);
-  std::istringstream in2(crafted_header(100'000'000ULL));
-  EXPECT_THROW(read_blk_streamed(in2), std::runtime_error);
 }
 
 TEST(BlkFormatHardening, DeclaredCountJustOverBodyRejected) {
@@ -184,9 +182,6 @@ TEST(BlkFormatHardening, TruncationAtEveryOffsetThrows) {
   for (std::size_t cut = 0; cut < data.size(); ++cut) {
     std::istringstream in(data.substr(0, cut));
     EXPECT_THROW(read_blk(in), std::runtime_error) << "offset " << cut;
-    std::istringstream in2(data.substr(0, cut));
-    EXPECT_THROW(read_blk_streamed(in2), std::runtime_error)
-        << "offset " << cut;
   }
   // Sanity: the untruncated bytes still decode.
   std::istringstream whole(data);
@@ -210,8 +205,6 @@ TEST(BlkFormatHardening, NonFiniteTimestampsRejectedOnRead) {
                            -1e-9}) {
     std::istringstream in(trace_with_timestamp_bits(bad));
     EXPECT_THROW(read_blk(in), std::runtime_error) << bad;
-    std::istringstream in2(trace_with_timestamp_bits(bad));
-    EXPECT_THROW(read_blk_streamed(in2), std::runtime_error) << bad;
   }
   // Zero and positive timestamps stay valid.
   std::istringstream ok(trace_with_timestamp_bits(0.0));

@@ -93,7 +93,7 @@ TEST(CelloModel, GenerateRunsSrtPipeline) {
   const trace::Trace trace = model.generate();
   EXPECT_EQ(trace.device, "cello99");
   EXPECT_GT(trace.bunch_count(), 0u);
-  const auto stats = trace::compute_stats(trace);
+  const auto stats = trace::compute_stats(trace::TraceView::borrowed(trace));
   EXPECT_GT(stats.mean_iops, 50.0);
 }
 

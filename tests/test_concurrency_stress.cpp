@@ -171,8 +171,9 @@ TEST(ConcurrencyStress, RealtimeStopDuringDrain) {
   const trace::Trace trace = paced_trace(2000, 0.01);  // ~20 s uncancelled
 
   core::RealtimeReport report;
-  std::thread runner(
-      [&] { report = replayer.replay(trace, target); });
+  std::thread runner([&] {
+    report = replayer.replay(trace::TraceView::borrowed(trace), target);
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   replayer.cancel_token().request_cancel();
   runner.join();
@@ -184,13 +185,14 @@ TEST(ConcurrencyStress, RealtimeStopDuringDrain) {
 
   // The latch persists until re-armed: an immediate replay stops at the
   // first bunch, then reset() restores normal operation.
-  const core::RealtimeReport cancelled = replayer.replay(trace, target);
+  const core::RealtimeReport cancelled =
+      replayer.replay(trace::TraceView::borrowed(trace), target);
   EXPECT_TRUE(cancelled.stopped);
   EXPECT_EQ(cancelled.packages, 0u);
   replayer.cancel_token().reset();
   core::RealtimeReplayer fast(/*speed=*/1000.0);
   const core::RealtimeReport full =
-      fast.replay(paced_trace(20, 0.001), target);
+      fast.replay(trace::TraceView::borrowed(paced_trace(20, 0.001)), target);
   EXPECT_FALSE(full.stopped);
   EXPECT_EQ(full.packages, 20u);
 }
@@ -308,7 +310,8 @@ TEST(ConcurrencyStress, ConcurrentReplaysMatchSerial) {
                    : storage::ArrayConfig::ssd_testbed(4);
     core::ReplayEngine engine;
     storage::DiskArray array(engine.simulator(), config);
-    return engine.replay(test_support::mixed_trace(300, 100 + r), array);
+    const trace::Trace trace = test_support::mixed_trace(300, 100 + r);
+    return engine.replay(trace::TraceView::borrowed(trace), array);
   };
 
   std::vector<core::ReplayReport> concurrent(4);

@@ -81,7 +81,9 @@ TEST_F(EvaluationHostTest, RunTraceLabelsExternalWorkloads) {
   workload::CelloParams params;
   params.duration = 5.0;
   workload::CelloModel cello(params);
-  const TestResult result = host.run_trace(cello.generate(), "cello99", 0.5);
+  const TestResult result = host.run_source(
+      trace::make_source(trace::TraceView::owning(cello.generate())),
+      "cello99", 0.5);
   EXPECT_EQ(result.record.trace_name, "cello99");
   EXPECT_DOUBLE_EQ(result.record.load_proportion, 0.5);
   EXPECT_NEAR(result.record.read_ratio, 0.58, 0.05);

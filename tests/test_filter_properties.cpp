@@ -98,12 +98,18 @@ class FilterTraceProperty : public ::testing::TestWithParam<int> {
     }
     return trace;
   }
+
+  /// The filter's selection over `trace`, copied out for inspection.
+  static trace::Trace filter(const trace::Trace& trace, double proportion) {
+    return trace::materialize(*ProportionalFilter::apply(
+        trace::make_source(trace::TraceView::borrowed(trace)), proportion));
+  }
 };
 
 TEST_P(FilterTraceProperty, BunchCountMatchesConfiguredProportion) {
   const double proportion = GetParam() / 100.0;
   const trace::Trace trace = bursty_trace();
-  const trace::Trace filtered = ProportionalFilter::apply(trace, proportion);
+  const trace::Trace filtered = filter(trace, proportion);
   EXPECT_EQ(filtered.bunch_count(),
             trace.bunch_count() / 10 *
                 ProportionalFilter::select_count_for(proportion, 10));
@@ -112,7 +118,7 @@ TEST_P(FilterTraceProperty, BunchCountMatchesConfiguredProportion) {
 TEST_P(FilterTraceProperty, FilteredIsSubsequenceOfOriginal) {
   const double proportion = GetParam() / 100.0;
   const trace::Trace trace = bursty_trace();
-  const trace::Trace filtered = ProportionalFilter::apply(trace, proportion);
+  const trace::Trace filtered = filter(trace, proportion);
   std::size_t cursor = 0;
   for (const auto& bunch : filtered.bunches) {
     while (cursor < trace.bunches.size() &&
@@ -128,7 +134,7 @@ TEST_P(FilterTraceProperty, FilteredIsSubsequenceOfOriginal) {
 TEST_P(FilterTraceProperty, PackageShareTracksProportionStatistically) {
   const double proportion = GetParam() / 100.0;
   const trace::Trace trace = bursty_trace();
-  const trace::Trace filtered = ProportionalFilter::apply(trace, proportion);
+  const trace::Trace filtered = filter(trace, proportion);
   const double share = static_cast<double>(filtered.package_count()) /
                        static_cast<double>(trace.package_count());
   // 5000 bunches: sampling error well under 4 %.
@@ -138,7 +144,7 @@ TEST_P(FilterTraceProperty, PackageShareTracksProportionStatistically) {
 TEST_P(FilterTraceProperty, ReadRatioIsPreserved) {
   const double proportion = GetParam() / 100.0;
   const trace::Trace trace = bursty_trace();
-  const trace::Trace filtered = ProportionalFilter::apply(trace, proportion);
+  const trace::Trace filtered = filter(trace, proportion);
   EXPECT_NEAR(filtered.read_ratio(), trace.read_ratio(), 0.03);
 }
 
@@ -147,7 +153,7 @@ TEST_P(FilterTraceProperty, DurationIsNearlyPreserved) {
   // (almost) the same window — the property that makes eq. 1 meaningful.
   const double proportion = GetParam() / 100.0;
   const trace::Trace trace = bursty_trace();
-  const trace::Trace filtered = ProportionalFilter::apply(trace, proportion);
+  const trace::Trace filtered = filter(trace, proportion);
   EXPECT_GT(filtered.duration(), trace.duration() * 0.99);
 }
 

@@ -84,9 +84,9 @@ ReplayReport replay_array(
   if (failed_disk >= 0) {
     array.controller().fail_disk(static_cast<std::size_t>(failed_disk));
   }
-  if (!cache) return engine.replay(trace, array);
+  if (!cache) return engine.replay(trace::TraceView::borrowed(trace), array);
   storage::CacheTier tier(engine.simulator(), *cache, array);
-  return engine.replay(trace, tier);
+  return engine.replay(trace::TraceView::borrowed(trace), tier);
 }
 
 /// DiskArray always merges; the merge-disabled controller is assembled by
@@ -108,7 +108,7 @@ ReplayReport replay_unmerged(const trace::Trace& trace) {
                                      std::move(raw),
                                      config.controller_overhead,
                                      /*merge_contiguous=*/false);
-  return engine.replay(trace, controller);
+  return engine.replay(trace::TraceView::borrowed(trace), controller);
 }
 
 storage::CacheTierParams small_cache() {
@@ -206,7 +206,7 @@ TEST(GoldenReports, MatrixExercisesEveryPath) {
     ReplayEngine engine;
     storage::DiskArray array(engine.simulator(), hdd);
     array.controller().fail_disk(static_cast<std::size_t>(failed));
-    engine.replay(row0_trace(200, 9), array);
+    engine.replay(trace::TraceView::borrowed(row0_trace(200, 9)), array);
     const auto& stats = array.controller().stats();
     EXPECT_GT(stats.logical_writes, 0u);
     if (failed == 0) {
@@ -219,7 +219,7 @@ TEST(GoldenReports, MatrixExercisesEveryPath) {
   ReplayEngine engine;
   storage::DiskArray array(engine.simulator(), hdd);
   storage::CacheTier cache(engine.simulator(), small_cache(), array);
-  engine.replay(mixed_trace(300, 7, 0.5), cache);
+  engine.replay(trace::TraceView::borrowed(mixed_trace(300, 7, 0.5)), cache);
   EXPECT_GT(cache.stats().hits, 0u);
   EXPECT_GT(cache.stats().misses, 0u);
 }

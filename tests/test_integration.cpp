@@ -100,12 +100,13 @@ TEST_F(IntegrationTest, WebTraceSurvivesFormatAndFilterPipeline) {
   const trace::Trace loaded = trace::read_blk_file(path);
   ASSERT_EQ(loaded, original);
 
-  const trace::Trace filtered = core::ProportionalFilter::apply(loaded, 0.3);
+  const auto filtered = core::ProportionalFilter::apply(
+      trace::make_source(trace::TraceView::borrowed(loaded)), 0.3);
   core::ReplayEngine engine;
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  const core::ReplayReport report = engine.replay(filtered, array);
-  EXPECT_EQ(report.packages_replayed, filtered.package_count());
+  const core::ReplayReport report = engine.replay(*filtered, array);
+  EXPECT_EQ(report.packages_replayed, filtered->package_count());
   EXPECT_GT(report.perf.mbps, 0.0);
 }
 
@@ -129,7 +130,8 @@ TEST_F(IntegrationTest, CelloSrtTransformerPipeline) {
   core::ReplayEngine engine;
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  const core::ReplayReport report = engine.replay(trace, array);
+  const core::ReplayReport report =
+      engine.replay(trace::TraceView::borrowed(trace), array);
   EXPECT_EQ(report.perf.completions, trace.package_count());
 }
 
@@ -144,18 +146,20 @@ TEST_F(IntegrationTest, ShapePreservationUnderFiltering) {
   params.diurnal_period = 60.0;
   params.diurnal_swing = 0.7;
   workload::WebServerModel model(params);
-  const trace::Trace web = model.generate();
+  const auto web =
+      trace::make_source(trace::TraceView::owning(model.generate()));
 
-  auto interval_series = [](const trace::Trace& trace) {
+  auto interval_series = [](const trace::TraceSource& source) {
     util::TimeBinnedSeries series(10.0);
-    for (const auto& bunch : trace.bunches) {
-      series.add(bunch.timestamp, static_cast<double>(bunch.packages.size()));
+    for (std::size_t i = 0; i < source.bunch_count(); ++i) {
+      series.add(source.timestamp(i),
+                 static_cast<double>(source.packages(i).size()));
     }
     return series.sums();
   };
-  auto full = interval_series(web);
+  auto full = interval_series(*web);
   auto filtered =
-      interval_series(core::ProportionalFilter::apply(web, 0.2));
+      interval_series(*core::ProportionalFilter::apply(web, 0.2));
   filtered.resize(full.size());
   EXPECT_GT(util::pearson_correlation(full, filtered), 0.97);
 }

@@ -18,52 +18,62 @@ trace::Trace make_trace() {
   return trace;
 }
 
+std::shared_ptr<const trace::TraceSource> sample_source() {
+  return trace::make_source(trace::TraceView::owning(make_trace()));
+}
+
 TEST(InterarrivalScaler, DoubleIntensityHalvesTimestamps) {
-  const trace::Trace scaled = InterarrivalScaler::scale(make_trace(), 2.0);
-  ASSERT_EQ(scaled.bunch_count(), 5u);
-  EXPECT_DOUBLE_EQ(scaled.bunches[1].timestamp, 1.0);
-  EXPECT_DOUBLE_EQ(scaled.bunches[4].timestamp, 4.0);
+  const auto scaled = InterarrivalScaler::scale(sample_source(), 2.0);
+  ASSERT_EQ(scaled->bunch_count(), 5u);
+  EXPECT_DOUBLE_EQ(scaled->timestamp(1), 1.0);
+  EXPECT_DOUBLE_EQ(scaled->timestamp(4), 4.0);
 }
 
 TEST(InterarrivalScaler, FractionalIntensityStretches) {
   // 1 % of original intensity (the Fig 2 extreme) -> 100x duration.
-  const trace::Trace scaled = InterarrivalScaler::scale(make_trace(), 0.01);
-  EXPECT_DOUBLE_EQ(scaled.duration(), 800.0);
+  const auto scaled = InterarrivalScaler::scale(sample_source(), 0.01);
+  EXPECT_DOUBLE_EQ(scaled->duration(), 800.0);
 }
 
 TEST(InterarrivalScaler, KeepsEveryPackage) {
   const trace::Trace original = make_trace();
-  const trace::Trace scaled = InterarrivalScaler::scale(original, 3.0);
-  EXPECT_EQ(scaled.package_count(), original.package_count());
+  const auto scaled = InterarrivalScaler::scale(
+      trace::make_source(trace::TraceView::borrowed(original)), 3.0);
+  EXPECT_EQ(scaled->package_count(), original.package_count());
   for (std::size_t i = 0; i < original.bunches.size(); ++i) {
-    EXPECT_EQ(scaled.bunches[i].packages, original.bunches[i].packages);
+    EXPECT_EQ(scaled->packages(i), original.bunches[i].packages);
   }
 }
 
 TEST(InterarrivalScaler, UnitFactorIsIdentity) {
   const trace::Trace original = make_trace();
-  EXPECT_EQ(InterarrivalScaler::scale(original, 1.0), original);
+  EXPECT_EQ(trace::materialize(*InterarrivalScaler::scale(
+                trace::make_source(trace::TraceView::borrowed(original)),
+                1.0)),
+            original);
 }
 
 TEST(InterarrivalScaler, RejectsNonPositiveFactor) {
-  EXPECT_THROW(InterarrivalScaler::scale(make_trace(), 0.0),
+  EXPECT_THROW(InterarrivalScaler::scale(sample_source(), 0.0),
                std::invalid_argument);
-  EXPECT_THROW(InterarrivalScaler::scale(make_trace(), -2.0),
+  EXPECT_THROW(InterarrivalScaler::scale(sample_source(), -2.0),
                std::invalid_argument);
 }
 
 TEST(InterarrivalScaler, ScaleToDurationHitsTarget) {
-  const trace::Trace scaled =
-      InterarrivalScaler::scale_to_duration(make_trace(), 4.0);
-  EXPECT_DOUBLE_EQ(scaled.duration(), 4.0);
+  const auto scaled =
+      InterarrivalScaler::scale_to_duration(sample_source(), 4.0);
+  EXPECT_DOUBLE_EQ(scaled->duration(), 4.0);
 }
 
 TEST(InterarrivalScaler, ScaleToDurationValidation) {
-  EXPECT_THROW(InterarrivalScaler::scale_to_duration(make_trace(), 0.0),
+  EXPECT_THROW(InterarrivalScaler::scale_to_duration(sample_source(), 0.0),
                std::invalid_argument);
   // Zero-duration (single-bunch) traces pass through unchanged.
-  trace::Trace instant;
-  instant.bunches.push_back(trace::Bunch{});
+  trace::Trace single;
+  single.bunches.push_back(trace::Bunch{});
+  const auto instant =
+      trace::make_source(trace::TraceView::owning(std::move(single)));
   EXPECT_EQ(InterarrivalScaler::scale_to_duration(instant, 10.0), instant);
 }
 

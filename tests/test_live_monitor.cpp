@@ -41,7 +41,8 @@ TEST(LiveMonitor, CallbackFiresEveryCycle) {
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
   const trace::Trace trace = steady_trace(8.0, 50.0);
-  const ReplayReport report = engine.replay(trace, array);
+  const ReplayReport report =
+      engine.replay(trace::TraceView::borrowed(trace), array);
 
   ASSERT_GE(snapshots.size(), 8u);
   // Cycle boundaries are 1 s apart and monotone.
@@ -74,7 +75,8 @@ TEST(LiveMonitor, SnapshotRatesSumToTotals) {
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
   const trace::Trace trace = steady_trace(5.0, 40.0);
-  const ReplayReport report = engine.replay(trace, array);
+  const ReplayReport report =
+      engine.replay(trace::TraceView::borrowed(trace), array);
   // Snapshots cover every cycle up to the drain; the last partial cycle's
   // completions may land after the final snapshot.
   EXPECT_NEAR(ops_from_snapshots,

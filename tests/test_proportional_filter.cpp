@@ -25,6 +25,22 @@ trace::Trace uniform_trace(std::size_t bunches,
   return trace;
 }
 
+// The filters' selections over `trace`, copied out for inspection.
+trace::Trace filter(const trace::Trace& trace, double proportion,
+                    std::size_t group_size =
+                        ProportionalFilter::kDefaultGroupSize) {
+  return trace::materialize(*ProportionalFilter::apply(
+      trace::make_source(trace::TraceView::borrowed(trace)), proportion,
+      group_size));
+}
+
+trace::Trace filter_random(const trace::Trace& trace, double proportion,
+                           std::uint64_t seed) {
+  return trace::materialize(*ProportionalFilter::apply_random(
+      trace::make_source(trace::TraceView::borrowed(trace)), proportion,
+      seed));
+}
+
 std::vector<std::size_t> selected_positions(std::size_t group_size,
                                             std::size_t k) {
   const auto pattern = ProportionalFilter::selection_pattern(group_size, k);
@@ -113,8 +129,8 @@ TEST(ProportionalFilter, SubFloorProportionThrowsInsteadOfClamping) {
 
 TEST(ProportionalFilter, SubFloorProportionThrowsFromApply) {
   const trace::Trace trace = uniform_trace(100);
-  EXPECT_THROW(ProportionalFilter::apply(trace, 0.04), std::domain_error);
-  EXPECT_THROW(ProportionalFilter::apply_random(trace, 0.04, /*seed=*/1),
+  EXPECT_THROW(filter(trace, 0.04), std::domain_error);
+  EXPECT_THROW(filter_random(trace, 0.04, /*seed=*/1),
                std::domain_error);
 }
 
@@ -122,7 +138,7 @@ TEST(ProportionalFilter, EveryCompleteGroupContributesExactlyK) {
   const trace::Trace trace = uniform_trace(200);
   for (double proportion : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     const trace::Trace filtered =
-        ProportionalFilter::apply(trace, proportion);
+        filter(trace, proportion);
     const auto k = ProportionalFilter::select_count_for(proportion, 10);
     EXPECT_EQ(filtered.bunch_count(), 20 * k) << proportion;
   }
@@ -130,7 +146,7 @@ TEST(ProportionalFilter, EveryCompleteGroupContributesExactlyK) {
 
 TEST(ProportionalFilter, SelectedBunchesKeepOriginalTimestamps) {
   const trace::Trace trace = uniform_trace(50);
-  const trace::Trace filtered = ProportionalFilter::apply(trace, 0.2);
+  const trace::Trace filtered = filter(trace, 0.2);
   // 20 % selects positions 4 and 9 of each group of 10.
   ASSERT_EQ(filtered.bunch_count(), 10u);
   EXPECT_DOUBLE_EQ(filtered.bunches[0].timestamp, trace.bunches[4].timestamp);
@@ -140,7 +156,7 @@ TEST(ProportionalFilter, SelectedBunchesKeepOriginalTimestamps) {
 
 TEST(ProportionalFilter, PreservesBunchInternalStructure) {
   const trace::Trace trace = uniform_trace(30, 5);
-  const trace::Trace filtered = ProportionalFilter::apply(trace, 0.5);
+  const trace::Trace filtered = filter(trace, 0.5);
   for (const auto& bunch : filtered.bunches) {
     EXPECT_EQ(bunch.packages.size(), 5u);
   }
@@ -148,7 +164,7 @@ TEST(ProportionalFilter, PreservesBunchInternalStructure) {
 
 TEST(ProportionalFilter, PartialTrailingGroupHandled) {
   const trace::Trace trace = uniform_trace(25);  // 2 groups + 5 leftover
-  const trace::Trace filtered = ProportionalFilter::apply(trace, 0.5);
+  const trace::Trace filtered = filter(trace, 0.5);
   // Positions {1,3,5,7,9} per group; leftover group of 5 contributes
   // positions 1 and 3 -> 5+5+2.
   EXPECT_EQ(filtered.bunch_count(), 12u);
@@ -156,14 +172,14 @@ TEST(ProportionalFilter, PartialTrailingGroupHandled) {
 
 TEST(ProportionalFilter, ProportionOneIsIdentity) {
   const trace::Trace trace = uniform_trace(37);
-  EXPECT_EQ(ProportionalFilter::apply(trace, 1.0), trace);
+  EXPECT_EQ(filter(trace, 1.0), trace);
 }
 
 TEST(ProportionalFilter, PackageProportionTracksConfigured) {
   const trace::Trace trace = uniform_trace(10000);
   for (double proportion : {0.1, 0.4, 0.8}) {
     const trace::Trace filtered =
-        ProportionalFilter::apply(trace, proportion);
+        filter(trace, proportion);
     const double measured =
         static_cast<double>(filtered.package_count()) /
         static_cast<double>(trace.package_count());
@@ -174,7 +190,7 @@ TEST(ProportionalFilter, PackageProportionTracksConfigured) {
 TEST(ProportionalFilter, RandomVariantSelectsSameCountPerGroup) {
   const trace::Trace trace = uniform_trace(100);
   const trace::Trace filtered =
-      ProportionalFilter::apply_random(trace, 0.3, /*seed=*/1);
+      filter_random(trace, 0.3, /*seed=*/1);
   EXPECT_EQ(filtered.bunch_count(), 30u);
   // Bunches remain time-ordered.
   for (std::size_t i = 1; i < filtered.bunches.size(); ++i) {
@@ -185,23 +201,23 @@ TEST(ProportionalFilter, RandomVariantSelectsSameCountPerGroup) {
 
 TEST(ProportionalFilter, RandomVariantIsSeedDeterministic) {
   const trace::Trace trace = uniform_trace(100);
-  EXPECT_EQ(ProportionalFilter::apply_random(trace, 0.3, 5),
-            ProportionalFilter::apply_random(trace, 0.3, 5));
-  EXPECT_NE(ProportionalFilter::apply_random(trace, 0.3, 5),
-            ProportionalFilter::apply_random(trace, 0.3, 6));
+  EXPECT_EQ(filter_random(trace, 0.3, 5),
+            filter_random(trace, 0.3, 5));
+  EXPECT_NE(filter_random(trace, 0.3, 5),
+            filter_random(trace, 0.3, 6));
 }
 
 TEST(ProportionalFilter, RandomVariantDiffersFromUniform) {
   const trace::Trace trace = uniform_trace(1000);
-  const auto uniform = ProportionalFilter::apply(trace, 0.2);
-  const auto random = ProportionalFilter::apply_random(trace, 0.2, 11);
+  const auto uniform = filter(trace, 0.2);
+  const auto random = filter_random(trace, 0.2, 11);
   EXPECT_EQ(uniform.bunch_count(), random.bunch_count());
   EXPECT_NE(uniform, random);
 }
 
 TEST(ProportionalFilter, CustomGroupSizes) {
   const trace::Trace trace = uniform_trace(100);
-  const trace::Trace fifth = ProportionalFilter::apply(trace, 0.2, 5);
+  const trace::Trace fifth = filter(trace, 0.2, 5);
   EXPECT_EQ(fifth.bunch_count(), 20u);
   const auto positions = selected_positions(5, 1);
   EXPECT_EQ(positions, (std::vector<std::size_t>{4}));

@@ -23,7 +23,7 @@ TEST(RealtimeReplayer, RejectsBadInput) {
   RealtimeReplayer replayer(1.0);
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
-  EXPECT_THROW(replayer.replay(trace::Trace{}, target),
+  EXPECT_THROW(replayer.replay(trace::TraceView::owning({}), target),
                std::invalid_argument);
 }
 
@@ -32,7 +32,8 @@ TEST(RealtimeReplayer, ReplaysAllPackagesAndCountsBytes) {
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
   const trace::Trace trace = small_trace(50, 0.01);
-  const RealtimeReport report = replayer.replay(trace, target);
+  const RealtimeReport report =
+      replayer.replay(trace::TraceView::borrowed(trace), target);
   EXPECT_EQ(report.packages, 50u);
   EXPECT_EQ(report.bytes, 50u * 4096);
   EXPECT_GT(report.iops, 0.0);
@@ -44,7 +45,8 @@ TEST(RealtimeReplayer, SpeedFactorCompressesWallTime) {
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
   RealtimeReplayer fast(/*speed=*/20.0);
-  const RealtimeReport report = fast.replay(trace, target);
+  const RealtimeReport report =
+      fast.replay(trace::TraceView::borrowed(trace), target);
   EXPECT_LT(report.wall_duration, 0.25);
   EXPECT_GE(report.wall_duration, 0.38 / 20.0 * 0.8);
 }
@@ -54,7 +56,8 @@ TEST(RealtimeReplayer, HonorsInterArrivalPacing) {
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
   RealtimeReplayer realtime(1.0);
-  const RealtimeReport report = realtime.replay(trace, target);
+  const RealtimeReport report =
+      realtime.replay(trace::TraceView::borrowed(trace), target);
   EXPECT_GE(report.wall_duration, 0.17);
   EXPECT_LT(report.max_timing_error_ms, 50.0);
 }
@@ -64,7 +67,8 @@ TEST(RealtimeReplayer, AccountsSyntheticLatency) {
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 2e-3; });
   RealtimeReplayer replayer(10.0);
-  const RealtimeReport report = replayer.replay(trace, target);
+  const RealtimeReport report =
+      replayer.replay(trace::TraceView::borrowed(trace), target);
   EXPECT_NEAR(report.avg_latency_ms, 2.0, 0.5);
 }
 
@@ -76,7 +80,7 @@ TEST(RealtimeReplayer, LatencyModelSeesRequestFields) {
     return 0.0;
   });
   RealtimeReplayer replayer(100.0);
-  replayer.replay(trace, target);
+  replayer.replay(trace::TraceView::borrowed(trace), target);
   EXPECT_EQ(reads.load(), 5);
 }
 

@@ -131,7 +131,7 @@ Counted replay_counted(const trace::Trace& trace, int failed_disk) {
     if (failed_disk >= 0) {
       array.controller().fail_disk(static_cast<std::size_t>(failed_disk));
     }
-    counted.report = engine.replay(trace, array);
+    counted.report = engine.replay(trace::TraceView::borrowed(trace), array);
   }
   counted.allocations = g_allocations.load() - before;
   return counted;

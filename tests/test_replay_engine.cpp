@@ -32,12 +32,12 @@ trace::Trace synthetic_trace(std::size_t bunches, Bytes request_size,
   return trace;
 }
 
-ReplayReport replay_on_hdd(const trace::Trace& trace,
+ReplayReport replay_on_hdd(const trace::TraceSource& source,
                            ReplayOptions options = ReplayOptions{}) {
   ReplayEngine engine(options);
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  return engine.replay(trace, array);
+  return engine.replay(source, array);
 }
 
 TEST(ReplayEngine, RejectsEmptyTraceAndBadOptions) {
@@ -47,12 +47,13 @@ TEST(ReplayEngine, RejectsEmptyTraceAndBadOptions) {
   ReplayEngine engine;
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  EXPECT_THROW(engine.replay(trace::Trace{}, array), std::invalid_argument);
+  EXPECT_THROW(engine.replay(trace::TraceView::owning({}), array),
+               std::invalid_argument);
 }
 
 TEST(ReplayEngine, ReplaysEveryPackage) {
   const trace::Trace trace = synthetic_trace(200, 4096, 0.5, 0.01);
-  const ReplayReport report = replay_on_hdd(trace);
+  const ReplayReport report = replay_on_hdd(trace::TraceView::borrowed(trace));
   EXPECT_EQ(report.bunches_replayed, 200u);
   EXPECT_EQ(report.packages_replayed, 200u);
   EXPECT_EQ(report.perf.completions, 200u);
@@ -62,7 +63,7 @@ TEST(ReplayEngine, RatesUseTraceWindow) {
   // 100 bunches over ~5 s with slow random service: IOPS must be computed
   // against the trace window, not the drain-inflated end time.
   const trace::Trace trace = synthetic_trace(100, 4096, 1.0, 0.05);
-  const ReplayReport report = replay_on_hdd(trace);
+  const ReplayReport report = replay_on_hdd(trace::TraceView::borrowed(trace));
   EXPECT_NEAR(report.perf.iops, 100.0 / trace.duration(), 0.5);
   EXPECT_GE(report.replay_duration, trace.duration());
 }
@@ -71,7 +72,8 @@ TEST(ReplayEngine, WarmupPrefixExcludedFromMetrics) {
   const trace::Trace trace = synthetic_trace(200, 4096, 0.5, 0.01);  // ~2 s
   ReplayOptions warm;
   warm.warmup_window = 0.5;
-  const ReplayReport report = replay_on_hdd(trace, warm);
+  const ReplayReport report =
+      replay_on_hdd(trace::TraceView::borrowed(trace), warm);
   EXPECT_GT(report.warmup_bunches, 0u);
   EXPECT_EQ(report.warmup_bunches, report.warmup_packages);  // 1 pkg/bunch
   EXPECT_EQ(report.bunches_replayed + report.warmup_bunches, 200u);
@@ -79,7 +81,7 @@ TEST(ReplayEngine, WarmupPrefixExcludedFromMetrics) {
   // completions never reach the monitor.
   EXPECT_EQ(report.perf.completions, report.packages_replayed);
 
-  const ReplayReport cold = replay_on_hdd(trace);
+  const ReplayReport cold = replay_on_hdd(trace::TraceView::borrowed(trace));
   EXPECT_EQ(cold.warmup_bunches, 0u);
   EXPECT_LT(report.perf.completions, cold.perf.completions);
   // The power window opens at the warm-up boundary, so measured energy
@@ -94,7 +96,8 @@ TEST(ReplayEngine, WarmupMustBeShorterThanReplayedWindow) {
   ReplayEngine engine(warm);
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  EXPECT_THROW(engine.replay(trace, array), std::invalid_argument);
+  EXPECT_THROW(engine.replay(trace::TraceView::borrowed(trace), array),
+               std::invalid_argument);
 
   ReplayOptions negative;
   negative.warmup_window = -0.1;
@@ -127,7 +130,7 @@ TEST(ReplayEngine, WarmupWarmsDeviceStateBeforeMeasurement) {
     storage::CacheTierParams params;
     params.capacity = 1 * kMiB;  // 16 lines, holds the whole hot set
     storage::CacheTier cache(engine.simulator(), params, array);
-    return engine.replay(trace, cache);
+    return engine.replay(trace::TraceView::borrowed(trace), cache);
   };
   const ReplayReport cold = run(0.0);
   const ReplayReport warm = run(0.5);
@@ -137,7 +140,7 @@ TEST(ReplayEngine, WarmupWarmsDeviceStateBeforeMeasurement) {
 
 TEST(ReplayEngine, PowerMeteredAboveIdle) {
   const trace::Trace trace = synthetic_trace(2000, 65536, 0.5, 0.002);
-  const ReplayReport report = replay_on_hdd(trace);
+  const ReplayReport report = replay_on_hdd(trace::TraceView::borrowed(trace));
   const double idle_watts = 30.0 + 6 * 8.0;
   EXPECT_GT(report.avg_true_watts, idle_watts);
   EXPECT_GT(report.avg_watts, idle_watts * 0.97);
@@ -149,7 +152,7 @@ TEST(ReplayEngine, PowerMeteredAboveIdle) {
 
 TEST(ReplayEngine, EfficiencyMetricsConsistent) {
   const trace::Trace trace = synthetic_trace(500, 16384, 0.5, 0.005);
-  const ReplayReport report = replay_on_hdd(trace);
+  const ReplayReport report = replay_on_hdd(trace::TraceView::borrowed(trace));
   EXPECT_NEAR(report.efficiency.iops_per_watt,
               report.perf.iops / report.avg_watts, 1e-9);
   EXPECT_NEAR(report.efficiency.mbps_per_kilowatt,
@@ -158,9 +161,10 @@ TEST(ReplayEngine, EfficiencyMetricsConsistent) {
 
 TEST(ReplayEngine, FilteredReplayScalesThroughputLinearly) {
   const trace::Trace trace = synthetic_trace(5000, 4096, 0.0, 0.002);
-  const ReplayReport base = replay_on_hdd(trace);
+  const ReplayReport base = replay_on_hdd(trace::TraceView::borrowed(trace));
   const ReplayReport half =
-      replay_on_hdd(ProportionalFilter::apply(trace, 0.5));
+      replay_on_hdd(*ProportionalFilter::apply(
+          trace::make_source(trace::TraceView::borrowed(trace)), 0.5));
   const double measured = half.perf.iops / base.perf.iops;
   EXPECT_NEAR(measured, 0.5, 0.02);
 }
@@ -169,8 +173,9 @@ TEST(ReplayEngine, TimeScaleCompressesReplay) {
   const trace::Trace trace = synthetic_trace(300, 4096, 1.0, 0.01);
   ReplayOptions fast;
   fast.time_scale = 2.0;
-  const ReplayReport base = replay_on_hdd(trace);
-  const ReplayReport scaled = replay_on_hdd(trace, fast);
+  const ReplayReport base = replay_on_hdd(trace::TraceView::borrowed(trace));
+  const ReplayReport scaled =
+      replay_on_hdd(trace::TraceView::borrowed(trace), fast);
   EXPECT_NEAR(scaled.perf.iops, base.perf.iops * 2.0,
               base.perf.iops * 0.25);
 }
@@ -179,7 +184,8 @@ TEST(ReplayEngine, MaxDurationTruncatesTrace) {
   const trace::Trace trace = synthetic_trace(1000, 4096, 1.0, 0.01);
   ReplayOptions options;
   options.max_duration = 2.0;
-  const ReplayReport report = replay_on_hdd(trace, options);
+  const ReplayReport report =
+      replay_on_hdd(trace::TraceView::borrowed(trace), options);
   // Bunches at t <= 2.0 are indexes 0..200.
   EXPECT_LE(report.bunches_replayed, 202u);
   EXPECT_GE(report.bunches_replayed, 200u);
@@ -193,7 +199,7 @@ TEST(ReplayEngine, WrapsAddressesBeyondCapacity) {
   // A sector far beyond the array (collected on a bigger device).
   bunch.packages.push_back(trace::IoPackage{1ULL << 60, 4096, OpType::kRead});
   trace.bunches.push_back(bunch);
-  const ReplayReport report = replay_on_hdd(trace);
+  const ReplayReport report = replay_on_hdd(trace::TraceView::borrowed(trace));
   EXPECT_EQ(report.perf.completions, 1u);
 }
 
@@ -209,7 +215,7 @@ TEST(ReplayEngine, ConcurrentPackagesInBunchIssueTogether) {
         trace::IoPackage{rng.below(1ULL << 30) * 8, 4096, OpType::kRead});
   }
   trace.bunches.push_back(bunch);
-  const ReplayReport report = replay_on_hdd(trace);
+  const ReplayReport report = replay_on_hdd(trace::TraceView::borrowed(trace));
   EXPECT_EQ(report.perf.completions, 12u);
   // All 12 issue at t=0, so the slowest response time bounds the drain;
   // parallel service across 6 disks keeps it far below 12 serial services.
@@ -221,7 +227,8 @@ TEST(ReplayEngine, PowerSeriesCoversReplay) {
   const trace::Trace trace = synthetic_trace(600, 4096, 0.5, 0.01);
   ReplayOptions options;
   options.sampling_cycle = 1.0;
-  const ReplayReport report = replay_on_hdd(trace, options);
+  const ReplayReport report =
+      replay_on_hdd(trace::TraceView::borrowed(trace), options);
   // ~6 s replay -> >= 6 samples (plus the final partial cycle).
   EXPECT_GE(report.power_series.size(), 6u);
   for (const auto& sample : report.power_series) {
@@ -240,7 +247,8 @@ TEST(ReplayEngine, PerDiskChannelsDecomposeArrayPower) {
                            storage::ArrayConfig::hdd_testbed(6));
   std::vector<power::PowerSource*> disks;
   for (auto* disk : array.hdd_disks()) disks.push_back(disk);
-  const ReplayReport report = engine.replay(trace, array, disks);
+  const ReplayReport report =
+      engine.replay(trace::TraceView::borrowed(trace), array, disks);
 
   ASSERT_EQ(report.extra_channels.size(), 6u);
   double disk_true_watts = 0.0;
@@ -265,14 +273,15 @@ TEST(ReplayEngine, RejectsNullExtraSource) {
   ReplayEngine engine;
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  EXPECT_THROW(engine.replay(trace, array, {nullptr}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      engine.replay(trace::TraceView::borrowed(trace), array, {nullptr}),
+      std::invalid_argument);
 }
 
 TEST(ReplayEngine, DeterministicAcrossRuns) {
   const trace::Trace trace = synthetic_trace(400, 8192, 0.5, 0.005);
-  const ReplayReport a = replay_on_hdd(trace);
-  const ReplayReport b = replay_on_hdd(trace);
+  const ReplayReport a = replay_on_hdd(trace::TraceView::borrowed(trace));
+  const ReplayReport b = replay_on_hdd(trace::TraceView::borrowed(trace));
   EXPECT_DOUBLE_EQ(a.perf.iops, b.perf.iops);
   EXPECT_DOUBLE_EQ(a.avg_watts, b.avg_watts);
   EXPECT_DOUBLE_EQ(a.replay_duration, b.replay_duration);
@@ -285,10 +294,10 @@ TEST(ReplayEngine, SimulatorCapacityStableAcrossReplay) {
   ReplayEngine engine;
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  engine.replay(trace, array);
+  engine.replay(trace::TraceView::borrowed(trace), array);
   const std::size_t heap_after_first = engine.simulator().heap_capacity();
   const std::size_t slots_after_first = engine.simulator().slot_capacity();
-  engine.replay(trace, array);
+  engine.replay(trace::TraceView::borrowed(trace), array);
   EXPECT_EQ(engine.simulator().heap_capacity(), heap_after_first);
   EXPECT_EQ(engine.simulator().slot_capacity(), slots_after_first);
 }

@@ -28,15 +28,21 @@ const trace::Trace& shared_peak_trace() {
   return trace;
 }
 
-ReplayReport replay_hdd(const trace::Trace& trace) {
+const std::shared_ptr<const trace::TraceSource>& peak_source() {
+  static const auto source =
+      trace::make_source(trace::TraceView::borrowed(shared_peak_trace()));
+  return source;
+}
+
+ReplayReport replay_hdd(const trace::TraceSource& source) {
   ReplayEngine engine;
   storage::DiskArray array(engine.simulator(),
                            storage::ArrayConfig::hdd_testbed(6));
-  return engine.replay(trace, array);
+  return engine.replay(source, array);
 }
 
 const ReplayReport& baseline_report() {
-  static const ReplayReport report = replay_hdd(shared_peak_trace());
+  static const ReplayReport report = replay_hdd(*peak_source());
   return report;
 }
 
@@ -47,7 +53,7 @@ TEST_P(LoadLevelProperty, ThroughputScalesWithConfiguredLoad) {
   const ReplayReport report =
       load >= 1.0
           ? baseline_report()
-          : replay_hdd(ProportionalFilter::apply(shared_peak_trace(), load));
+          : replay_hdd(*ProportionalFilter::apply(peak_source(), load));
   const double lp_iops =
       load_proportion(baseline_report().perf.iops, report.perf.iops);
   const double lp_mbps =
@@ -61,7 +67,7 @@ TEST_P(LoadLevelProperty, PowerBetweenIdleAndPeak) {
   const ReplayReport report =
       load >= 1.0
           ? baseline_report()
-          : replay_hdd(ProportionalFilter::apply(shared_peak_trace(), load));
+          : replay_hdd(*ProportionalFilter::apply(peak_source(), load));
   const double idle = 30.0 + 6 * storage::HddParams{}.idle_watts;
   EXPECT_GT(report.avg_true_watts, idle * 0.999);
   EXPECT_LE(report.avg_true_watts,
@@ -72,7 +78,7 @@ TEST_P(LoadLevelProperty, ResponseTimeNoWorseThanPeakLoad) {
   const double load = GetParam() / 100.0;
   if (load >= 1.0) GTEST_SKIP() << "baseline compares against itself";
   const ReplayReport report =
-      replay_hdd(ProportionalFilter::apply(shared_peak_trace(), load));
+      replay_hdd(*ProportionalFilter::apply(peak_source(), load));
   EXPECT_LE(report.perf.avg_response_ms,
             baseline_report().perf.avg_response_ms * 1.25);
 }
@@ -112,7 +118,8 @@ TEST_P(ModeSweepProperty, GenerateAndReplayStaysConsistent) {
 
   ReplayEngine engine;
   storage::DiskArray replay_array(engine.simulator(), config);
-  const ReplayReport report = engine.replay(result.trace, replay_array);
+  const ReplayReport report =
+      engine.replay(trace::TraceView::borrowed(result.trace), replay_array);
 
   // Conservation: every package replayed and completed exactly once.
   EXPECT_EQ(report.packages_replayed, result.trace.package_count());

@@ -65,8 +65,10 @@ TEST(SyntheticGenerator, ReadRatioIsRespected) {
 TEST(SyntheticGenerator, RandomRatioControlsSequentiality) {
   const auto sequential = run_mode(16 * kKiB, 1.0, 0.0, 1.0);
   const auto random = run_mode(16 * kKiB, 1.0, 1.0, 1.0);
-  const auto seq_stats = trace::compute_stats(sequential.trace);
-  const auto rnd_stats = trace::compute_stats(random.trace);
+  const auto seq_stats =
+      trace::compute_stats(trace::TraceView::borrowed(sequential.trace));
+  const auto rnd_stats =
+      trace::compute_stats(trace::TraceView::borrowed(random.trace));
   EXPECT_GT(seq_stats.sequential_ratio, 0.9);
   EXPECT_LT(rnd_stats.sequential_ratio, 0.05);
 }
@@ -81,7 +83,8 @@ TEST(SyntheticGenerator, TraceTimesArePeakPaced) {
   // The collected trace's intensity equals the device's achieved rate: no
   // idle gaps are inserted by the closed loop.
   const GeneratorResult result = run_mode(16 * kKiB, 0.5, 0.5, 2.0);
-  const auto stats = trace::compute_stats(result.trace);
+  const auto stats =
+      trace::compute_stats(trace::TraceView::borrowed(result.trace));
   EXPECT_NEAR(stats.mean_iops, result.achieved_iops,
               result.achieved_iops * 0.15);
 }

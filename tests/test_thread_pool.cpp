@@ -6,6 +6,7 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 namespace tracer::util {
 namespace {
@@ -141,31 +142,27 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
 }
 
 TEST(ThreadPool, TasksRunConcurrently) {
+  // Each task announces itself, then waits for the other before it
+  // finishes, so neither can complete before both are in flight however
+  // the workers are scheduled. A pool that runs them one after the other
+  // leaves the first waiting alone; the deadline turns that into a failure
+  // instead of a hang.
   ThreadPool pool(2);
   std::atomic<int> in_flight{0};
-  std::atomic<int> max_in_flight{0};
-  std::atomic<bool> release{false};
-  auto a = pool.submit([&] {
-    const int now = ++in_flight;
-    int expected = max_in_flight.load();
-    while (now > expected &&
-           !max_in_flight.compare_exchange_weak(expected, now)) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto task = [&] {
+    ++in_flight;
+    while (in_flight.load() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
     }
-    while (!release.load()) std::this_thread::yield();
-    --in_flight;
-  });
-  auto b = pool.submit([&] {
-    const int now = ++in_flight;
-    int expected = max_in_flight.load();
-    while (now > expected &&
-           !max_in_flight.compare_exchange_weak(expected, now)) {
-    }
-    release.store(true);
-    --in_flight;
-  });
-  a.get();
-  b.get();
-  EXPECT_EQ(max_in_flight.load(), 2);
+    return true;
+  };
+  auto a = pool.submit(task);
+  auto b = pool.submit(task);
+  EXPECT_TRUE(a.get()) << "task a never saw b in flight";
+  EXPECT_TRUE(b.get()) << "task b never saw a in flight";
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "core/replay_engine.h"
 #include "storage/disk_array.h"
 #include "trace/columnar_format.h"
-#include "trace/trace_view.h"
 #include "util/rng.h"
 
 namespace tracer::trace {
@@ -73,55 +72,29 @@ core::ReplayReport replay_source(const TraceSource& source) {
   return engine.replay(source, array);
 }
 
-core::ReplayReport replay_view(const TraceView& view) {
-  core::ReplayEngine engine;
-  storage::DiskArray array(engine.simulator(),
-                           storage::ArrayConfig::hdd_testbed(6));
-  return engine.replay(view, array);
-}
-
-TEST(ViewSourceTest, MirrorsViewExactly) {
-  const auto trace = shared_trace(120, 1);
-  const TraceView view(trace);
-  const ViewSource source(view);
-  ASSERT_EQ(source.bunch_count(), view.bunch_count());
-  EXPECT_EQ(source.device(), view.device());
-  EXPECT_EQ(source.package_count(), view.package_count());
-  EXPECT_EQ(source.total_bytes(), view.total_bytes());
-  EXPECT_EQ(source.read_ratio(), view.read_ratio());
-  EXPECT_EQ(source.time_divisor(), view.time_divisor());
-  EXPECT_EQ(source.duration(), view.duration());
-  EXPECT_EQ(source.mean_request_size(), view.mean_request_size());
-  for (std::size_t i = 0; i < source.bunch_count(); ++i) {
-    EXPECT_EQ(source.raw_timestamp(i), view.bunch(i).timestamp);
-    EXPECT_EQ(source.timestamp(i), view.timestamp(i));
-    EXPECT_EQ(&source.packages(i), &view.packages(i));  // zero-copy
-  }
-}
-
-TEST(ViewSourceTest, EmptySource) {
-  const auto trace = std::make_shared<const Trace>();
-  const ViewSource source{TraceView(trace)};
-  EXPECT_TRUE(source.empty());
-  EXPECT_EQ(source.duration(), 0.0);
-  EXPECT_EQ(source.mean_request_size(), 0.0);
-}
-
 TEST(TraceSliceTest, SelectMatchesViewSelect) {
   const auto trace = shared_trace(100, 2);
-  const TraceView view(trace);
   const std::vector<TraceSource::Index> positions = {0, 3, 4, 10, 55, 99};
-  const TraceView selected_view = view.select(positions);
-  const auto selected_source =
-      TraceSlice::select(make_source(view), positions);
-  ASSERT_EQ(selected_source->bunch_count(), selected_view.bunch_count());
-  for (std::size_t i = 0; i < selected_view.bunch_count(); ++i) {
-    EXPECT_EQ(selected_source->timestamp(i), selected_view.timestamp(i));
-    EXPECT_EQ(selected_source->packages(i), selected_view.packages(i));
+  const auto selected =
+      TraceSlice::select(make_source(TraceView(trace)), positions);
+  ASSERT_EQ(selected->bunch_count(), positions.size());
+  std::uint64_t packages = 0;
+  Bytes bytes = 0;
+  std::uint64_t reads = 0;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const Bunch& bunch = trace->bunches[positions[i]];
+    EXPECT_EQ(selected->timestamp(i), bunch.timestamp);
+    EXPECT_EQ(&selected->packages(i), &bunch.packages);  // zero-copy
+    packages += bunch.packages.size();
+    bytes += bunch.total_bytes();
+    for (const IoPackage& pkg : bunch.packages) {
+      reads += pkg.op == OpType::kRead ? 1 : 0;
+    }
   }
-  EXPECT_EQ(selected_source->package_count(), selected_view.package_count());
-  EXPECT_EQ(selected_source->total_bytes(), selected_view.total_bytes());
-  EXPECT_EQ(selected_source->read_ratio(), selected_view.read_ratio());
+  EXPECT_EQ(selected->package_count(), packages);
+  EXPECT_EQ(selected->total_bytes(), bytes);
+  EXPECT_EQ(selected->read_ratio(),
+            static_cast<double>(reads) / static_cast<double>(packages));
 }
 
 TEST(TraceSliceTest, SelectRejectsBadPositions) {
@@ -134,21 +107,20 @@ TEST(TraceSliceTest, SelectRejectsBadPositions) {
 
 TEST(TraceSliceTest, ScaledMatchesViewScaledBitExactly) {
   const auto trace = shared_trace(80, 4);
-  const TraceView view(trace);
-  // Compose scale(select(scale(...))) identically on both paths: the
-  // divisor must accumulate in the same multiplication order so every
-  // timestamp comes out bit-identical.
+  // scale(select(scale(...))): the divisor accumulates by multiplication
+  // in application order, so every timestamp is raw / ((1 * 3.7) * 0.25).
   const std::vector<TraceSource::Index> positions = {1, 7, 20, 21, 63};
-  const TraceView v = view.scaled(3.7).select(positions).scaled(0.25);
-  auto s = TraceSlice::scaled(make_source(view), 3.7);
+  auto s = TraceSlice::scaled(make_source(TraceView(trace)), 3.7);
   s = TraceSlice::select(std::move(s), positions);
   s = TraceSlice::scaled(std::move(s), 0.25);
-  ASSERT_EQ(s->bunch_count(), v.bunch_count());
-  EXPECT_EQ(s->time_divisor(), v.time_divisor());
-  for (std::size_t i = 0; i < v.bunch_count(); ++i) {
-    EXPECT_EQ(s->timestamp(i), v.timestamp(i)) << i;
+  const double divisor = (1.0 * 3.7) * 0.25;
+  ASSERT_EQ(s->bunch_count(), positions.size());
+  EXPECT_EQ(s->time_divisor(), divisor);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    EXPECT_EQ(s->timestamp(i), trace->bunches[positions[i]].timestamp / divisor)
+        << i;
   }
-  EXPECT_EQ(s->duration(), v.duration());
+  EXPECT_EQ(s->duration(), trace->bunches[63].timestamp / divisor);
 }
 
 TEST(TraceSliceTest, ScaledRejectsNonPositiveFactor) {
@@ -157,64 +129,128 @@ TEST(TraceSliceTest, ScaledRejectsNonPositiveFactor) {
   EXPECT_THROW(TraceSlice::scaled(source, -1.0), std::invalid_argument);
 }
 
+// --- composition on the one select/scale path, by hand ----------------------
+
+/// Four bunches at 8, 16, 24 and 32 s, one package each: every composed
+/// timestamp below is an exact binary fraction.
+std::shared_ptr<const TraceSource> four_bunches() {
+  Trace trace;
+  trace.device = "four";
+  for (int b = 1; b <= 4; ++b) {
+    Bunch bunch;
+    bunch.timestamp = 8.0 * b;
+    bunch.packages.push_back(
+        IoPackage{static_cast<Sector>(b), 512, OpType::kRead});
+    trace.bunches.push_back(std::move(bunch));
+  }
+  return make_source(TraceView::owning(std::move(trace)));
+}
+
+TEST(TraceSliceTest, SelectOfSelectAddressesInnerPositions) {
+  // Inner keeps bunches {1, 2, 3} (16, 24, 32 s); outer positions {0, 2}
+  // index that selection, so they land on bunches 1 and 3.
+  const auto inner = TraceSlice::select(four_bunches(), {1, 2, 3});
+  const auto outer = TraceSlice::select(inner, {0, 2});
+  ASSERT_EQ(outer->bunch_count(), 2u);
+  EXPECT_EQ(outer->timestamp(0), 16.0);
+  EXPECT_EQ(outer->timestamp(1), 32.0);
+  EXPECT_EQ(outer->packages(0).front().sector, 2u);
+  EXPECT_EQ(outer->packages(1).front().sector, 4u);
+  EXPECT_EQ(outer->package_count(), 2u);
+  // Positions are checked against the inner selection's 3 bunches.
+  EXPECT_THROW(TraceSlice::select(inner, {3}), std::invalid_argument);
+}
+
+TEST(TraceSliceTest, ScaleOfScaleDividesByProductInApplicationOrder) {
+  const auto twice =
+      TraceSlice::scaled(TraceSlice::scaled(four_bunches(), 2.0), 4.0);
+  EXPECT_EQ(twice->time_divisor(), 8.0);
+  EXPECT_EQ(twice->timestamp(0), 1.0);
+  EXPECT_EQ(twice->duration(), 4.0);
+  // One division by the product, not one per scale: 24 / (0.1 * 3.0) is
+  // 79.99999999999999 in binary64, while (24 / 0.1) / 3.0 is 80.
+  const auto product =
+      TraceSlice::scaled(TraceSlice::scaled(four_bunches(), 0.1), 3.0);
+  EXPECT_EQ(product->timestamp(2), 24.0 / (0.1 * 3.0));
+  EXPECT_NE(product->timestamp(2), 24.0 / 0.1 / 3.0);
+  // Factors multiply in application order: (0.1 * 0.2) * 0.3 differs from
+  // 0.1 * (0.2 * 0.3) in the last bit.
+  const auto ordered = TraceSlice::scaled(
+      TraceSlice::scaled(TraceSlice::scaled(four_bunches(), 0.1), 0.2), 0.3);
+  EXPECT_EQ(ordered->time_divisor(), (0.1 * 0.2) * 0.3);
+  EXPECT_NE(ordered->time_divisor(), 0.1 * (0.2 * 0.3));
+}
+
+TEST(TraceSliceTest, SelectOfScaledKeepsDivisor) {
+  const auto selected =
+      TraceSlice::select(TraceSlice::scaled(four_bunches(), 8.0), {1, 3});
+  EXPECT_EQ(selected->time_divisor(), 8.0);
+  ASSERT_EQ(selected->bunch_count(), 2u);
+  EXPECT_EQ(selected->raw_timestamp(0), 16.0);
+  EXPECT_EQ(selected->timestamp(0), 2.0);
+  EXPECT_EQ(selected->timestamp(1), 4.0);
+}
+
 TEST(TraceSourceTest, MaterializeReproducesSelection) {
   const auto trace = shared_trace(60, 6);
-  const TraceView view(trace);
   const std::vector<TraceSource::Index> positions = {0, 2, 30, 59};
-  const TraceView selected = view.select(positions).scaled(2.0);
-  const auto source =
-      TraceSlice::scaled(TraceSlice::select(make_source(view), positions), 2.0);
-  EXPECT_EQ(materialize(*source), selected.materialize());
+  const auto source = TraceSlice::scaled(
+      TraceSlice::select(make_source(TraceView(trace)), positions), 2.0);
+  Trace expected;
+  expected.device = trace->device;
+  for (const TraceSource::Index i : positions) {
+    Bunch bunch = trace->bunches[i];
+    bunch.timestamp /= 2.0;
+    expected.bunches.push_back(std::move(bunch));
+  }
+  EXPECT_EQ(materialize(*source), expected);
 }
 
 TEST(FilterSourceTest, FilterSelectsIdenticalBunchesAsViewPath) {
   const auto trace = shared_trace(200, 7);
-  const TraceView view(trace);
+  const auto view = make_source(TraceView(trace));
   for (const double proportion : {0.1, 0.3, 0.5, 1.0}) {
-    const TraceView filtered_view =
-        core::ProportionalFilter::apply(view, proportion);
-    const auto filtered_source =
-        core::ProportionalFilter::apply(make_source(view), proportion);
-    ASSERT_EQ(filtered_source->bunch_count(), filtered_view.bunch_count())
-        << proportion;
-    for (std::size_t i = 0; i < filtered_view.bunch_count(); ++i) {
-      EXPECT_EQ(filtered_source->timestamp(i), filtered_view.timestamp(i));
-      EXPECT_EQ(filtered_source->packages(i), filtered_view.packages(i));
+    const std::size_t k =
+        core::ProportionalFilter::select_count_for(proportion, 10);
+    const auto pattern = core::ProportionalFilter::selection_pattern(10, k);
+    const auto filtered = core::ProportionalFilter::apply(view, proportion);
+    ASSERT_EQ(filtered->bunch_count(), 20 * k) << proportion;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < trace->bunch_count(); ++i) {
+      if (!pattern[i % 10]) continue;
+      EXPECT_EQ(filtered->timestamp(next), trace->bunches[i].timestamp);
+      EXPECT_EQ(&filtered->packages(next), &trace->bunches[i].packages);
+      ++next;
     }
   }
 }
 
 TEST(FilterSourceTest, RandomFilterSameSeedSamePositions) {
   const auto trace = shared_trace(150, 8);
-  const TraceView view(trace);
-  const TraceView filtered_view =
-      core::ProportionalFilter::apply_random(view, 0.3, 77);
-  const auto filtered_source =
-      core::ProportionalFilter::apply_random(make_source(view), 0.3, 77);
-  ASSERT_EQ(filtered_source->bunch_count(), filtered_view.bunch_count());
-  for (std::size_t i = 0; i < filtered_view.bunch_count(); ++i) {
-    EXPECT_EQ(filtered_source->raw_timestamp(i),
-              filtered_view.bunch(i).timestamp);
+  const auto view = make_source(TraceView(trace));
+  const auto first = core::ProportionalFilter::apply_random(view, 0.3, 77);
+  const auto second = core::ProportionalFilter::apply_random(view, 0.3, 77);
+  ASSERT_EQ(first->bunch_count(), 45u);
+  ASSERT_EQ(second->bunch_count(), first->bunch_count());
+  for (std::size_t i = 0; i < first->bunch_count(); ++i) {
+    EXPECT_EQ(second->raw_timestamp(i), first->raw_timestamp(i));
   }
 }
 
 TEST(ScalerSourceTest, ScaleMatchesViewPath) {
   const auto trace = shared_trace(90, 9);
-  const TraceView view(trace);
-  const TraceView scaled_view = core::InterarrivalScaler::scale(view, 4.0);
-  const auto scaled_source =
-      core::InterarrivalScaler::scale(make_source(view), 4.0);
-  ASSERT_EQ(scaled_source->bunch_count(), scaled_view.bunch_count());
-  for (std::size_t i = 0; i < scaled_view.bunch_count(); ++i) {
-    EXPECT_EQ(scaled_source->timestamp(i), scaled_view.timestamp(i));
+  const auto view = make_source(TraceView(trace));
+  const auto scaled = core::InterarrivalScaler::scale(view, 4.0);
+  ASSERT_EQ(scaled->bunch_count(), trace->bunch_count());
+  for (std::size_t i = 0; i < trace->bunch_count(); ++i) {
+    EXPECT_EQ(scaled->timestamp(i), trace->bunches[i].timestamp / 4.0);
   }
-  const auto to_duration = core::InterarrivalScaler::scale_to_duration(
-      make_source(view), 5.0);
+  const auto to_duration =
+      core::InterarrivalScaler::scale_to_duration(view, 5.0);
   EXPECT_DOUBLE_EQ(to_duration->duration(), 5.0);
-  // Non-positive target is rejected, like the view path.
-  EXPECT_THROW(
-      core::InterarrivalScaler::scale_to_duration(make_source(view), 0.0),
-      std::invalid_argument);
+  // Non-positive target is rejected.
+  EXPECT_THROW(core::InterarrivalScaler::scale_to_duration(view, 0.0),
+               std::invalid_argument);
   // A zero-duration source cannot stretch: returned unchanged.
   auto single = std::make_shared<Trace>();
   single->bunches.emplace_back();  // one bunch at t = 0
@@ -227,23 +263,26 @@ TEST(ScalerSourceTest, ScaleMatchesViewPath) {
 // --- replay equivalence: the acceptance bar ---------------------------------
 
 TEST(ReplayEquivalenceTest, SourceReplayMatchesViewReplay) {
+  // A decorator that selects every position is transparent to replay.
   const auto trace = shared_trace(300, 10);
-  const TraceView view(trace);
-  const auto via_view = replay_view(view);
-  const ViewSource source(view);
-  const auto via_source = replay_source(source);
-  expect_reports_identical(via_view, via_source);
+  const auto view = make_source(TraceView(trace));
+  std::vector<TraceSource::Index> every(trace->bunch_count());
+  for (std::size_t i = 0; i < every.size(); ++i) {
+    every[i] = static_cast<TraceSource::Index>(i);
+  }
+  expect_reports_identical(replay_source(*view),
+                           replay_source(*TraceSlice::select(view, every)));
 }
 
 TEST(ReplayEquivalenceTest, FilteredAndScaledPipelinesBitIdentical) {
+  // The lazy pipeline replays exactly like its materialized copy.
   const auto trace = shared_trace(250, 11);
-  const TraceView view(trace);
-  const TraceView view_pipeline = core::InterarrivalScaler::scale(
-      core::ProportionalFilter::apply(view, 0.3), 2.0);
-  const auto source_pipeline = core::InterarrivalScaler::scale(
-      core::ProportionalFilter::apply(make_source(view), 0.3), 2.0);
-  expect_reports_identical(replay_view(view_pipeline),
-                           replay_source(*source_pipeline));
+  const auto pipeline = core::InterarrivalScaler::scale(
+      core::ProportionalFilter::apply(make_source(TraceView(trace)), 0.3),
+      2.0);
+  expect_reports_identical(
+      replay_source(TraceView::owning(materialize(*pipeline))),
+      replay_source(*pipeline));
 }
 
 class ColumnarReplayTest : public ::testing::Test {
@@ -265,7 +304,7 @@ TEST_F(ColumnarReplayTest, StreamedReplayBitIdenticalToInMemory) {
   const auto trace = shared_trace(400, 12);
   const std::string path = (dir_ / "t.replay2").string();
   write_columnar_file(path, *trace);
-  const auto in_memory = replay_view(TraceView(trace));
+  const auto in_memory = replay_source(TraceView(trace));
   ColumnarSource::Options options;
   options.window_bunches = 32;  // dozens of window reloads over the replay
   options.evict_consumed = true;
@@ -277,8 +316,8 @@ TEST_F(ColumnarReplayTest, FilteredColumnarReplayMatchesFilteredView) {
   const auto trace = shared_trace(300, 13);
   const std::string path = (dir_ / "f.replay2").string();
   write_columnar_file(path, *trace);
-  const auto via_view =
-      replay_view(core::ProportionalFilter::apply(TraceView(trace), 0.2));
+  const auto via_view = replay_source(
+      *core::ProportionalFilter::apply(make_source(TraceView(trace)), 0.2));
   ColumnarSource::Options options;
   options.window_bunches = 16;
   const auto via_columnar = replay_source(*core::ProportionalFilter::apply(

@@ -23,7 +23,7 @@ Trace make_trace(std::vector<std::tuple<Seconds, Sector, Bytes, OpType>> pkgs) {
 }
 
 TEST(TraceStats, EmptyTrace) {
-  const TraceStats stats = compute_stats(Trace{});
+  const TraceStats stats = compute_stats(TraceView::owning({}));
   EXPECT_EQ(stats.packages, 0u);
   EXPECT_EQ(stats.dataset_bytes, 0u);
   EXPECT_EQ(stats.mean_iops, 0.0);
@@ -36,7 +36,7 @@ TEST(TraceStats, BasicCountsAndRatios) {
       {2.0, 200, 4096, OpType::kRead},
       {4.0, 300, 4096, OpType::kRead},
   });
-  const TraceStats stats = compute_stats(trace);
+  const TraceStats stats = compute_stats(TraceView::borrowed(trace));
   EXPECT_EQ(stats.packages, 4u);
   EXPECT_EQ(stats.bunches, 4u);
   EXPECT_DOUBLE_EQ(stats.duration, 4.0);
@@ -52,7 +52,7 @@ TEST(TraceStats, FootprintMergesOverlappingExtents) {
       {1.0, 8, 8192, OpType::kRead},    // [4096, 12288) overlaps
       {2.0, 1000, 4096, OpType::kRead}, // [512000, 516096)
   });
-  const TraceStats stats = compute_stats(trace);
+  const TraceStats stats = compute_stats(TraceView::borrowed(trace));
   EXPECT_EQ(stats.dataset_bytes, 12288u + 4096u);
   EXPECT_EQ(stats.address_span_bytes, 1000u * 512 + 4096 - 0);
 }
@@ -63,7 +63,7 @@ TEST(TraceStats, RepeatedAccessCountsFootprintOnce) {
       {1.0, 0, 4096, OpType::kWrite},
       {2.0, 0, 4096, OpType::kRead},
   });
-  const TraceStats stats = compute_stats(trace);
+  const TraceStats stats = compute_stats(TraceView::borrowed(trace));
   EXPECT_EQ(stats.dataset_bytes, 4096u);
   EXPECT_EQ(stats.total_bytes, 3u * 4096);
 }
@@ -76,7 +76,7 @@ TEST(TraceStats, SequentialRatioDetectsRuns) {
       {2.0, 16, 4096, OpType::kRead},
       {3.0, 10000, 4096, OpType::kRead},
   });
-  const TraceStats stats = compute_stats(trace);
+  const TraceStats stats = compute_stats(TraceView::borrowed(trace));
   EXPECT_NEAR(stats.sequential_ratio, 2.0 / 3.0, 1e-12);
 }
 
@@ -86,7 +86,8 @@ TEST(TraceStats, FullyRandomHasZeroSequentialRatio) {
       {1.0, 5000, 4096, OpType::kRead},
       {2.0, 90000, 4096, OpType::kRead},
   });
-  EXPECT_DOUBLE_EQ(compute_stats(trace).sequential_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(
+      compute_stats(TraceView::borrowed(trace)).sequential_ratio, 0.0);
 }
 
 TEST(TraceStats, ThroughputUsesDecimalMb) {
@@ -94,13 +95,14 @@ TEST(TraceStats, ThroughputUsesDecimalMb) {
       {0.0, 0, 500000, OpType::kRead},
       {1.0, 10000, 500000, OpType::kRead},
   });
-  const TraceStats stats = compute_stats(trace);
+  const TraceStats stats = compute_stats(TraceView::borrowed(trace));
   EXPECT_DOUBLE_EQ(stats.mean_mbps, 1.0);  // 1e6 bytes over 1 s
 }
 
 // ---------------------------------------------------------------------------
-// Streaming overload: identical results to the in-memory path, in O(window)
-// memory (`trace_tools info` on huge .replay2 files rides on this).
+// Compaction and columnar streaming: identical results to one uncompacted
+// in-memory pass, in O(window) memory (`trace_tools info` on huge .replay2
+// files rides on this).
 // ---------------------------------------------------------------------------
 
 void expect_same_stats(const TraceStats& a, const TraceStats& b) {
@@ -149,8 +151,8 @@ Trace mixed_workload_trace() {
 
 TEST(TraceStats, StreamingMatchesMaterialized) {
   const auto trace = std::make_shared<const Trace>(mixed_workload_trace());
-  const TraceStats reference = compute_stats(*trace);
   const auto source = make_source(TraceView(trace));
+  const TraceStats reference = compute_stats(*source, ~std::size_t{0});
   // Default threshold (never reached here) and a tiny one that forces the
   // extent buffer through many compaction rounds must both be exact.
   expect_same_stats(compute_stats(*source), reference);
@@ -165,7 +167,8 @@ TEST(TraceStats, StreamingColumnarFileMatchesMaterialized) {
   write_blk_file(v1, trace);
   convert_blk_to_columnar(v1, v2);
   const auto source = open_columnar_source(v2);
-  expect_same_stats(compute_stats(*source, 8), compute_stats(trace));
+  expect_same_stats(compute_stats(*source, 8),
+                    compute_stats(TraceView::borrowed(trace)));
   std::filesystem::remove(v1);
   std::filesystem::remove(v2);
 }
@@ -181,7 +184,7 @@ TEST(TraceStats, CompactionPreservesAddressSpanQuirk) {
       {1.0, 1008, 4096, OpType::kWrite},
       {2.0, 500, 4096, OpType::kRead},
   });
-  const TraceStats reference = compute_stats(trace);
+  const TraceStats reference = compute_stats(TraceView::borrowed(trace));
   EXPECT_EQ(reference.address_span_bytes,
             1008 * kSectorSize + 4096 - 500 * kSectorSize);
   const auto source =

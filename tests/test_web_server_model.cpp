@@ -69,7 +69,7 @@ TEST(WebServerModel, AddressesStayInsideFileSystem) {
 TEST(WebServerModel, SessionsReadObjectsSequentially) {
   WebServerModel model(small_params());
   const trace::Trace trace = model.generate();
-  const auto stats = trace::compute_stats(trace);
+  const auto stats = trace::compute_stats(trace::TraceView::borrowed(trace));
   // Streaming sessions produce a visible sequential component even after
   // interleaving (bunching reorders within a millisecond only).
   EXPECT_GT(stats.sequential_ratio, 0.2);
@@ -112,7 +112,7 @@ TEST(WebServerModel, ZipfPopularityCreatesHotObjects) {
   params.duration = 300.0;
   WebServerModel model(params);
   const trace::Trace trace = model.generate();
-  const auto stats = trace::compute_stats(trace);
+  const auto stats = trace::compute_stats(trace::TraceView::borrowed(trace));
   // The touched footprint is well below total bytes moved (re-reads of hot
   // objects dominate).
   EXPECT_LT(stats.dataset_bytes, stats.total_bytes / 2);
