@@ -72,6 +72,35 @@ core::ReplayReport replay_source(const TraceSource& source) {
   return engine.replay(source, array);
 }
 
+// A TraceView handed to the pipeline through make_source is read only via
+// the TraceSource interface; it must answer exactly as the view itself.
+TEST(ViewSourceTest, MirrorsViewExactly) {
+  const auto trace = shared_trace(120, 1);
+  const TraceView view(trace);
+  const auto source = make_source(view);
+  ASSERT_EQ(source->bunch_count(), view.bunch_count());
+  EXPECT_EQ(source->device(), view.device());
+  EXPECT_EQ(source->package_count(), view.package_count());
+  EXPECT_EQ(source->total_bytes(), view.total_bytes());
+  EXPECT_EQ(source->read_ratio(), view.read_ratio());
+  EXPECT_EQ(source->time_divisor(), view.time_divisor());
+  EXPECT_EQ(source->duration(), view.duration());
+  EXPECT_EQ(source->mean_request_size(), view.mean_request_size());
+  for (std::size_t i = 0; i < source->bunch_count(); ++i) {
+    EXPECT_EQ(source->raw_timestamp(i), trace->bunches[i].timestamp);
+    EXPECT_EQ(source->timestamp(i), view.timestamp(i));
+    EXPECT_EQ(&source->packages(i), &view.packages(i));  // zero-copy
+    EXPECT_EQ(&source->packages(i), &trace->bunches[i].packages);
+  }
+}
+
+TEST(ViewSourceTest, EmptySource) {
+  const auto source = make_source(TraceView(std::make_shared<const Trace>()));
+  EXPECT_TRUE(source->empty());
+  EXPECT_EQ(source->duration(), 0.0);
+  EXPECT_EQ(source->mean_request_size(), 0.0);
+}
+
 TEST(TraceSliceTest, SelectMatchesViewSelect) {
   const auto trace = shared_trace(100, 2);
   const std::vector<TraceSource::Index> positions = {0, 3, 4, 10, 55, 99};
