@@ -10,8 +10,9 @@
 // resumable: completed tests stream to campaign_1250.journal.csv as they
 // finish, a failed test costs exactly one slot instead of the whole run,
 // Ctrl-C stops cleanly, and re-running the binary resumes from the journal
-// without repeating completed (trace, load) pairs. Delete the journal for
-// a from-scratch run.
+// without repeating completed tests (rows are keyed by matrix index, and
+// the journal is bound to this matrix by its .campaign sidecar). Delete
+// the journal and its sidecar for a from-scratch run.
 //
 // Observability flags (artifacts for CI and offline inspection):
 //   --metrics-out=PATH   dump the obs:: metrics snapshot on exit
@@ -28,6 +29,7 @@
 #include <algorithm>
 #include <csignal>
 #include <fstream>
+#include <stdexcept>
 
 namespace {
 tracer::util::CancelToken* g_cancel = nullptr;
@@ -119,7 +121,14 @@ int main(int argc, char** argv) {
 
   std::printf("running %zu experiments (journal: %s)...\n", all_tests.size(),
               campaign_options.journal_path.string().c_str());
-  const core::CampaignReport report = runner.run(all_tests);
+  core::CampaignReport report;
+  try {
+    report = runner.run(all_tests);
+  } catch (const std::runtime_error& e) {
+    // A journal of another campaign (or one without an identity sidecar).
+    std::fprintf(stderr, "campaign_1250: %s\n", e.what());
+    return 1;
+  }
   std::signal(SIGINT, SIG_DFL);
   g_cancel = nullptr;
 

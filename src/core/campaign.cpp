@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -56,11 +55,6 @@ CampaignRunner::CampaignRunner(TestExecutor executor, std::string device,
   }
 }
 
-std::string CampaignRunner::trace_name_for(
-    const workload::WorkloadMode& mode) const {
-  return mode.trace_key(device_).file_name();
-}
-
 void CampaignRunner::bump_progress(
     const std::function<void(CampaignProgress&)>& update) {
   util::MutexLock lock(progress_mutex_);
@@ -83,7 +77,7 @@ void CampaignRunner::bump_progress(
 }
 
 TestOutcome CampaignRunner::run_one(const workload::WorkloadMode& mode,
-                                    const std::string& trace_name) {
+                                    std::size_t index) {
   TestOutcome outcome;
   // Jitter is seeded per test so a campaign's retry schedule is
   // reproducible yet no two tests share a schedule.
@@ -91,27 +85,18 @@ TestOutcome CampaignRunner::run_one(const workload::WorkloadMode& mode,
                          .multiplier = 2.0,
                          .cap = options_.retry_backoff_cap,
                          .jitter = options_.retry_jitter},
-                        std::hash<std::string>{}(trace_name) ^
-                            static_cast<std::uint64_t>(
-                                mode.load_proportion * 10000.0));
+                        index);
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (cancel_.cancelled()) break;
     ++outcome.attempts;
     try {
       if (options_.fail_test && options_.fail_test(mode, attempt)) {
         throw std::runtime_error(util::format(
-            "injected fault (attempt %d of %s)", attempt, trace_name.c_str()));
+            "injected fault (attempt %d of test %zu)", attempt, index));
       }
       db::TestRecord record = executor_(mode);
-      // Executors that don't label their records (remote stubs, tests)
-      // still need journal-stable identity.
-      if (record.trace_name.empty()) record.trace_name = trace_name;
-      if (record.device.empty()) record.device = device_;
-      if (record.load_proportion == 0.0) {
-        record.load_proportion = mode.load_proportion;
-      }
-      if (journal_) {
-        journal_->append(record);
+      record.test_id = index;
+      if (journal_ && journal_->append_unique(record)) {
         static auto& checkpoints =
             obs::Registry::global().counter("campaign.checkpoint_writes");
         checkpoints.increment();
@@ -144,7 +129,7 @@ TestOutcome CampaignRunner::run_one(const workload::WorkloadMode& mode,
           !options_.on_attempt_failure(mode, attempt, outcome.error)) {
         break;
       }
-      TRACER_LOG(kWarn) << "campaign test " << trace_name << " @ "
+      TRACER_LOG(kWarn) << "campaign test " << index << " @ "
                         << mode.load_proportion << " attempt " << attempt
                         << " failed (" << outcome.error << "), retrying";
       static auto& retries =
@@ -163,7 +148,7 @@ TestOutcome CampaignRunner::run_one(const workload::WorkloadMode& mode,
   static auto& failures =
       obs::Registry::global().counter("campaign.failures");
   failures.increment();
-  TRACER_LOG(kError) << "campaign test " << trace_name << " @ "
+  TRACER_LOG(kError) << "campaign test " << index << " @ "
                      << mode.load_proportion << " failed after "
                      << outcome.attempts << " attempt(s): " << outcome.error;
   bump_progress([](CampaignProgress& p) { ++p.failed; });
@@ -181,45 +166,40 @@ CampaignReport CampaignRunner::run(
     progress_.total = modes.size();
   }
 
-  // Resume: everything the journal already holds is done.
-  std::unordered_map<std::string, db::TestRecord> done;
+  // Resume: every matrix index the journal already holds is done. The
+  // journal must belong to this campaign before any of its rows count.
   if (!options_.journal_path.empty()) {
-    for (auto& record : db::CampaignJournal::load(options_.journal_path)) {
-      done.insert_or_assign(
-          db::CampaignJournal::key(record.trace_name, record.load_proportion),
-          std::move(record));
+    CampaignIdentity{device_, CampaignIdentity::fingerprint_of(modes)}.claim(
+        options_.journal_path);
+    journal_ = std::make_unique<db::JournalMerger>(options_.journal_path);
+    for (const auto& record : journal_->loaded()) {
+      if (record.test_id >= modes.size()) continue;
+      TestOutcome& slot = report.outcomes[record.test_id];
+      if (slot.status == TestStatus::kSkipped) continue;
+      slot.status = TestStatus::kSkipped;
+      slot.record = record;
+      bump_progress([](CampaignProgress& p) { ++p.skipped; });
     }
-    journal_ = std::make_unique<db::CampaignJournal>(options_.journal_path);
-    if (!done.empty()) {
+    if (journal_->size() > 0) {
       TRACER_LOG(kInfo) << "campaign journal "
                         << options_.journal_path.string() << ": resuming, "
-                        << done.size() << " completed test(s) on record";
+                        << journal_->size() << " completed test(s) on record";
     }
   }
 
   std::vector<std::size_t> pending;
-  std::vector<std::string> trace_names(modes.size());
   pending.reserve(modes.size());
   for (std::size_t i = 0; i < modes.size(); ++i) {
-    trace_names[i] = trace_name_for(modes[i]);
-    const auto it = done.find(db::CampaignJournal::key(
-        trace_names[i], modes[i].load_proportion));
-    if (it != done.end()) {
-      report.outcomes[i].status = TestStatus::kSkipped;
-      report.outcomes[i].record = it->second;
-      bump_progress([](CampaignProgress& p) { ++p.skipped; });
-    } else {
-      pending.push_back(i);
-    }
+    if (report.outcomes[i].status != TestStatus::kSkipped) pending.push_back(i);
   }
 
   if (!pending.empty()) {
     util::ThreadPool pool(options_.threads);
     pool.parallel_for(
         pending.size(),
-        [this, &pending, &modes, &trace_names, &report](std::size_t p) {
+        [this, &pending, &modes, &report](std::size_t p) {
           const std::size_t i = pending[p];
-          report.outcomes[i] = run_one(modes[i], trace_names[i]);
+          report.outcomes[i] = run_one(modes[i], i);
         },
         &cancel_);
   }

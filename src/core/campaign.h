@@ -11,8 +11,9 @@
 //     thread pool stops the campaign cleanly mid-sweep (safe to trip from
 //     a SIGINT handler);
 //   * checkpoint/resume — completed records stream to an append-only CSV
-//     journal as they finish, and a restarted campaign skips every
-//     (trace_name, load_proportion) pair the journal already holds;
+//     journal as they finish, keyed by matrix index (test_id = index) under
+//     CampaignIdentity{device, fingerprint} as in CampaignCoordinator, and a
+//     restarted campaign (of either driver) skips every index on record;
 //   * observability — a progress callback with completed/failed/retried/
 //     skipped counts and a wall-clock ETA;
 //   * deterministic fault injection, so the retry and resume paths are
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign_worker.h"
 #include "core/evaluation_host.h"
 #include "db/journal.h"
 #include "obs/registry.h"
@@ -129,22 +131,20 @@ struct CampaignOptions {
 
 class CampaignRunner {
  public:
-  /// Runs one test, returning its record; throw to report failure.
-  using TestExecutor =
-      std::function<db::TestRecord(const workload::WorkloadMode&)>;
-
   /// Campaign over `host` (must outlive the runner): each test is
   /// host.run_test(mode), so records also land in the host's database.
   explicit CampaignRunner(EvaluationHost& host, CampaignOptions options = {});
 
   /// Campaign over a custom executor (remote workload generators, tests).
-  /// `device` names the system under test; it keys the journal's
-  /// (trace_name, load) pairs via WorkloadMode::trace_key.
+  /// `device` names the system under test; it is the campaign id the
+  /// journal is bound to (CampaignIdentity::claim).
   CampaignRunner(TestExecutor executor, std::string device,
                  CampaignOptions options = {});
 
   /// Run every mode, honouring journal resume and the cancel token.
   /// Never throws for per-test failures; outcomes are in input order.
+  /// Throws std::runtime_error, before running anything, when the journal
+  /// belongs to a different campaign (CampaignIdentity::claim).
   CampaignReport run(const std::vector<workload::WorkloadMode>& modes);
 
   /// Cancellation latch. request_cancel() is safe from other threads and
@@ -152,16 +152,14 @@ class CampaignRunner {
   util::CancelToken& cancel_token() { return cancel_; }
 
  private:
-  TestOutcome run_one(const workload::WorkloadMode& mode,
-                      const std::string& trace_name);
-  std::string trace_name_for(const workload::WorkloadMode& mode) const;
+  TestOutcome run_one(const workload::WorkloadMode& mode, std::size_t index);
   void bump_progress(const std::function<void(CampaignProgress&)>& update);
 
   TestExecutor executor_;
   std::string device_;
   CampaignOptions options_;
   util::CancelToken cancel_;
-  std::unique_ptr<db::CampaignJournal> journal_;
+  std::unique_ptr<db::JournalMerger> journal_;  ///< thread-safe appends
 
   util::Mutex progress_mutex_;  ///< serialises progress + on_progress calls
   CampaignProgress progress_ TRACER_GUARDED_BY(progress_mutex_);

@@ -1,13 +1,11 @@
 #include "core/campaign_coordinator.h"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/registry.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace tracer::core {
 
@@ -40,12 +38,6 @@ struct FleetCounters {
     return counters;
   }
 };
-
-std::filesystem::path sidecar_path(const std::filesystem::path& journal) {
-  std::filesystem::path p = journal;
-  p += ".campaign";
-  return p;
-}
 
 }  // namespace
 
@@ -81,33 +73,9 @@ void CampaignCoordinator::begin(
   matrix_ = matrix;
   identity_.fingerprint = CampaignIdentity::fingerprint_of(matrix_);
 
-  // The journal belongs to exactly one campaign identity. Verify before
-  // merging a single record: resuming someone else's journal would dedup
-  // against rows whose indices mean entirely different tests.
-  const std::filesystem::path sidecar = sidecar_path(journal_path_);
-  if (std::filesystem::exists(sidecar)) {
-    std::ifstream in(sidecar);
-    std::string id_line;
-    std::string fp_line;
-    std::getline(in, id_line);
-    std::getline(in, fp_line);
-    std::uint64_t fp = 0;
-    const bool parsed = id_line.rfind("id=", 0) == 0 &&
-                        fp_line.rfind("fingerprint=", 0) == 0 &&
-                        util::parse_u64(fp_line.substr(12), fp);
-    if (!parsed || id_line.substr(3) != identity_.id ||
-        fp != identity_.fingerprint) {
-      throw std::runtime_error(
-          "CampaignCoordinator: journal " + journal_path_.string() +
-          " belongs to a different campaign (identity sidecar mismatch); "
-          "refusing to merge");
-    }
-  } else {
-    std::ofstream out(sidecar, std::ios::trunc);
-    out << "id=" << identity_.id << "\n"
-        << "fingerprint=" << identity_.fingerprint << "\n";
-  }
-
+  // Verify before merging a single record: resuming someone else's
+  // journal would dedup against rows whose indices mean different tests.
+  identity_.claim(journal_path_);
   merger_ = std::make_unique<db::JournalMerger>(journal_path_);
   resumed_ = 0;
   pending_.clear();

@@ -27,6 +27,11 @@
 
 namespace tracer::core {
 
+/// Runs one campaign test, returning its record; throw to report failure.
+/// CampaignRunner and CampaignWorkerService both take one.
+using TestExecutor =
+    std::function<db::TestRecord(const workload::WorkloadMode&)>;
+
 struct WorkerOptions {
   /// Lease keepalive cadence while executing a shard (sent between tests;
   /// every SHARD_RECORD ack also renews coordinator-side).
@@ -59,11 +64,8 @@ struct WorkerStats {
 
 class CampaignWorkerService {
  public:
-  /// Runs one test, returning its record; throw to report failure (the
-  /// worker abandons the shard and the coordinator re-issues the rest).
-  using TestExecutor =
-      std::function<db::TestRecord(const workload::WorkloadMode&)>;
-
+  /// A throwing executor makes the worker abandon the shard; the
+  /// coordinator re-issues the rest.
   explicit CampaignWorkerService(TestExecutor executor,
                                  WorkerOptions options = {});
 

@@ -2,8 +2,12 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 
 #include "core/remote.h"
+#include "db/journal.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -72,6 +76,40 @@ std::uint64_t CampaignIdentity::fingerprint_of(
     digest = util::fnv1a(serialised, digest);
   }
   return digest;
+}
+
+void CampaignIdentity::claim(const std::filesystem::path& journal) const {
+  if (journal.has_parent_path()) {
+    std::filesystem::create_directories(journal.parent_path());
+  }
+  const std::filesystem::path sidecar = journal.string() + ".campaign";
+  const std::string expected = "id=" + id + "\nfingerprint=" +
+                               std::to_string(fingerprint) + "\n";
+  if (std::filesystem::exists(sidecar)) {
+    std::ifstream in(sidecar, std::ios::binary);
+    const std::string found(std::istreambuf_iterator<char>(in), {});
+    if (found != expected) {
+      throw std::runtime_error(
+          "campaign journal " + journal.string() +
+          " belongs to a different campaign (identity sidecar mismatch); "
+          "refusing to resume it");
+    }
+    return;
+  }
+  // Rows without a sidecar were keyed by someone else's notion of test_id;
+  // adopting them would silently skip the wrong tests.
+  if (!db::CampaignJournal::load(journal).empty()) {
+    throw std::runtime_error(
+        "campaign journal " + journal.string() +
+        " has rows but no identity sidecar (written by an older version or "
+        "another tool); move or delete it to start this campaign");
+  }
+  std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
+  out << expected << std::flush;
+  if (!out) {
+    throw std::runtime_error("campaign journal: cannot write identity "
+                             "sidecar " + sidecar.string());
+  }
 }
 
 net::Message encode_shard_assign(const ShardAssignment& assign) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,11 +24,12 @@
 
 namespace tracer::core {
 
-/// Stable identity of a fleet campaign: a human-chosen id plus a
-/// fingerprint of the full test matrix. The journal belongs to exactly one
-/// identity — a coordinator resuming a journal under a different matrix
-/// would silently mis-key every record, so the identity is persisted next
-/// to the journal and verified on resume (CampaignCoordinator).
+/// Stable identity of a campaign: a human-chosen id plus a fingerprint of
+/// the full test matrix. A test is its index in the matrix, and its journal
+/// row has test_id = index. The journal belongs to exactly one identity — a
+/// driver resuming a journal under a different matrix would silently
+/// mis-key every record, so both campaign drivers (CampaignRunner and
+/// CampaignCoordinator) bind the journal with claim() before touching it.
 struct CampaignIdentity {
   std::string id;                 ///< e.g. "grid-125x10"
   std::uint64_t fingerprint = 0;  ///< FNV-1a over the serialised matrix
@@ -37,8 +39,14 @@ struct CampaignIdentity {
   static std::uint64_t fingerprint_of(
       const std::vector<workload::WorkloadMode>& matrix);
 
-  friend bool operator==(const CampaignIdentity&,
-                         const CampaignIdentity&) = default;
+  /// Bind `journal` to this identity through its `<journal>.campaign`
+  /// sidecar, creating the parent directory first. An existing sidecar
+  /// must match; a missing one is written (and the write checked), unless
+  /// the journal already holds record rows — such a journal came from an
+  /// older version or another tool and cannot be trusted. Throws
+  /// std::runtime_error on a mismatch, a sidecar-less journal with rows,
+  /// or a failed write.
+  void claim(const std::filesystem::path& journal) const;
 };
 
 /// One test inside a shard: its stable index in the campaign matrix plus

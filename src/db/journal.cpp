@@ -294,32 +294,23 @@ std::vector<TestRecord> CampaignJournal::load(
   return records;
 }
 
-std::string CampaignJournal::key(const std::string& trace_name,
-                                 double load_proportion) {
-  // %.17g: the resume key must be collision-free (two loads 5e-5 apart
-  // used to fold into the same %.4f key and alias each other's journal
-  // rows) AND stable across the journal round trip — %.17g re-encodes a
-  // parsed value to the identical string, so a loaded record still matches
-  // its planned test. Legacy journals written at 4-digit precision keep
-  // matching for loads that round-trip through 4 decimals (every paper
-  // load level does); odd legacy loads re-run instead of aliasing.
-  return util::format("%s@%.17g", trace_name.c_str(), load_proportion);
-}
-
 JournalMerger::JournalMerger(std::filesystem::path path)
     : journal_(std::move(path)) {
   loaded_ = CampaignJournal::load(journal_.path());
+  util::MutexLock lock(mutex_);  // uncontended; for the analysis
   for (const auto& record : loaded_) {
     seen_.insert(record.test_id);
   }
 }
 
 bool JournalMerger::append_unique(const TestRecord& record) {
-  if (!seen_.insert(record.test_id).second) {
+  util::MutexLock lock(mutex_);
+  if (seen_.count(record.test_id) != 0) {
     ++deduped_;
     return false;
   }
   journal_.append(record);
+  seen_.insert(record.test_id);
   ++merged_;
   return true;
 }

@@ -56,11 +56,6 @@ class CampaignJournal {
   /// warning, not fatal.
   static std::vector<TestRecord> load(const std::filesystem::path& path);
 
-  /// Resume key for a completed test: identifies the (trace, load) pair
-  /// independent of test_id, which differs across process restarts.
-  static std::string key(const std::string& trace_name,
-                         double load_proportion);
-
   /// Serialise one record to its journal line (no trailing newline), with
   /// the checksum column appended. Exposed for tests.
   static std::string encode_line(const TestRecord& record);
@@ -78,16 +73,16 @@ class CampaignJournal {
   util::Mutex mutex_;  ///< serialises append(): one row, one flush, atomically
 };
 
-/// Dedup-merging journal front-end for fleet campaigns (docs/FLEET.md):
-/// many workers stream per-test records to one coordinator, shards get
-/// stolen and re-executed, and a restarted coordinator replays the journal
-/// — so the journal must end up with EXACTLY one row per test. The merge
-/// key is TestRecord::test_id, which fleet campaigns set to the test's
-/// stable index in the campaign matrix (stable across coordinator
-/// restarts, unlike arrival order).
+/// Dedup-merging journal front end for both campaign drivers
+/// (docs/FLEET.md): a restarted CampaignRunner resumes through it, and a
+/// fleet coordinator merges streamed records through it while shards get
+/// stolen and re-executed — so the journal must end up with EXACTLY one row
+/// per test. The merge key is TestRecord::test_id, which campaigns set to
+/// the test's index in the campaign matrix (stable across restarts, unlike
+/// arrival order).
 ///
-/// Thread-confined, like the coordinator that owns it: the underlying
-/// CampaignJournal::append is thread-safe, but the seen-set is not.
+/// Thread-safe: one mutex guards the seen-set and tallies, so a runner's
+/// pool threads can append concurrently.
 class JournalMerger {
  public:
   /// Opens (and recovers) the journal, then indexes every existing row's
@@ -96,25 +91,38 @@ class JournalMerger {
 
   /// Append iff no row with this test_id exists yet (in the loaded journal
   /// or appended since). Returns false — and writes nothing — for a
-  /// duplicate: a re-executed stolen shard, or a late retransmit.
+  /// duplicate: a re-executed stolen shard, or a late retransmit. A failed
+  /// write throws and leaves the test_id unseen.
   bool append_unique(const TestRecord& record);
 
   bool contains(std::uint64_t test_id) const {
+    util::MutexLock lock(mutex_);
     return seen_.count(test_id) != 0;
   }
   /// Rows found in the journal when it was opened (resume state).
   const std::vector<TestRecord>& loaded() const { return loaded_; }
-  std::size_t merged() const { return merged_; }    ///< appended this run
-  std::size_t deduped() const { return deduped_; }  ///< rejected this run
-  std::size_t size() const { return seen_.size(); }
-  const CampaignJournal& journal() const { return journal_; }
+  /// Rows appended this run.
+  std::size_t merged() const {
+    util::MutexLock lock(mutex_);
+    return merged_;
+  }
+  /// Duplicates rejected this run.
+  std::size_t deduped() const {
+    util::MutexLock lock(mutex_);
+    return deduped_;
+  }
+  std::size_t size() const {
+    util::MutexLock lock(mutex_);
+    return seen_.size();
+  }
 
  private:
   CampaignJournal journal_;
-  std::vector<TestRecord> loaded_;
-  std::unordered_set<std::uint64_t> seen_;
-  std::size_t merged_ = 0;
-  std::size_t deduped_ = 0;
+  std::vector<TestRecord> loaded_;  ///< immutable after construction
+  mutable util::Mutex mutex_;
+  std::unordered_set<std::uint64_t> seen_ TRACER_GUARDED_BY(mutex_);
+  std::size_t merged_ TRACER_GUARDED_BY(mutex_) = 0;
+  std::size_t deduped_ TRACER_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace tracer::db

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -51,8 +52,16 @@ class CampaignTest : public ::testing::Test {
                     ->name() +
                 ".csv");
     std::filesystem::remove(journal_);
+    std::filesystem::remove(sidecar());
   }
-  void TearDown() override { std::filesystem::remove(journal_); }
+  void TearDown() override {
+    std::filesystem::remove(journal_);
+    std::filesystem::remove(sidecar());
+  }
+
+  std::filesystem::path sidecar() const {
+    return std::filesystem::path(journal_.string() + ".campaign");
+  }
 
   CampaignOptions fast_options() {
     CampaignOptions options;
@@ -184,6 +193,109 @@ TEST_F(CampaignTest, JournalResumeSkipsCompletedPairs) {
     EXPECT_EQ(report.completed(), 0u);
   }
   EXPECT_EQ(executor_calls.load(), 1);
+}
+
+// Resume keys on the matrix index, so the journal is bound to the matrix
+// fingerprint: the same modes in a different order would otherwise resume
+// every row into the wrong slot.
+TEST_F(CampaignTest, JournalResumeRefusesReorderedMatrix) {
+  const auto modes = ten_loads();
+  {
+    CampaignOptions options = fast_options();
+    options.journal_path = journal_;
+    CampaignRunner runner(fake_record, "fake-array", options);
+    EXPECT_TRUE(runner.run(modes).all_ok());
+  }
+  auto reordered = modes;
+  std::reverse(reordered.begin(), reordered.end());
+  std::atomic<int> executor_calls{0};
+  CampaignOptions options = fast_options();
+  options.journal_path = journal_;
+  CampaignRunner runner(
+      [&](const workload::WorkloadMode& mode) {
+        ++executor_calls;
+        return fake_record(mode);
+      },
+      "fake-array", options);
+  EXPECT_THROW(runner.run(reordered), std::runtime_error);
+  EXPECT_EQ(executor_calls.load(), 0);
+  // A different device names a different campaign, too.
+  CampaignRunner other_device(fake_record, "other-array", options);
+  EXPECT_THROW(other_device.run(modes), std::runtime_error);
+}
+
+TEST_F(CampaignTest, JournalRowsAreKeyedByMatrixIndex) {
+  const auto modes = ten_loads();
+  CampaignOptions options = fast_options();
+  options.journal_path = journal_;
+  CampaignRunner runner(fake_record, "fake-array", options);
+  const CampaignReport report = runner.run(modes);
+  ASSERT_TRUE(report.all_ok());
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    EXPECT_EQ(report.outcomes[i].record.test_id, i);
+  }
+  std::set<std::uint64_t> ids;
+  for (const auto& row : db::CampaignJournal::load(journal_)) {
+    EXPECT_TRUE(ids.insert(row.test_id).second) << "duplicate " << row.test_id;
+    ASSERT_LT(row.test_id, modes.size());
+    EXPECT_EQ(row.load_proportion, modes[row.test_id].load_proportion);
+  }
+  EXPECT_EQ(ids.size(), modes.size());
+}
+
+// A journal in a directory that does not exist yet still gets its identity
+// sidecar, so a later resume under a different matrix is refused.
+TEST_F(CampaignTest, JournalInNewDirectoryIsBoundToItsCampaign) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tracer_campaign_newdir_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  CampaignOptions options = fast_options();
+  options.journal_path = dir / "sub" / "journal.csv";
+  {
+    CampaignRunner runner(fake_record, "fake-array", options);
+    EXPECT_TRUE(runner.run(ten_loads()).all_ok());
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir / "sub" / "journal.csv.campaign"));
+  auto other = ten_loads();
+  other.pop_back();
+  CampaignRunner resume(fake_record, "fake-array", options);
+  EXPECT_THROW(resume.run(other), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+// Rows without a sidecar carry someone else's test ids: refuse them rather
+// than skip the wrong tests. A header-only journal is still fresh.
+TEST_F(CampaignTest, SidecarlessJournalWithRowsIsRefused) {
+  {
+    db::CampaignJournal journal(journal_);
+    for (std::uint64_t id = 0; id < 3; ++id) {
+      db::TestRecord record = fake_record(make_mode(0.1));
+      record.test_id = id;
+      journal.append(record);
+    }
+  }
+  std::atomic<int> executor_calls{0};
+  const auto counting = [&](const workload::WorkloadMode& mode) {
+    ++executor_calls;
+    return fake_record(mode);
+  };
+  CampaignOptions options = fast_options();
+  options.journal_path = journal_;
+  {
+    CampaignRunner runner(counting, "fake-array", options);
+    EXPECT_THROW(runner.run(ten_loads()), std::runtime_error);
+  }
+  EXPECT_EQ(executor_calls.load(), 0);
+  EXPECT_FALSE(std::filesystem::exists(sidecar()));
+  EXPECT_EQ(db::CampaignJournal::load(journal_).size(), 3u);
+
+  std::filesystem::remove(journal_);
+  { db::CampaignJournal header_only(journal_); }
+  CampaignRunner runner(counting, "fake-array", options);
+  const CampaignReport report = runner.run(ten_loads());
+  EXPECT_EQ(report.completed(), 10u);
+  EXPECT_EQ(executor_calls.load(), 10);
+  EXPECT_TRUE(std::filesystem::exists(sidecar()));
 }
 
 TEST_F(CampaignTest, JournalSurvivesTornTailRow) {
@@ -324,15 +436,6 @@ TEST(CampaignJournalTest, RoundTripsRecords) {
 
 TEST(CampaignJournalTest, MissingFileIsEmpty) {
   EXPECT_TRUE(db::CampaignJournal::load("/nonexistent/journal.csv").empty());
-}
-
-TEST(CampaignJournalTest, KeyDistinguishesLoadLevels) {
-  EXPECT_NE(db::CampaignJournal::key("t", 0.1),
-            db::CampaignJournal::key("t", 0.2));
-  EXPECT_EQ(db::CampaignJournal::key("t", 0.1),
-            db::CampaignJournal::key("t", 0.1));
-  EXPECT_NE(db::CampaignJournal::key("a", 0.1),
-            db::CampaignJournal::key("b", 0.1));
 }
 
 }  // namespace

@@ -3,15 +3,19 @@
 // jump must not expire leases), work stealing from a partitioned
 // (alive-but-unreachable) worker via net::FaultyEndpoint with late-duplicate
 // rejection, worker death by kill switch, and coordinator kill/restart
-// resume — zero lost, zero duplicated.
+// resume — zero lost, zero duplicated — and journal identity shared with
+// CampaignRunner, so either campaign driver finishes the other's journal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/campaign_coordinator.h"
 #include "core/campaign_worker.h"
 #include "core/fleet_wire.h"
@@ -20,6 +24,7 @@
 #include "net/fault.h"
 #include "obs/registry.h"
 #include "util/clock.h"
+#include "util/sync.h"
 
 namespace tracer::core {
 namespace {
@@ -497,6 +502,216 @@ TEST(FleetIdentity, JournalRefusesForeignCampaign) {
   CampaignCoordinator same(CampaignIdentity{"mine", 0}, dir / "journal.csv",
                            links, {});
   EXPECT_NO_THROW(same.begin(make_matrix(4)));
+}
+
+// The sidecar is written even when the journal's directory does not exist
+// yet, so a later resume under a different matrix is refused.
+TEST(FleetIdentity, JournalInNewDirectoryIsBoundToItsCampaign) {
+  const fs::path journal = fresh_dir("new_dir") / "not" / "yet" / "journal.csv";
+  auto [ca, wa] = net::make_channel();
+  net::Communicator coord_comm(std::move(ca));
+  net::Communicator worker_comm(std::move(wa));
+  std::vector<CampaignCoordinator::WorkerLink> links{{"w0", &coord_comm}};
+
+  CampaignCoordinator first(CampaignIdentity{"mine", 0}, journal, links, {});
+  first.begin(make_matrix(4));
+  EXPECT_TRUE(fs::exists(fs::path(journal.string() + ".campaign")));
+
+  CampaignCoordinator wrong_matrix(CampaignIdentity{"mine", 0}, journal,
+                                   links, {});
+  EXPECT_THROW(wrong_matrix.begin(make_matrix(5)), std::runtime_error);
+}
+
+/// Runs `matrix` through a coordinator and one in-process worker thread
+/// executing `executor`; stops the worker afterwards.
+FleetReport run_fleet(const CampaignIdentity& identity,
+                      const fs::path& journal,
+                      const std::vector<workload::WorkloadMode>& matrix,
+                      TestExecutor executor, CoordinatorOptions options = {}) {
+  auto [coord_end, worker_end] = net::make_channel();
+  net::Communicator coord_comm(std::move(coord_end));
+  auto worker_comm = std::make_shared<net::Communicator>(std::move(worker_end));
+  CampaignWorkerService service(std::move(executor));
+  std::thread worker([&service, worker_comm] { service.serve(*worker_comm); });
+  CampaignCoordinator coordinator(identity, journal, {{"w0", &coord_comm}},
+                                  options);
+  FleetReport report;
+  try {
+    report = coordinator.run(matrix);
+  } catch (...) {
+    coordinator.stop_workers();
+    worker.join();
+    throw;
+  }
+  coordinator.stop_workers();
+  worker.join();
+  return report;
+}
+
+/// Records which matrix indices ran, once per execution.
+class ExecutionLog {
+ public:
+  explicit ExecutionLog(const std::vector<workload::WorkloadMode>& matrix)
+      : matrix_(matrix) {}
+
+  TestExecutor executor() {
+    return [this](const workload::WorkloadMode& mode) {
+      const auto it = std::find(matrix_.begin(), matrix_.end(), mode);
+      util::MutexLock lock(mutex_);
+      ran_.insert(static_cast<std::uint64_t>(it - matrix_.begin()));
+      return synth_record(mode);
+    };
+  }
+
+  std::multiset<std::uint64_t> ran() {
+    util::MutexLock lock(mutex_);
+    return ran_;
+  }
+
+ private:
+  const std::vector<workload::WorkloadMode>& matrix_;
+  util::Mutex mutex_;
+  std::multiset<std::uint64_t> ran_ TRACER_GUARDED_BY(mutex_);
+};
+
+std::vector<db::TestRecord> rows_by_index(const fs::path& journal) {
+  auto rows = db::CampaignJournal::load(journal);
+  std::sort(rows.begin(), rows.end(),
+            [](const db::TestRecord& x, const db::TestRecord& y) {
+              return x.test_id < y.test_id;
+            });
+  return rows;
+}
+
+CampaignOptions runner_options(const fs::path& journal) {
+  CampaignOptions options;
+  options.journal_path = journal;
+  options.max_retries = 0;
+  options.retry_backoff = 0.0;
+  options.threads = 2;
+  return options;
+}
+
+/// Journal of a clean single-driver run of `matrix`, sorted by index.
+std::vector<db::TestRecord> clean_rows(
+    const fs::path& dir, const std::vector<workload::WorkloadMode>& matrix) {
+  CampaignRunner clean(synth_record, "sim-array",
+                       runner_options(dir / "clean.csv"));
+  EXPECT_TRUE(clean.run(matrix).all_ok());
+  return rows_by_index(dir / "clean.csv");
+}
+
+void expect_one_row_per_index(const std::vector<db::TestRecord>& rows,
+                              const std::vector<db::TestRecord>& clean) {
+  ASSERT_EQ(rows.size(), clean.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].test_id, i) << "lost or duplicated test";
+    EXPECT_EQ(rows[i], clean[i]) << "test " << i;
+  }
+}
+
+// A journal with record rows but no sidecar holds someone else's test ids:
+// the coordinator refuses it and executes nothing. A header-only journal
+// without a sidecar is still a fresh campaign.
+TEST(FleetIdentity, SidecarlessJournalWithRowsIsRefused) {
+  const fs::path dir = fresh_dir("sidecarless");
+  const fs::path journal = dir / "journal.csv";
+  const auto matrix = make_matrix(4);
+  {
+    db::CampaignJournal foreign(journal);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      db::TestRecord record = synth_record(matrix[i]);
+      record.test_id = i;
+      foreign.append(record);
+    }
+  }
+  ExecutionLog log(matrix);
+  EXPECT_THROW(run_fleet(CampaignIdentity{"sim-array", 0}, journal, matrix,
+                         log.executor()),
+               std::runtime_error);
+  EXPECT_EQ(log.ran().size(), 0u);
+  EXPECT_FALSE(fs::exists(fs::path(journal.string() + ".campaign")));
+
+  fs::remove(journal);
+  { db::CampaignJournal header_only(journal); }
+  const FleetReport report = run_fleet(CampaignIdentity{"sim-array", 0},
+                                       journal, matrix, log.executor());
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.resumed, 0u);
+  EXPECT_EQ(log.ran().size(), matrix.size());
+}
+
+// One identity scheme: a journal the runner left partial (injected
+// failures) is finished by a coordinator, which executes only the missing
+// indices.
+TEST(CrossDriverResume, CoordinatorFinishesRunnerJournal) {
+  const fs::path dir = fresh_dir("runner_then_fleet");
+  const fs::path journal = dir / "journal.csv";
+  const auto matrix = make_matrix(24);
+  std::set<std::uint64_t> missing;
+  for (std::uint64_t i = 0; i < matrix.size(); ++i) {
+    if (matrix[i].read_ratio == 0.0) missing.insert(i);
+  }
+  ASSERT_EQ(missing.size(), 8u);
+
+  CampaignOptions options = runner_options(journal);
+  options.fail_test = [](const workload::WorkloadMode& mode, int) {
+    return mode.read_ratio == 0.0;
+  };
+  CampaignRunner runner(synth_record, "sim-array", options);
+  const CampaignReport partial = runner.run(matrix);
+  EXPECT_EQ(partial.failed(), missing.size());
+  EXPECT_EQ(db::CampaignJournal::load(journal).size(),
+            matrix.size() - missing.size());
+
+  ExecutionLog log(matrix);
+  const FleetReport report = run_fleet(CampaignIdentity{"sim-array", 0},
+                                       journal, matrix, log.executor());
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.resumed, matrix.size() - missing.size());
+  EXPECT_EQ(report.merged, missing.size());
+  const auto ran = log.ran();
+  EXPECT_EQ(std::set<std::uint64_t>(ran.begin(), ran.end()), missing);
+  EXPECT_EQ(ran.size(), missing.size());
+  expect_one_row_per_index(rows_by_index(journal), clean_rows(dir, matrix));
+}
+
+// And the reverse: a coordinator stopped part-way leaves a journal the
+// runner resumes, executing only what the coordinator never merged.
+TEST(CrossDriverResume, RunnerFinishesCoordinatorJournal) {
+  const fs::path dir = fresh_dir("fleet_then_runner");
+  const fs::path journal = dir / "journal.csv";
+  const auto matrix = make_matrix(24);
+
+  CoordinatorOptions stop_early;
+  stop_early.shard_size = 4;
+  stop_early.stop_after_merged = 10;
+  const FleetReport first = run_fleet(CampaignIdentity{"sim-array", 0},
+                                      journal, matrix, synth_record,
+                                      stop_early);
+  EXPECT_FALSE(first.complete);
+  std::set<std::uint64_t> journaled;
+  for (const auto& row : db::CampaignJournal::load(journal)) {
+    journaled.insert(row.test_id);
+  }
+  ASSERT_GE(journaled.size(), 10u);
+  ASSERT_LT(journaled.size(), matrix.size());
+
+  ExecutionLog log(matrix);
+  CampaignRunner runner(log.executor(), "sim-array", runner_options(journal));
+  const CampaignReport report = runner.run(matrix);
+  EXPECT_TRUE(report.all_ok());
+  EXPECT_EQ(report.skipped(), journaled.size());
+  EXPECT_EQ(report.completed(), matrix.size() - journaled.size());
+  EXPECT_EQ(log.ran().size(), matrix.size() - journaled.size());
+  for (const std::uint64_t index : log.ran()) {
+    EXPECT_EQ(journaled.count(index), 0u) << "re-ran journaled test " << index;
+  }
+  const auto clean = clean_rows(dir, matrix);
+  for (std::size_t i = 0; i < matrix.size(); ++i) {
+    EXPECT_EQ(report.outcomes[i].record, clean[i]) << "slot " << i;
+  }
+  expect_one_row_per_index(rows_by_index(journal), clean);
 }
 
 }  // namespace
