@@ -99,8 +99,9 @@ void gen_journal_row(const fs::path& dir) {
   quoted.device = "array \"alpha\", bay 3";
   write_text(dir / "quoted_fields_row", CampaignJournal::encode_line(quoted));
 
-  // Legacy layouts (pre-checksum 18-column, pre-power_valid 17-column):
-  // accepted on parseability alone, so keep them in the seed set.
+  // Earlier layouts (pre-checksum 18-column, pre-power_valid 17-column):
+  // every width but 19 is rejected, so these seeds exercise the reject
+  // path next to fully parseable fields.
   const std::string legacy17 =
       "7,2026-01-01T00:00:00Z,hdd,old.replay,4096,0.5000,1.0000,0.8000,"
       "0.3600,220.1000,79.5000,318.0000,123.4000,0.5050,18.2000,1.5520,"

@@ -104,7 +104,7 @@ class CampaignCoordinator {
   /// `identity.id` names the campaign; the matrix fingerprint is computed
   /// at run()/begin() time and the journal is bound to it with
   /// CampaignIdentity::claim. A resume whose identity or matrix differs
-  /// from the persisted one, or a journal with rows but no sidecar, throws
+  /// from the persisted one, or a non-blank journal with no sidecar, throws
   /// std::runtime_error instead of silently mis-keying records.
   CampaignCoordinator(CampaignIdentity identity,
                       std::filesystem::path journal_path,

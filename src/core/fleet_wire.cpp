@@ -96,13 +96,16 @@ void CampaignIdentity::claim(const std::filesystem::path& journal) const {
     }
     return;
   }
-  // Rows without a sidecar were keyed by someone else's notion of test_id;
-  // adopting them would silently skip the wrong tests.
-  if (!db::CampaignJournal::load(journal).empty()) {
+  // Without a sidecar the file is not ours: rows in it were keyed by someone
+  // else's notion of test_id, and anything that is not a journal would be
+  // truncated by the journal's open-time recovery. Adopt only a journal
+  // nothing has been appended to.
+  if (!db::CampaignJournal::is_blank(journal)) {
     throw std::runtime_error(
         "campaign journal " + journal.string() +
-        " has rows but no identity sidecar (written by an older version or "
-        "another tool); move or delete it to start this campaign");
+        " is not empty but has no identity sidecar (written by an older "
+        "version or another tool); move or delete it to start this "
+        "campaign");
   }
   std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
   out << expected << std::flush;

@@ -41,11 +41,11 @@ struct CampaignIdentity {
 
   /// Bind `journal` to this identity through its `<journal>.campaign`
   /// sidecar, creating the parent directory first. An existing sidecar
-  /// must match; a missing one is written (and the write checked), unless
-  /// the journal already holds record rows — such a journal came from an
-  /// older version or another tool and cannot be trusted. Throws
-  /// std::runtime_error on a mismatch, a sidecar-less journal with rows,
-  /// or a failed write.
+  /// must match; a missing one is written (and the write checked) only
+  /// when the journal is blank (CampaignJournal::is_blank) — any other
+  /// file came from an older version or another tool and is left
+  /// untouched. Throws std::runtime_error on a mismatch, a sidecar-less
+  /// non-blank journal, or a failed write.
   void claim(const std::filesystem::path& journal) const;
 };
 

@@ -1,125 +1,10 @@
 #include "db/database.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
+#include <filesystem>
 
-#include "util/binary_io.h"
-#include "util/csv.h"
+#include "db/journal.h"
 
 namespace tracer::db {
-
-namespace {
-constexpr char kMagic[4] = {'T', 'R', 'D', 'B'};
-// v2 appends the power_valid flag to each record; v1 files (no flag) are
-// still readable, defaulting it to true.
-constexpr std::uint16_t kVersion = 2;
-
-void write_record(util::BinaryWriter& writer, const TestRecord& r) {
-  writer.u64(r.test_id);
-  writer.str(r.timestamp);
-  writer.str(r.device);
-  writer.str(r.trace_name);
-  writer.u64(r.request_size);
-  writer.f64(r.random_ratio);
-  writer.f64(r.read_ratio);
-  writer.f64(r.load_proportion);
-  writer.f64(r.avg_amps);
-  writer.f64(r.avg_volts);
-  writer.f64(r.avg_watts);
-  writer.f64(r.joules);
-  writer.f64(r.iops);
-  writer.f64(r.mbps);
-  writer.f64(r.avg_response_ms);
-  writer.f64(r.iops_per_watt);
-  writer.f64(r.mbps_per_kilowatt);
-  writer.u8(r.power_valid ? 1 : 0);
-}
-
-TestRecord read_record(util::BinaryReader& reader, std::uint16_t version) {
-  TestRecord r;
-  r.test_id = reader.u64();
-  r.timestamp = reader.str();
-  r.device = reader.str();
-  r.trace_name = reader.str();
-  r.request_size = reader.u64();
-  r.random_ratio = reader.f64();
-  r.read_ratio = reader.f64();
-  r.load_proportion = reader.f64();
-  r.avg_amps = reader.f64();
-  r.avg_volts = reader.f64();
-  r.avg_watts = reader.f64();
-  r.joules = reader.f64();
-  r.iops = reader.f64();
-  r.mbps = reader.f64();
-  r.avg_response_ms = reader.f64();
-  r.iops_per_watt = reader.f64();
-  r.mbps_per_kilowatt = reader.f64();
-  if (version >= 2) r.power_valid = reader.u8() != 0;
-  return r;
-}
-}  // namespace
-
-bool Query::matches(const TestRecord& record) const {
-  auto close = [](double a, double b) { return std::abs(a - b) < 1e-9; };
-  if (device && record.device != *device) return false;
-  if (request_size && record.request_size != *request_size) return false;
-  if (random_ratio && !close(record.random_ratio, *random_ratio)) return false;
-  if (read_ratio && !close(record.read_ratio, *read_ratio)) return false;
-  if (load_proportion && !close(record.load_proportion, *load_proportion))
-    return false;
-  if (min_iops_per_watt && record.iops_per_watt < *min_iops_per_watt)
-    return false;
-  return true;
-}
-
-Database::Database(Database&& other) noexcept {
-  // Locking this->mutex_ in a constructor is never contended; the pair lock
-  // keeps the annotation checker satisfied on both objects' fields.
-  util::MutexPairLock lock(mutex_, other.mutex_);
-  records_ = std::move(other.records_);
-  next_id_ = other.next_id_;
-}
-
-Database& Database::operator=(Database&& other) noexcept {
-  if (this != &other) {
-    util::MutexPairLock lock(mutex_, other.mutex_);
-    records_ = std::move(other.records_);
-    next_id_ = other.next_id_;
-  }
-  return *this;
-}
-
-Database Database::open(const std::string& path) {
-  Database database;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return database;  // fresh database
-  util::BinaryReader reader(in);
-  char magic[4];
-  reader.raw(magic, sizeof(magic));
-  if (std::memcmp(magic, kMagic, sizeof(magic)) != 0) {
-    throw std::runtime_error("Database: bad magic in " + path);
-  }
-  const std::uint16_t version = reader.u16();
-  if (version == 0 || version > kVersion) {
-    throw std::runtime_error("Database: unsupported version in " + path);
-  }
-  const std::uint64_t count = reader.u64();
-  {
-    // `database` is still thread-private; the uncontended lock exists for
-    // the thread-safety analysis, which cannot know that.
-    util::MutexLock lock(database.mutex_);
-    database.records_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      database.records_.push_back(read_record(reader, version));
-      database.next_id_ =
-          std::max(database.next_id_, database.records_.back().test_id + 1);
-    }
-  }
-  return database;
-}
 
 std::uint64_t Database::insert(TestRecord record) {
   util::MutexLock lock(mutex_);
@@ -133,84 +18,16 @@ std::size_t Database::size() const {
   return records_.size();
 }
 
-TestRecord Database::get(std::uint64_t test_id) const {
-  util::MutexLock lock(mutex_);
-  for (const auto& record : records_) {
-    if (record.test_id == test_id) return record;
-  }
-  throw std::out_of_range("Database: no record with id " +
-                          std::to_string(test_id));
-}
-
-std::vector<TestRecord> Database::select(const Query& query) const {
-  return select([&query](const TestRecord& r) { return query.matches(r); });
-}
-
-std::vector<TestRecord> Database::select(
-    const std::function<bool(const TestRecord&)>& predicate) const {
-  util::MutexLock lock(mutex_);
-  std::vector<TestRecord> out;
-  for (const auto& record : records_) {
-    if (predicate(record)) out.push_back(record);
-  }
-  return out;
-}
-
 std::vector<TestRecord> Database::all() const {
   util::MutexLock lock(mutex_);
   return records_;
 }
 
-void Database::save(const std::string& path) const {
-  util::MutexLock lock(mutex_);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("Database: cannot write " + path);
-  util::BinaryWriter writer(out);
-  writer.raw(kMagic, sizeof(kMagic));
-  writer.u16(kVersion);
-  writer.u64(records_.size());
-  for (const auto& record : records_) write_record(writer, record);
-  if (!writer.good()) {
-    throw std::runtime_error("Database: write failed for " + path);
-  }
-}
-
 void Database::export_csv(const std::string& path) const {
-  util::MutexLock lock(mutex_);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("Database: cannot write " + path);
-  util::CsvWriter csv(out);
-  csv.write_row({"test_id", "timestamp", "device", "trace", "request_size",
-                 "random_ratio", "read_ratio", "load_proportion", "avg_amps",
-                 "avg_volts", "avg_watts", "joules", "iops", "mbps",
-                 "avg_response_ms", "iops_per_watt", "mbps_per_kilowatt",
-                 "power_valid"});
-  // Lossless doubles: the binary save() stores raw f64, so the CSV export
-  // — the interchange path external tooling re-ingests — must not be the
-  // one place a measurement silently rounds
-  // (tracer-lossless-double-format; the journal has the same contract).
-  for (const auto& r : records_) {
-    csv.row()
-        .add(r.test_id)
-        .add(r.timestamp)
-        .add(r.device)
-        .add(r.trace_name)
-        .add(r.request_size)
-        .add_lossless(r.random_ratio)
-        .add_lossless(r.read_ratio)
-        .add_lossless(r.load_proportion)
-        .add_lossless(r.avg_amps)
-        .add_lossless(r.avg_volts)
-        .add_lossless(r.avg_watts)
-        .add_lossless(r.joules)
-        .add_lossless(r.iops)
-        .add_lossless(r.mbps)
-        .add_lossless(r.avg_response_ms)
-        .add_lossless(r.iops_per_watt)
-        .add_lossless(r.mbps_per_kilowatt)
-        .add(static_cast<std::uint64_t>(r.power_valid ? 1 : 0))
-        .done();
-  }
+  const std::vector<TestRecord> records = all();
+  std::filesystem::remove(path);
+  CampaignJournal journal(path);
+  for (const auto& record : records) journal.append(record);
 }
 
 }  // namespace tracer::db

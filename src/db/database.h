@@ -1,14 +1,13 @@
 // Embedded results database. After each test, energy-efficiency and
 // performance results are stored as records "for future retrievals"
-// (§III-A1); users query completed tests from the GUI.
+// (§III-A1).
 //
-// Implementation: an in-memory table with an append-only binary file
-// behind it, plus predicate queries and CSV export. Thread-safe — sweep
-// workers insert concurrently.
+// Implementation: an in-memory table. Thread-safe — sweep workers insert
+// concurrently. Its only on-disk form is the campaign journal's
+// checksummed row format (db/journal.h, docs/FORMATS.md), written by
+// export_csv and read back with CampaignJournal::load.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,47 +16,21 @@
 
 namespace tracer::db {
 
-/// Conjunctive field filters; unset fields match anything.
-struct Query {
-  std::optional<std::string> device;
-  std::optional<Bytes> request_size;
-  std::optional<double> random_ratio;
-  std::optional<double> read_ratio;
-  std::optional<double> load_proportion;
-  std::optional<double> min_iops_per_watt;
-
-  bool matches(const TestRecord& record) const;
-};
-
 class Database {
  public:
   Database() = default;
-
-  /// Movable (fresh mutex on the destination); not copyable.
-  Database(Database&& other) noexcept;
-  Database& operator=(Database&& other) noexcept;
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
-
-  /// Open a database file, loading existing records. A missing file is an
-  /// empty database (created on first save).
-  static Database open(const std::string& path);
 
   /// Insert a record; assigns and returns its test_id.
   std::uint64_t insert(TestRecord record);
 
   std::size_t size() const;
-  TestRecord get(std::uint64_t test_id) const;
-
-  std::vector<TestRecord> select(const Query& query) const;
-  std::vector<TestRecord> select(
-      const std::function<bool(const TestRecord&)>& predicate) const;
   std::vector<TestRecord> all() const;
 
-  /// Persist every record to `path` (binary, versioned, little-endian).
-  void save(const std::string& path) const;
-
-  /// Export to CSV with a header row.
+  /// Overwrite `path` with a campaign journal holding every record: the
+  /// journal header, then one checksummed row per record. Throws when the
+  /// file cannot be written.
   void export_csv(const std::string& path) const;
 
  private:

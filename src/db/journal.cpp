@@ -1,5 +1,6 @@
 #include "db/journal.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <stdexcept>
@@ -18,27 +19,22 @@ namespace {
 // CSV quoting, so the suffix is always exactly 17 bytes of the raw line.
 constexpr std::size_t kChecksumHexLen = 16;
 
-const std::vector<std::string>& header_row() {
-  static const std::vector<std::string> kHeader = {
-      "test_id",         "timestamp",  "device",
-      "trace",           "request_size",
-      "random_ratio",    "read_ratio", "load_proportion",
-      "avg_amps",        "avg_volts",  "avg_watts",
-      "joules",          "iops",       "mbps",
-      "avg_response_ms", "iops_per_watt", "mbps_per_kilowatt",
-      "power_valid",     "row_checksum"};
-  return kHeader;
-}
+// The header line. Every row has exactly one field per column it names.
+constexpr std::string_view kHeader =
+    "test_id,timestamp,device,trace,request_size,random_ratio,read_ratio,"
+    "load_proportion,avg_amps,avg_volts,avg_watts,joules,iops,mbps,"
+    "avg_response_ms,iops_per_watt,mbps_per_kilowatt,power_valid,"
+    "row_checksum";
+constexpr std::size_t kColumns =
+    std::count(kHeader.begin(), kHeader.end(), ',') + 1;
 
 std::string checksum_hex(std::string_view prefix) {
   return util::format("%016llx",
                       static_cast<unsigned long long>(util::fnv1a(prefix)));
 }
 
-// Strict numeric parsing: the whole field must be consumed. Prefix-tolerant
-// std::sto* would let a corrupted legacy-width row (e.g. a flipped comma
-// merging two fields into "3.125<66.7") slip past the checksum check, since
-// 17/18-column rows are validated on parseability alone.
+// Strict numeric parsing: the whole field must be consumed, so a row whose
+// checksum verifies still cannot smuggle in a field such as "3.125<66.7".
 bool parse_u64_field(const std::string& field, std::uint64_t& out) {
   try {
     std::size_t pos = 0;
@@ -59,13 +55,8 @@ bool parse_double_field(const std::string& field, double& out) {
   }
 }
 
+/// Parse the 18 data columns of a checksum-verified row.
 bool parse_row(const std::vector<std::string>& fields, TestRecord& out) {
-  // Accept the current 19-column layout plus the two legacy ones: rows
-  // written before row_checksum existed (18), and before power_valid (17).
-  if (fields.size() < header_row().size() - 2 ||
-      fields.size() > header_row().size()) {
-    return false;
-  }
   out.timestamp = fields[1];
   out.device = fields[2];
   out.trace_name = fields[3];
@@ -84,45 +75,40 @@ bool parse_row(const std::vector<std::string>& fields, TestRecord& out) {
                   parse_double_field(fields[14], out.avg_response_ms) &&
                   parse_double_field(fields[15], out.iops_per_watt) &&
                   parse_double_field(fields[16], out.mbps_per_kilowatt) &&
-                  (fields.size() < 18 || parse_u64_field(fields[17], power_valid));
+                  parse_u64_field(fields[17], power_valid);
   out.power_valid = power_valid != 0;
   return ok;
 }
 
 /// Validate one raw journal line as a record row; fills `out` on success.
-/// A 19-column row must checksum-verify against its own bytes; legacy rows
-/// (17/18 columns, written before the checksum existed) are accepted on
-/// parseability alone.
+/// The row must have exactly the header's 19 columns and its checksum must
+/// verify against its own bytes.
 bool validate_record_line(const std::string& line, TestRecord& out) {
   const auto rows = util::CsvReader::parse(line);
   if (rows.size() != 1) return false;
   const auto& fields = rows[0];
-  if (fields.size() == header_row().size()) {
-    const std::string& checksum = fields.back();
-    if (checksum.size() != kChecksumHexLen) return false;
-    for (char c : checksum) {
-      if (!std::isxdigit(static_cast<unsigned char>(c)) ||
-          std::isupper(static_cast<unsigned char>(c))) {
-        return false;
-      }
-    }
-    const std::size_t suffix = kChecksumHexLen + 1;  // ",<hex>"
-    if (line.size() < suffix + 1) return false;
-    if (line.compare(line.size() - suffix, suffix, "," + checksum) != 0) {
-      return false;  // checksum field was quoted/mangled: not ours
-    }
-    if (checksum_hex(std::string_view(line).substr(0, line.size() - suffix)) !=
-        checksum) {
+  if (fields.size() != kColumns) return false;
+  const std::string& checksum = fields.back();
+  if (checksum.size() != kChecksumHexLen) return false;
+  for (char c : checksum) {
+    if (!std::isxdigit(static_cast<unsigned char>(c)) ||
+        std::isupper(static_cast<unsigned char>(c))) {
       return false;
     }
+  }
+  const std::size_t suffix = kChecksumHexLen + 1;  // ",<hex>"
+  if (line.size() < suffix + 1) return false;
+  if (line.compare(line.size() - suffix, suffix, "," + checksum) != 0) {
+    return false;  // checksum field was quoted/mangled: not ours
+  }
+  if (checksum_hex(std::string_view(line).substr(0, line.size() - suffix)) !=
+      checksum) {
+    return false;
   }
   return parse_row(fields, out);
 }
 
-bool is_header_line(const std::string& line) {
-  const auto rows = util::CsvReader::parse(line);
-  return rows.size() == 1 && !rows[0].empty() && rows[0][0] == "test_id";
-}
+bool is_header_line(const std::string& line) { return line == kHeader; }
 
 /// Split `text` into lines, keeping track of whether the final line was
 /// newline-terminated. Journal rows never contain embedded newlines
@@ -169,7 +155,7 @@ std::string CampaignJournal::encode_line(const TestRecord& r) {
   // compare bit-equal to the one measured before it. Display-precision
   // rows (the pre-fix .add(x, 4) encoding) silently rounded measurements
   // at 1e-4 relative on every resume — the PR 9 %.9g wire bug class, one
-  // layer down. Legacy rows parse unchanged.
+  // layer down.
   csv.row()
       .add(r.test_id)
       .add(r.timestamp)
@@ -254,9 +240,12 @@ CampaignJournal::CampaignJournal(std::filesystem::path path)
     throw std::runtime_error("CampaignJournal: cannot open " + path_.string());
   }
   if (fresh) {
-    util::CsvWriter csv(out_);
-    csv.write_row(header_row());
+    out_ << kHeader << '\n';
     out_.flush();
+    if (!out_) {
+      throw std::runtime_error("CampaignJournal: write failed for " +
+                               path_.string());
+    }
   }
 }
 
@@ -269,6 +258,12 @@ void CampaignJournal::append(const TestRecord& r) {
     throw std::runtime_error("CampaignJournal: write failed for " +
                              path_.string());
   }
+}
+
+bool CampaignJournal::is_blank(const std::filesystem::path& path) {
+  if (!std::filesystem::exists(path)) return true;
+  const std::string text = read_file(path);
+  return text.empty() || text == std::string(kHeader) + '\n';
 }
 
 std::vector<TestRecord> CampaignJournal::load(

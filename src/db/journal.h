@@ -1,7 +1,8 @@
-// Append-only campaign journal (CSV). Completed tests stream here one row
-// at a time, flushed as they land, so a crash or Ctrl-C mid-campaign loses
-// at most the row being written; a restarted campaign loads the journal
-// and skips every test it already holds.
+// Append-only campaign journal (CSV): TRACER's one on-disk results-row
+// format (docs/FORMATS.md). Completed tests stream here one row at a time,
+// flushed as they land, so a crash or Ctrl-C mid-campaign loses at most the
+// row being written; a restarted campaign loads the journal and skips every
+// test it already holds. Database::export_csv writes the same format.
 //
 // Integrity (docs/FLEET.md): every row carries a trailing FNV-1a checksum
 // over its own bytes, and opening a journal runs truncate-to-last-valid
@@ -11,9 +12,9 @@
 // contain newlines (append refuses them), so damage is always containable
 // to a suffix.
 //
-// The column set matches Database::export_csv plus the checksum column, so
-// the journal doubles as the campaign's results table. Rows written by
-// older versions (no checksum, or no power_valid) still load.
+// One layout: a fixed header line, then rows of exactly 19 columns (the
+// TestRecord fields, doubles as %.17g, and the row checksum). A row of any
+// other width is invalid.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +57,18 @@ class CampaignJournal {
   /// warning, not fatal.
   static std::vector<TestRecord> load(const std::filesystem::path& path);
 
+  /// True when `path` is missing, empty, or holds exactly the header line:
+  /// a journal nothing has been appended to. Anything else may be someone
+  /// else's data, which opening a CampaignJournal would truncate.
+  static bool is_blank(const std::filesystem::path& path);
+
   /// Serialise one record to its journal line (no trailing newline), with
   /// the checksum column appended. Exposed for tests.
   static std::string encode_line(const TestRecord& record);
 
   /// Validate one raw journal line exactly as load() and open-time
-  /// recovery do: a checksummed row must verify against its own bytes, a
-  /// legacy (17/18-column) row must fully parse. Fills `out` on success.
+  /// recovery do: it must have 19 columns, verify against its own checksum
+  /// and fully parse. Fills `out` on success.
   /// Exposed for tests and the fuzz harness (fuzz/fuzz_journal_row.cpp).
   static bool parse_record_line(const std::string& line, TestRecord& out);
 

@@ -114,7 +114,7 @@ class TRACER_SCOPED_CAPABILITY MutexLock {
 };
 
 /// Deadlock-free two-mutex scope (std::lock ordering); used where two
-/// objects' states must be consistent at once, e.g. Database move-assign.
+/// objects' states must be consistent at once.
 class TRACER_SCOPED_CAPABILITY MutexPairLock {
  public:
   MutexPairLock(Mutex& a, Mutex& b) TRACER_ACQUIRE(a, b)

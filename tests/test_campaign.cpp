@@ -6,8 +6,10 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
+#include <string>
 
 namespace tracer::core {
 namespace {
@@ -40,6 +42,23 @@ db::TestRecord fake_record(const workload::WorkloadMode& mode) {
   record.avg_watts = 80.0;
   record.iops_per_watt = record.iops / record.avg_watts;
   return record;
+}
+
+// Files that are not this campaign's journal: plain text, and a results
+// export in the earlier 18-column layout (no row checksum).
+const char* const kForeignFiles[] = {
+    "not a journal\njust some notes\n",
+    "test_id,timestamp,device,trace,request_size,random_ratio,read_ratio,"
+    "load_proportion,avg_amps,avg_volts,avg_watts,joules,iops,mbps,"
+    "avg_response_ms,iops_per_watt,mbps_per_kilowatt,power_valid\n"
+    "1,2026-07-07T00:00:00Z,raid5-hdd6,raid5-hdd6_rs4K_rnd50_rd0.replay,4096,"
+    "0.5,0,1,0.35999999999999999,220.09999999999999,79.5,318,"
+    "123.40000000000001,0.505,18.199999999999999,1.552,6.3499999999999996,1\n",
+};
+
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 class CampaignTest : public ::testing::Test {
@@ -296,6 +315,30 @@ TEST_F(CampaignTest, SidecarlessJournalWithRowsIsRefused) {
   EXPECT_EQ(report.completed(), 10u);
   EXPECT_EQ(executor_calls.load(), 10);
   EXPECT_TRUE(std::filesystem::exists(sidecar()));
+}
+
+// A sidecar-less file that is not a blank journal is refused and left
+// byte-for-byte alone; opening it as a journal would truncate it.
+TEST_F(CampaignTest, ForeignFileAtJournalPathIsRefusedAndUntouched) {
+  std::atomic<int> executor_calls{0};
+  const auto counting = [&](const workload::WorkloadMode& mode) {
+    ++executor_calls;
+    return fake_record(mode);
+  };
+  CampaignOptions options = fast_options();
+  options.journal_path = journal_;
+  for (const char* foreign : kForeignFiles) {
+    std::filesystem::remove(sidecar());
+    {
+      std::ofstream out(journal_, std::ios::binary | std::ios::trunc);
+      out << foreign;
+    }
+    CampaignRunner runner(counting, "fake-array", options);
+    EXPECT_THROW(runner.run(ten_loads()), std::runtime_error);
+    EXPECT_EQ(executor_calls.load(), 0);
+    EXPECT_FALSE(std::filesystem::exists(sidecar()));
+    EXPECT_EQ(read_bytes(journal_), foreign);
+  }
 }
 
 TEST_F(CampaignTest, JournalSurvivesTornTailRow) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <thread>
 
+#include "db/journal.h"
 #include "util/csv.h"
 
 namespace tracer::db {
@@ -42,77 +43,25 @@ TEST(Database, InsertAssignsIncreasingIds) {
   EXPECT_EQ(database.size(), 2u);
 }
 
-TEST(Database, GetByIdAndMissingThrows) {
-  Database database;
-  const auto id = database.insert(sample_record());
-  EXPECT_EQ(database.get(id).device, "raid5-hdd6");
-  EXPECT_THROW(database.get(id + 100), std::out_of_range);
-}
-
-TEST(Database, QueryFiltersByFields) {
-  Database database;
-  database.insert(sample_record("hdd", 0.1));
-  database.insert(sample_record("hdd", 0.5));
-  database.insert(sample_record("ssd", 0.5));
-
-  Query by_device;
-  by_device.device = "hdd";
-  EXPECT_EQ(database.select(by_device).size(), 2u);
-
-  Query by_both;
-  by_both.device = "hdd";
-  by_both.load_proportion = 0.5;
-  EXPECT_EQ(database.select(by_both).size(), 1u);
-
-  Query none;
-  none.device = "tape";
-  EXPECT_TRUE(database.select(none).empty());
-}
-
-TEST(Database, QueryByEfficiencyThreshold) {
-  Database database;
-  TestRecord efficient = sample_record();
-  efficient.iops_per_watt = 10.0;
-  TestRecord wasteful = sample_record();
-  wasteful.iops_per_watt = 0.1;
-  database.insert(efficient);
-  database.insert(wasteful);
-  Query query;
-  query.min_iops_per_watt = 5.0;
-  const auto hits = database.select(query);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_DOUBLE_EQ(hits[0].iops_per_watt, 10.0);
-}
-
-TEST(Database, PredicateSelect) {
-  Database database;
-  database.insert(sample_record("a", 0.2));
-  database.insert(sample_record("b", 0.9));
-  const auto heavy = database.select(
-      [](const TestRecord& r) { return r.load_proportion > 0.5; });
-  ASSERT_EQ(heavy.size(), 1u);
-  EXPECT_EQ(heavy[0].device, "b");
-}
-
+// The export is a campaign journal: it loads back bit-equal to the table.
 TEST(Database, SaveLoadRoundTrip) {
   const auto path =
-      std::filesystem::temp_directory_path() / "tracer_db_test.trdb";
+      std::filesystem::temp_directory_path() / "tracer_db_test.journal.csv";
   Database database;
   database.insert(sample_record("hdd", 0.3));
   database.insert(sample_record("ssd", 0.7));
-  database.save(path.string());
+  database.export_csv(path.string());
 
-  const Database loaded = Database::open(path.string());
+  const auto loaded = CampaignJournal::load(path);
   EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.all(), database.all());
+  EXPECT_EQ(loaded, database.all());
   std::filesystem::remove(path);
 }
 
-// Binary save() stores raw f64 and must stay bit-exact (pins the codec
-// contract the CSV export below is held to).
+// Every double survives the export/load round trip bit-exactly.
 TEST(Database, SaveLoadPreservesFullDoublePrecision) {
   const auto path =
-      std::filesystem::temp_directory_path() / "tracer_db_lossless.trdb";
+      std::filesystem::temp_directory_path() / "tracer_db_lossless.journal.csv";
   Database database;
   TestRecord record = sample_record("hdd", 1.0 / 3.0);
   record.joules = 123.45678912345678;
@@ -120,18 +69,18 @@ TEST(Database, SaveLoadPreservesFullDoublePrecision) {
   record.avg_amps = 1.25e-7;
   record.iops = 99999.000000001;
   database.insert(record);
-  database.save(path.string());
+  database.export_csv(path.string());
 
-  const Database loaded = Database::open(path.string());
+  const auto loaded = CampaignJournal::load(path);
   ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.all(), database.all());
+  EXPECT_EQ(loaded, database.all());
   std::filesystem::remove(path);
 }
 
 // Fail-pre-fix regression (tracer-lossless-double-format audit): the CSV
 // export rounded doubles to 2-4 decimals, so external tooling re-ingesting
-// the interchange file saw different measurements than the binary
-// database holds. Every exported double must parse back bit-equal.
+// the interchange file saw different measurements than the database
+// holds. Every exported double must parse back bit-equal.
 TEST(Database, CsvExportRoundTripsDoublesBitExactly) {
   const auto path =
       std::filesystem::temp_directory_path() / "tracer_db_lossless.csv";
@@ -141,13 +90,13 @@ TEST(Database, CsvExportRoundTripsDoublesBitExactly) {
   record.avg_watts = 3.141592653589793;
   record.avg_amps = 1.25e-7;  // below the old %.4f floor
   record.iops = 99999.000000001;
-  const auto id = database.insert(record);
+  database.insert(record);
   database.export_csv(path.string());
 
   const auto rows = util::CsvReader::load(path.string());
   ASSERT_EQ(rows.size(), 2u);
   const auto& fields = rows[1];
-  const TestRecord& stored = database.get(id);
+  const TestRecord stored = database.all().at(0);
   // Column order matches the header row written by export_csv.
   EXPECT_EQ(std::stod(fields[7]), stored.load_proportion);
   EXPECT_EQ(std::stod(fields[8]), stored.avg_amps);
@@ -158,34 +107,7 @@ TEST(Database, CsvExportRoundTripsDoublesBitExactly) {
 }
 
 TEST(Database, OpenMissingFileIsEmpty) {
-  const Database database = Database::open("/nonexistent/file.trdb");
-  EXPECT_EQ(database.size(), 0u);
-}
-
-TEST(Database, OpenCorruptFileThrows) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "tracer_db_corrupt.trdb";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "GARBAGEGARBAGE";
-  }
-  EXPECT_THROW(Database::open(path.string()), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(Database, IdsContinueAfterReload) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "tracer_db_ids.trdb";
-  std::uint64_t last_id = 0;
-  {
-    Database database;
-    database.insert(sample_record());
-    last_id = database.insert(sample_record());
-    database.save(path.string());
-  }
-  Database reloaded = Database::open(path.string());
-  EXPECT_GT(reloaded.insert(sample_record()), last_id);
-  std::filesystem::remove(path);
+  EXPECT_TRUE(CampaignJournal::load("/nonexistent/file.journal.csv").empty());
 }
 
 TEST(Database, CsvExportHasHeaderAndRows) {
@@ -197,8 +119,42 @@ TEST(Database, CsvExportHasHeaderAndRows) {
   const auto rows = util::CsvReader::load(path.string());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][0], "test_id");
+  EXPECT_EQ(rows[0].back(), "row_checksum");
   EXPECT_EQ(rows[1][2], "raid5-hdd6");
   std::filesystem::remove(path);
+}
+
+// export_csv replaces whatever was at the path instead of appending to it.
+TEST(Database, CsvExportOverwritesExistingFile) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "tracer_db_overwrite.csv";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "stale,content\n";
+  }
+  Database database;
+  database.insert(sample_record());
+  database.export_csv(path.string());
+  database.export_csv(path.string());
+  const auto loaded = CampaignJournal::load(path);
+  EXPECT_EQ(loaded, database.all());
+  EXPECT_EQ(util::CsvReader::load(path.string()).size(), 2u);
+  std::filesystem::remove(path);
+}
+
+// A failed export throws rather than leaving a short file behind silently.
+TEST(Database, CsvExportToUnwritablePathThrows) {
+  const auto blocker =
+      std::filesystem::temp_directory_path() / "tracer_db_not_a_dir";
+  {
+    std::ofstream out(blocker, std::ios::trunc);
+    out << "x";
+  }
+  Database database;
+  database.insert(sample_record());
+  EXPECT_THROW(database.export_csv((blocker / "results.csv").string()),
+               std::runtime_error);
+  std::filesystem::remove(blocker);
 }
 
 TEST(Database, ConcurrentInsertsAreSafe) {

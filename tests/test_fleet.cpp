@@ -11,7 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +74,23 @@ std::vector<workload::WorkloadMode> make_matrix(std::size_t n) {
     matrix.push_back(mode);
   }
   return matrix;
+}
+
+// Files that are not this campaign's journal: plain text, and a results
+// export in the earlier 18-column layout (no row checksum).
+const char* const kForeignFiles[] = {
+    "not a journal\njust some notes\n",
+    "test_id,timestamp,device,trace,request_size,random_ratio,read_ratio,"
+    "load_proportion,avg_amps,avg_volts,avg_watts,joules,iops,mbps,"
+    "avg_response_ms,iops_per_watt,mbps_per_kilowatt,power_valid\n"
+    "1,2026-07-07T00:00:00Z,raid5-hdd6,raid5-hdd6_rs4K_rnd50_rd0.replay,4096,"
+    "0.5,0,1,0.35999999999999999,220.09999999999999,79.5,318,"
+    "123.40000000000001,0.505,18.199999999999999,1.552,6.3499999999999996,1\n",
+};
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 fs::path fresh_dir(const char* name) {
@@ -639,6 +659,28 @@ TEST(FleetIdentity, SidecarlessJournalWithRowsIsRefused) {
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.resumed, 0u);
   EXPECT_EQ(log.ran().size(), matrix.size());
+}
+
+// A sidecar-less file that is not a blank journal is refused and left
+// byte-for-byte alone; opening it as a journal would truncate it.
+TEST(FleetIdentity, ForeignFileAtJournalPathIsRefusedAndUntouched) {
+  const fs::path dir = fresh_dir("foreign");
+  const fs::path journal = dir / "journal.csv";
+  const auto matrix = make_matrix(4);
+  ExecutionLog log(matrix);
+  for (const char* foreign : kForeignFiles) {
+    fs::remove(fs::path(journal.string() + ".campaign"));
+    {
+      std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+      out << foreign;
+    }
+    EXPECT_THROW(run_fleet(CampaignIdentity{"sim-array", 0}, journal, matrix,
+                           log.executor()),
+                 std::runtime_error);
+    EXPECT_EQ(log.ran().size(), 0u);
+    EXPECT_FALSE(fs::exists(fs::path(journal.string() + ".campaign")));
+    EXPECT_EQ(read_bytes(journal), foreign);
+  }
 }
 
 // One identity scheme: a journal the runner left partial (injected

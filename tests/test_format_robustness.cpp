@@ -4,11 +4,13 @@
 // accept garbage. Deterministic fuzz via seeded mutation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "db/database.h"
+#include "db/journal.h"
 #include "net/message.h"
 #include "trace/blk_format.h"
 #include "trace/srt_format.h"
@@ -146,14 +148,15 @@ TEST(FormatRobustness, MessageFramesSurviveMutation) {
 
 TEST(FormatRobustness, DatabaseFileMutationNeverCrashes) {
   const auto path = std::filesystem::temp_directory_path() /
-                    "tracer_fuzz_db.trdb";
+                    "tracer_fuzz_db.journal.csv";
   db::Database database;
   db::TestRecord record;
   record.device = "fuzz";
   record.trace_name = "t";
   database.insert(record);
   database.insert(record);
-  database.save(path.string());
+  database.export_csv(path.string());
+  const std::vector<db::TestRecord> originals = database.all();
 
   std::string data;
   {
@@ -170,11 +173,14 @@ TEST(FormatRobustness, DatabaseFileMutationNeverCrashes) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << corrupted;
     out.close();
-    try {
-      const db::Database loaded = db::Database::open(path.string());
-      EXPECT_LE(loaded.size(), 2u);
-    } catch (const std::runtime_error&) {
-      // Clean rejection.
+    // Every surviving row verified its checksum, so it is an original.
+    std::vector<db::TestRecord> loaded;
+    ASSERT_NO_THROW(loaded = db::CampaignJournal::load(path));
+    EXPECT_LE(loaded.size(), 2u);
+    for (const auto& row : loaded) {
+      EXPECT_NE(std::find(originals.begin(), originals.end(), row),
+                originals.end())
+          << "trial " << trial;
     }
   }
   std::filesystem::remove(path);

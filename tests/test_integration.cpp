@@ -2,11 +2,13 @@
 // the headline experimental claims, executed end-to-end at test scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/evaluation_host.h"
 #include "core/proportional_filter.h"
 #include "core/replay_engine.h"
+#include "db/journal.h"
 #include "trace/blk_format.h"
 #include "trace/srt_format.h"
 #include "trace/trace_stats.h"
@@ -50,15 +52,17 @@ TEST_F(IntegrationTest, FullEvaluationPipelineEndToEnd) {
   EXPECT_NEAR(iops[0] / iops[2], 0.2, 0.05);
   EXPECT_NEAR(iops[1] / iops[2], 0.5, 0.06);
 
-  // Database query pulls back exactly the tests we ran.
-  db::Query query;
-  query.request_size = 4 * kKiB;
-  EXPECT_EQ(host.database().select(query).size(), 3u);
-
-  // Results persist and reload.
-  const auto db_path = (dir_ / "results.trdb").string();
-  host.database().save(db_path);
-  EXPECT_EQ(db::Database::open(db_path).size(), 3u);
+  // Results persist and reload: the exported journal holds exactly the
+  // tests we ran.
+  const auto db_path = dir_ / "results.csv";
+  host.database().export_csv(db_path.string());
+  const auto rows = db::CampaignJournal::load(db_path);
+  EXPECT_EQ(rows, host.database().all());
+  EXPECT_EQ(std::count_if(rows.begin(), rows.end(),
+                          [](const db::TestRecord& r) {
+                            return r.request_size == 4 * kKiB;
+                          }),
+            3);
 }
 
 TEST_F(IntegrationTest, PowerCorrelatesWithThroughputAcrossLoads) {

@@ -1,8 +1,8 @@
 // Crash-safety regression tests for the checksummed campaign journal
 // (docs/FLEET.md): per-row FNV-1a checksums, truncate-to-last-valid-row
 // recovery at EVERY possible tear point, bit-flip detection at every byte
-// of the last record, legacy-row compatibility, and the JournalMerger dedup
-// used by both campaign drivers.
+// of the last record, rejection of other row widths, and the JournalMerger
+// dedup used by both campaign drivers.
 #include "db/journal.h"
 
 #include <gtest/gtest.h>
@@ -179,31 +179,23 @@ TEST_F(JournalTest, MidFileDamageCutsEverythingAfterIt) {
   EXPECT_EQ(rows[0].test_id, 0u);
 }
 
-TEST_F(JournalTest, LegacyRowsWithoutChecksumStillLoad) {
-  // A journal written before the checksum column existed: 18 fields, no
-  // row_checksum. It must load, and recovery must keep it.
+TEST_F(JournalTest, LegacyWidthRowsAreRejected) {
+  // Rows without the checksum column (18 fields) or also without
+  // power_valid (17) are not journal rows: nothing verifies them.
   const std::string header =
       "test_id,timestamp,device,trace,request_size,random_ratio,read_ratio,"
       "load_proportion,avg_amps,avg_volts,avg_watts,joules,iops,mbps,"
       "avg_response_ms,iops_per_watt,mbps_per_kilowatt,power_valid\n";
-  const std::string legacy =
+  const std::string legacy17 =
       "7,2025-01-01T00:00:00,hdd,old_trace,4096,0.5000,0.5000,0.2500,"
-      "1.0000,12.00,12.000,360.000,100.00,0.800,5.000,8.3333,66.667,1\n";
-  write_file(path(), header + legacy);
+      "1.0000,12.00,12.000,360.000,100.00,0.800,5.000,8.3333,66.667";
+  const std::string legacy18 = legacy17 + ",1";
+  TestRecord scratch;
+  EXPECT_FALSE(CampaignJournal::parse_record_line(legacy17, scratch));
+  EXPECT_FALSE(CampaignJournal::parse_record_line(legacy18, scratch));
 
-  CampaignJournal reopened(path());
-  EXPECT_FALSE(reopened.recovery().recovered());
-  auto rows = CampaignJournal::load(path());
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].test_id, 7u);
-  EXPECT_EQ(rows[0].trace_name, "old_trace");
-  EXPECT_TRUE(rows[0].power_valid);
-
-  // New rows appended after legacy ones carry checksums and verify.
-  reopened.append(make_record(8));
-  rows = CampaignJournal::load(path());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1].test_id, 8u);
+  write_file(path(), header + legacy18 + "\n" + legacy17 + "\n");
+  EXPECT_TRUE(CampaignJournal::load(path()).empty());
 }
 
 TEST_F(JournalTest, RefusesFieldsThatWouldBreakLineRecovery) {
