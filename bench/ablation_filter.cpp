@@ -94,5 +94,5 @@ int main() {
   bench::print_verdict(uniform_worst < random_worst,
                        "uniform selection tracks the scaled workload more "
                        "faithfully than random selection");
-  return 0;
+  return bench::verdict_exit_code();
 }

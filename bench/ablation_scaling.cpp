@@ -75,5 +75,5 @@ int main() {
   bench::print_verdict(iops_200 > iops_100 * 1.5,
                        "inter-arrival scaling reaches intensities above "
                        "100 % (200 % replay sustains higher throughput)");
-  return 0;
+  return bench::verdict_exit_code();
 }

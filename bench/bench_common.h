@@ -3,8 +3,8 @@
 // Every bench binary regenerates one table or figure from the paper's
 // evaluation: it prints (a) the paper's qualitative claim, (b) the measured
 // series from the simulated testbed, and (c) a PASS/CHECK verdict on the
-// claim's shape. Bench binaries are plain executables; micro_core uses
-// google-benchmark.
+// claim's shape; a CHECK verdict makes the binary exit non-zero. Bench
+// binaries are plain executables; micro_core uses google-benchmark.
 #pragma once
 
 #include <cstdio>
@@ -42,9 +42,17 @@ inline void print_header(const std::string& experiment,
   std::printf("==============================================================\n");
 }
 
+/// Set once any verdict of this process fails; see verdict_exit_code().
+inline bool g_verdict_failed = false;
+
 inline void print_verdict(bool ok, const std::string& what) {
   std::printf("[%s] %s\n\n", ok ? "PASS" : "CHECK", what.c_str());
+  if (!ok) g_verdict_failed = true;
 }
+
+/// What a bench main returns: non-zero when any verdict printed CHECK, so a
+/// shape regression fails the process instead of scrolling past.
+inline int verdict_exit_code() { return g_verdict_failed ? 1 : 0; }
 
 /// Is the series monotonically non-decreasing (within fractional slack)?
 inline bool mostly_increasing(const std::vector<double>& values,

@@ -278,5 +278,5 @@ int main(int argc, char** argv) {
     std::printf("%zu span(s) written to %s\n",
                 obs::Tracer::global().events().size(), trace_out.c_str());
   }
-  return report.all_ok() ? 0 : 1;
+  return report.all_ok() ? bench::verdict_exit_code() : 1;
 }

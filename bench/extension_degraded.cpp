@@ -114,5 +114,5 @@ int main() {
                        "rebuild activity draws extra power");
   bench::print_verdict(rebuilding.rebuild_progress > 0.10,
                        "rebuild makes real progress during the window");
-  return 0;
+  return bench::verdict_exit_code();
 }

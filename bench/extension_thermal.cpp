@@ -95,5 +95,5 @@ int main() {
                        "steady-state temperature rises with load");
   bench::print_verdict(temps.back() - temps.front() > 0.3,
                        "the load-dependent swing is measurable (>0.3 C)");
-  return 0;
+  return bench::verdict_exit_code();
 }

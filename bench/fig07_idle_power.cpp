@@ -55,5 +55,5 @@ int main() {
                         totals[3] - base_watts <= base_watts * 1.05;
   bench::print_verdict(dominate,
                        "disks dominate total power once count exceeds 3");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -70,5 +70,5 @@ int main() {
   bench::print_verdict(max_error < 0.02,
                        "load-control error small for fixed request size "
                        "(paper: <0.5 %, ours: <2 % budget for queue noise)");
-  return 0;
+  return bench::verdict_exit_code();
 }

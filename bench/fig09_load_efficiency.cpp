@@ -85,5 +85,5 @@ int main() {
   table_b.print(std::cout);
   bench::print_verdict(b_increasing,
                        "MBPS/kW rises with load across modes");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -67,5 +67,5 @@ int main() {
             {512, 4 * kKiB, 16 * kKiB, 64 * kKiB}, /*use_mbps=*/true);
   run_panel("(b) IOPS/Watt  [read 100%]", 1.0,
             {512, 4 * kKiB, 16 * kKiB, 64 * kKiB, kMiB}, /*use_mbps=*/false);
-  return 0;
+  return bench::verdict_exit_code();
 }

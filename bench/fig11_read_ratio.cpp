@@ -83,5 +83,5 @@ int main() {
   bench::print_verdict(relative_sensitivity < 0.35,
                        "read-ratio sensitivity at random 100 % is a small "
                        "fraction of the sequential case's");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -91,5 +91,5 @@ int main() {
   bench::print_verdict(shape_ok,
                        "workload trend unchanged across load proportions "
                        "(per-minute correlation > 0.95)");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -156,5 +156,5 @@ int main() {
   bench::print_verdict(scaled && chaos.report.complete,
                        "8 workers beat 1 worker by >1.5x and the killed-"
                        "worker campaign still completed every test");
-  return scaled && chaos.report.complete ? 0 : 1;
+  return bench::verdict_exit_code();
 }

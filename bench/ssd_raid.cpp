@@ -113,5 +113,5 @@ int main() {
   bench::print_verdict(ssd_eff > hdd_eff,
                        "SSD RAID more energy-efficient than HDD RAID "
                        "(per-drive power)");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -53,5 +53,5 @@ int main() {
   bench::print_verdict(size_ok, "average request size matches Table III");
   bench::print_verdict(span_ok && dataset_ok,
                        "address span / dataset consistent with Table III");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -55,5 +55,5 @@ int main() {
   std::printf("max error: %.2f %%\n", max_error * 100.0);
   bench::print_verdict(max_error < 0.08,
                        "real-world trace error within the paper's ~7 % band");
-  return 0;
+  return bench::verdict_exit_code();
 }

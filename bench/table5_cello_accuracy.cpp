@@ -66,5 +66,5 @@ int main() {
   bench::print_verdict(max_error < 0.35,
                        "cello error within the paper's Table V band "
                        "(worst paper row ~32 % at 10 % load)");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -11,12 +11,11 @@
 //
 // Variants per intensity: stock array, spin-down alone, write-back cache
 // alone, cache + spin-down, and a small-DRAM cache with an SSD tier +
-// spin-down. The guardrail (--guardrail=1, used by CI's bench-smoke job)
-// requires cache + spin-down to beat spin-down alone on IOPS/Watt at
-// every intensity.
+// spin-down. The guardrail verdict (CI's bench-smoke job relies on the
+// exit code) requires cache + spin-down to beat spin-down alone on
+// IOPS/Watt at every intensity; any failed verdict exits non-zero.
 //
-// Flags: [--duration=SECS] [--warmup=SECS] [--guardrail=0|1]
-//        [--metrics-out=FILE]
+// Flags: [--duration=SECS] [--warmup=SECS] [--metrics-out=FILE]
 #include "bench_common.h"
 
 #include <cstring>
@@ -41,12 +40,6 @@ const char* flag_value(int argc, char** argv, const char* name) {
     }
   }
   return nullptr;
-}
-
-std::uint64_t flag_u64(int argc, char** argv, const char* name,
-                       std::uint64_t fallback) {
-  const char* v = flag_value(argc, argv, name);
-  return v ? std::strtoull(v, nullptr, 10) : fallback;
 }
 
 double flag_double(int argc, char** argv, const char* name, double fallback) {
@@ -157,7 +150,6 @@ int main(int argc, char** argv) {
   using namespace tracer;
   const Seconds duration = flag_double(argc, argv, "duration", 600.0);
   const Seconds warmup = flag_double(argc, argv, "warmup", duration / 10.0);
-  const bool guardrail = flag_u64(argc, argv, "guardrail", 0) != 0;
   const char* metrics_out = flag_value(argc, argv, "metrics-out");
 
   bench::print_header(
@@ -228,5 +220,5 @@ int main(int argc, char** argv) {
     obs::Registry::global().snapshot().write_json(metrics_out);
     std::printf("obs snapshot -> %s\n", metrics_out);
   }
-  return guardrail && !guard_ok ? 1 : 0;
+  return bench::verdict_exit_code();
 }

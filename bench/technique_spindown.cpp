@@ -107,5 +107,5 @@ int main() {
   bench::print_verdict(
       penalties.back() < penalties.front() / 10.0,
       "latency penalty fades once the workload keeps disks hot");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -10,12 +10,8 @@
 #                                             # merge base with origin/main
 #                                             # (plus .cpp files that
 #                                             # include a changed header)
-#   scripts/run_clang_tidy.sh --plugin PATH   # also load the tracer-*
-#                                             # plugin (tracer_tidy_module
-#                                             # .so) and enable its checks
 #
-# Modes combine: --changed --plugin <so> lints only your diff with the
-# project-invariant checks on.
+# The tracer-* project invariants are scripts/tracer_lint.py's job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,14 +21,10 @@ RUN_CLANG_TIDY="${RUN_CLANG_TIDY:-run-clang-tidy}"
 BASE_REF="${BASE_REF:-origin/main}"
 
 CHANGED=0
-PLUGIN=""
 SCOPE=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --changed) CHANGED=1 ;;
-    --plugin)
-      [[ $# -ge 2 ]] || { echo "error: --plugin needs a path" >&2; exit 2; }
-      PLUGIN="$2"; shift ;;
     --*) echo "error: unknown option '$1'" >&2; exit 2 ;;
     *) SCOPE="$1" ;;
   esac
@@ -41,12 +33,6 @@ done
 
 if ! command -v "${CLANG_TIDY}" >/dev/null 2>&1; then
   echo "error: ${CLANG_TIDY} not found on PATH (apt install clang-tidy)" >&2
-  exit 1
-fi
-
-if [[ -n "${PLUGIN}" && ! -f "${PLUGIN}" ]]; then
-  echo "error: plugin '${PLUGIN}' does not exist (build with" \
-       "-DTRACER_BUILD_TIDY_PLUGIN=ON)" >&2
   exit 1
 fi
 
@@ -103,17 +89,9 @@ else
   fi
 fi
 
-EXTRA_ARGS=()
-if [[ -n "${PLUGIN}" ]]; then
-  # .clang-tidy already names the tracer-* checks; stock clang-tidy
-  # ignores unknown check globs, so the only switch needed here is -load.
-  EXTRA_ARGS+=("-load" "${PLUGIN}")
-fi
-
 if command -v "${RUN_CLANG_TIDY}" >/dev/null 2>&1; then
-  "${RUN_CLANG_TIDY}" -p "${BUILD_DIR}" -quiet \
-    ${PLUGIN:+-load "${PLUGIN}"} "${FILES[@]}"
+  "${RUN_CLANG_TIDY}" -p "${BUILD_DIR}" -quiet "${FILES[@]}"
 else
-  "${CLANG_TIDY}" -p "${BUILD_DIR}" --quiet "${EXTRA_ARGS[@]}" "${FILES[@]}"
+  "${CLANG_TIDY}" -p "${BUILD_DIR}" --quiet "${FILES[@]}"
 fi
 echo "clang-tidy: clean (${#FILES[@]} files)"

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Portable fallback gate for the TRACER project invariants.
+"""The TRACER project-invariant checker.
 
-The authoritative implementation of these checks is the clang-tidy plugin
-in tools/tracer-tidy/ (AST-exact; loaded with `run_clang_tidy.sh
---plugin`). This script is the dependency-free fallback: a token-level
-implementation of the same five checks that runs anywhere Python 3 runs,
-so the gate holds on machines (and CI lanes) without a matching clang
-toolchain. Both implementations share the fixture suite under
-tools/tracer-tidy/test/fixtures — tests/test_tracer_tidy_fixtures.cpp
+A token-level linter for the four invariants generic tooling cannot know
+about. Typed integer narrowing is not here: GCC's -Wconversion, an error
+on every src/ target (src/CMakeLists.txt), owns it. The fixture suite
+under tests/lint_fixtures/ (driven by tests/test_lint_fixtures.cpp)
 asserts every check fires on its fail fixture and stays silent on its
-pass fixture.
+pass fixture; docs/STATIC_ANALYSIS.md records the mutation study that
+measured this linter's recall on seeded copies of src/.
 
 Checks (docs/STATIC_ANALYSIS.md has the invariant -> check table):
 
@@ -20,13 +18,13 @@ Checks (docs/STATIC_ANALYSIS.md has the invariant -> check table):
                                    util/sync.h; use the annotated wrappers
   tracer-lossless-double-format    %g/%f/%e with precision < 17 banned in
                                    codec paths (net/, db/, fleet_wire)
-  tracer-no-nondeterminism-in-sim  entropy and unordered-container
-                                   iteration banned in simulation paths
-  tracer-unchecked-narrowing-in-codec
-                                   implicit integer width loss banned in
-                                   encode/decode functions (codec paths)
-  tracer-nolint-justification      (linter-only) every NOLINT(tracer-...)
-                                   must carry ": <reason>" in-line
+  tracer-no-nondeterminism-in-sim  entropy sources and std::unordered_*
+                                   containers banned in simulation paths;
+                                   a lookup-only map carries a justified
+                                   NOLINT and is then checked to be used
+                                   only through lookups
+  tracer-nolint-justification      every NOLINT(tracer-...) must carry
+                                   ": <reason>" in-line
 
 Usage:
   tracer_lint.py [PATH...]          lint files/trees (default: src/)
@@ -36,22 +34,21 @@ Output is clang-tidy shaped: "file:line:col: warning: msg [check]".
 Exit 1 when any diagnostic fires, 0 when clean.
 """
 
+import bisect
 import fnmatch
 import os
 import re
 import sys
 
 PATH_FILTER_CODEC = re.compile(r"/(net|db)/|fleet_wire")
-PATH_FILTER_NARROW = re.compile(r"/(net|db|trace)/|fleet_wire")
 PATH_FILTER_SIM = re.compile(r"/(sim|storage)/|/core/replay")
 ALLOW_NAKED_SYNC = re.compile(r"util/sync\.h$")
 
-CODEC_FUNCTION = re.compile(
-    r"encode|decode|serial|parse|read|write|load|store")
-
 WALLCLOCK_PATTERNS = [
-    (re.compile(r"std::chrono::system_clock|\bsystem_clock\s*::"),
-     "std::chrono::system_clock"),
+    (re.compile(r"\bsystem_clock\b"), "std::chrono::system_clock"),
+    # libstdc++ defines high_resolution_clock as an alias of system_clock.
+    (re.compile(r"\bhigh_resolution_clock\b"),
+     "std::chrono::high_resolution_clock"),
     (re.compile(r"\bgettimeofday\s*\("), "gettimeofday"),
     (re.compile(r"\btimespec_get\s*\("), "timespec_get"),
     (re.compile(r"\bftime\s*\("), "ftime"),
@@ -63,8 +60,19 @@ WALLCLOCK_PATTERNS = [
 # (gmtime_r, strftime, localtime_r) are deliberately NOT banned: the
 # invariant is about where time is *read*, not how labels are printed.
 
-NAKED_SYNC = re.compile(
-    r"std::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
+# A `using namespace std;` directive lets a file drop the std:: qualifier
+# the sync and engine patterns key on, so such files are matched with the
+# qualifier optional. Indexed by "file has the directive".
+USING_STD = re.compile(r"\busing\s+namespace\s+std\s*;")
+
+
+def std_pattern(body):
+    return (re.compile(r"std::" + body),
+            re.compile(r"(?<![\w:.>])(?:std::)?" + body))
+
+
+NAKED_SYNC = std_pattern(
+    r"(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex|condition_variable|"
     r"condition_variable_any|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock)\b")
@@ -73,38 +81,42 @@ RAND_CALLS = re.compile(
     r"std::s?rand\b|(?<![\w:.>])s?rand\s*\(|\b[dlm]rand48\s*\(|"
     r"\brand_r\s*\(|(?:std::)?\brandom_device\b")
 
-UNSEEDED_ENGINE = re.compile(
-    r"std::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine|"
-    r"ranlux\d+(?:_base)?|knuth_b)\s+\w+\s*(?:;|\{\s*\}|\(\s*\))")
+# A default-constructed engine, named (`std::mt19937 gen;`) or temporary
+# (`std::shuffle(b, e, std::mt19937{})`).
+UNSEEDED_ENGINE = std_pattern(
+    r"(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine|"
+    r"ranlux\d+(?:_base)?|knuth_b)"
+    r"(?:\s+\w+\s*(?:;|\{\s*\}|\(\s*\))|\s*(?:\{\s*\}|\(\s*\)))")
 
+# Any mention of an unordered container type (declaration, alias,
+# parameter), and the name a declaration binds, for the lookup-only check.
+UNORDERED_TYPE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 UNORDERED_DECL = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<.*>\s*[&*]?\s*(\w+)")
-RANGE_FOR = re.compile(r"\bfor\s*\(.*?:\s*\*?\s*(\w+)\s*\)")
+# Member calls that look an element up without exposing hash order.
+LOOKUP_SUFFIX = (r"(?:\s*(?:\.|->)\s*(?:find|at|count|contains|emplace|"
+                 r"try_emplace|insert|insert_or_assign|erase|size|empty|"
+                 r"clear|reserve|end|cend)\s*\(|\s*\[)")
 
 # printf-family conversion spec: %[flags][width][.precision][length]conv
 FORMAT_SPEC = re.compile(
     r"%[-+ #0']*[0-9*]*(?:\.(\d+|\*))?[hljztL]*([a-zA-Z%])")
 STRING_LITERAL = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+# Adjacent literals ("%" "g", or split across lines) are one literal to
+# the compiler, so they are joined before their specs are scanned.
+LITERAL_RUN = re.compile(r'"(?:[^"\\\n]|\\.)*"(?:\s*"(?:[^"\\\n]|\\.)*")*')
 
-INT_DECL = re.compile(
-    r"(?:std::)?(u?int(8|16|32|64)_t|size_t|ptrdiff_t|streamsize)\s*"
-    r"(?:\*|&)?\s+(\w+)")
-ASSIGNMENT = re.compile(
-    r"^\s*(?:[\w:<>]+\s+)?\*?\s*(\w+)(?:\[\w*\])?\s*=\s*([^=].*);")
+INCLUDE = re.compile(r"\s*#\s*include\b")
 NOLINT_RE = re.compile(r"NOLINT(NEXTLINE)?(?:\(([^)]*)\))?")
 JUSTIFIED_NOLINT = re.compile(r"NOLINT(?:NEXTLINE)?\([^)]*\)\s*:\s*\S.{8,}")
 
-CONTROL_KEYWORDS = ("if", "for", "while", "switch", "return", "catch",
-                    "sizeof", "static_assert")
-
 
 def strip_comments(text):
-    """Return (code_lines, comment_lines): per-line source with comments
-    blanked, and per-line comment text (for NOLINT handling). String and
-    char literal *contents* are preserved in code_lines (the format check
-    needs them) but quotes inside comments are ignored."""
-    code, comments = [], []
-    cur_code, cur_comment = [], []
+    """Return the per-line source with comments removed. String and char
+    literal *contents* are preserved (the format check needs them) but
+    quotes inside comments are ignored. NOLINT handling reads the raw
+    lines instead."""
+    code, cur_code = [], []
     i, n = 0, len(text)
     state = "code"  # code | line_comment | block_comment | string | char
     while i < n:
@@ -112,8 +124,7 @@ def strip_comments(text):
         nxt = text[i + 1] if i + 1 < n else ""
         if c == "\n":
             code.append("".join(cur_code))
-            comments.append("".join(cur_comment))
-            cur_code, cur_comment = [], []
+            cur_code = []
             if state in ("line_comment", "string", "char"):
                 state = "code"  # unterminated literal: recover per line
             i += 1
@@ -132,14 +143,11 @@ def strip_comments(text):
             elif c == "'":
                 state = "char"
             cur_code.append(c)
-        elif state == "line_comment":
-            cur_comment.append(c)
         elif state == "block_comment":
             if c == "*" and nxt == "/":
                 i += 2
                 state = "code"
                 continue
-            cur_comment.append(c)
         elif state in ("string", "char"):
             # The opening quote was consumed in "code" state, so any
             # unescaped matching quote here closes the literal.
@@ -153,8 +161,7 @@ def strip_comments(text):
                 state = "code"
         i += 1
     code.append("".join(cur_code))
-    comments.append("".join(cur_comment))
-    return code, comments
+    return code
 
 
 def blank_strings(line):
@@ -208,41 +215,6 @@ def lossy_format_specs(literal):
                 yield m.start(), m.group(0), eff
 
 
-def enclosing_function_tracker(code_lines):
-    """Best-effort map line-index -> enclosing function name. Tracks lines
-    that look like function definitions (NAME( ... with a following '{',
-    no ';' or '='), scoped by brace depth."""
-    names = [None] * len(code_lines)
-    current = []
-    depth = 0
-    pending = None
-    fn_def = re.compile(r"\b(\w+)\s*\([^;]*$|\b(\w+)\s*\(.*\)"
-                        r"\s*(?:const|noexcept|override|final)*\s*\{")
-    for idx, line in enumerate(code_lines):
-        stripped = blank_strings(line)
-        if pending is None and depth == len(current):
-            m = fn_def.search(stripped)
-            if m and ";" not in stripped:
-                name = m.group(1) or m.group(2)
-                if name and name not in CONTROL_KEYWORDS:
-                    pending = name
-        opens = stripped.count("{")
-        closes = stripped.count("}")
-        if pending is not None and opens > 0:
-            current.append(pending)
-            pending = None
-            depth += opens
-        else:
-            depth += opens
-        depth -= closes
-        if depth < 0:
-            depth = 0
-        while current and depth < len(current):
-            current.pop()
-        names[idx] = current[-1] if current else None
-    return names
-
-
 class FileLinter:
     def __init__(self, path, display_path, fixture_mode=False):
         self.path = path
@@ -250,8 +222,9 @@ class FileLinter:
         self.fixture_mode = fixture_mode
         with open(path, encoding="utf-8", errors="replace") as f:
             self.text = f.read()
-        self.code, self.comments = strip_comments(self.text)
+        self.code = strip_comments(self.text)
         self.raw_lines = self.text.split("\n")
+        self.using_std = bool(USING_STD.search("\n".join(self.code)))
         self.diags = []
 
     def in_path(self, pattern):
@@ -261,15 +234,21 @@ class FileLinter:
         self.diags.append(
             Diagnostic(self.display, lineno + 1, col + 1, message, check))
 
-    def run(self):
+    def unordered_names(self):
+        """Names bound by std::unordered_* declarations in a sim path."""
+        if not self.in_path(PATH_FILTER_SIM):
+            return set()
+        return {m.group(1) for line in self.code
+                for m in UNORDERED_DECL.finditer(blank_strings(line))}
+
+    def run(self, unordered_names):
         self.check_wallclock()
         self.check_naked_sync()
         self.check_double_format()
-        self.check_nondeterminism()
-        self.check_narrowing()
+        self.check_nondeterminism(unordered_names)
         return self.apply_nolint()
 
-    # -- the five checks ---------------------------------------------------
+    # -- the four checks ---------------------------------------------------
 
     def check_wallclock(self):
         for idx, line in enumerate(self.code):
@@ -289,8 +268,8 @@ class FileLinter:
         if not self.fixture_mode and ALLOW_NAKED_SYNC.search(self.display):
             return
         for idx, line in enumerate(self.code):
-            m = NAKED_SYNC.search(blank_strings(line))
-            if m:
+            m = NAKED_SYNC[self.using_std].search(blank_strings(line))
+            if m and not INCLUDE.match(line):
                 self.add(idx, m.start(),
                          f"naked 'std::{m.group(1)}' bypasses the Clang "
                          "thread-safety analysis; use the annotated "
@@ -313,35 +292,37 @@ class FileLinter:
     def check_double_format(self):
         if not self.in_path(PATH_FILTER_CODEC):
             return
-        for idx, line in enumerate(self.code):
+        text = "\n".join(self.code)
+        line_starts = [0]
+        for line in self.code[:-1]:
+            line_starts.append(line_starts[-1] + len(line) + 1)
+        for run in LITERAL_RUN.finditer(text):
+            idx = bisect.bisect_right(line_starts, run.start()) - 1
             # scanf-family formats parse text they do not produce; %lg there
-            # is mandatory for double and loses nothing (the clang check
-            # only matches printf-family callees for the same reason). The
-            # format string may sit a few lines below the callee, so scan
-            # back to the enclosing statement start for the call name.
+            # is mandatory for double and loses nothing. The format string
+            # may sit a few lines below the callee, so scan back to the
+            # enclosing statement start for the call name.
             if self._in_scanf_call(idx):
                 continue
-            for lit in STRING_LITERAL.finditer(line):
-                for off, spec, prec in lossy_format_specs(lit.group(1)):
-                    if prec < 0:
-                        msg = (f"dynamic precision '{spec}' in a codec path "
-                               "cannot be proven lossless; use a literal "
-                               "'%.17g' (round-trips every finite double)")
-                    else:
-                        msg = (f"'{spec}' loses double precision in a codec "
-                               f"path (effective precision {prec} < 17); use "
-                               "'%.17g' so every finite double round-trips "
-                               "bit-exactly")
-                    self.add(idx, lit.start(1) + off, msg,
-                             "tracer-lossless-double-format")
+            literal = "".join(STRING_LITERAL.findall(run.group(0)))
+            for _off, spec, prec in lossy_format_specs(literal):
+                if prec < 0:
+                    msg = (f"dynamic precision '{spec}' in a codec path "
+                           "cannot be proven lossless; use a literal "
+                           "'%.17g' (round-trips every finite double)")
+                else:
+                    msg = (f"'{spec}' loses double precision in a codec "
+                           f"path (effective precision {prec} < 17); use "
+                           "'%.17g' so every finite double round-trips "
+                           "bit-exactly")
+                self.add(idx, run.start() - line_starts[idx], msg,
+                         "tracer-lossless-double-format")
 
-    def check_nondeterminism(self):
+    def check_nondeterminism(self, unordered_names):
         if not self.in_path(PATH_FILTER_SIM):
             return
-        unordered_vars = set()
-        for line in self.code:
-            for m in UNORDERED_DECL.finditer(blank_strings(line)):
-                unordered_vars.add(m.group(1))
+        uses = [re.compile(rf"(?<!\w){re.escape(name)}\b(?!{LOOKUP_SUFFIX})")
+                for name in sorted(unordered_names)]
         for idx, line in enumerate(self.code):
             code = blank_strings(line)
             m = RAND_CALLS.search(code)
@@ -351,58 +332,32 @@ class FileLinter:
                          "determinism; use util::Rng seeded from config",
                          "tracer-no-nondeterminism-in-sim")
                 continue
-            m = UNSEEDED_ENGINE.search(code)
+            m = UNSEEDED_ENGINE[self.using_std].search(code)
             if m:
                 self.add(idx, m.start(),
                          "unseeded random engine in a simulation path: seed "
                          "explicitly from config so replays reproduce",
                          "tracer-no-nondeterminism-in-sim")
                 continue
-            m = RANGE_FOR.search(code)
-            if m and m.group(1) in unordered_vars:
+            m = UNORDERED_TYPE.search(code)
+            if m and not INCLUDE.match(code):
                 self.add(idx, m.start(),
-                         f"iterating unordered container '{m.group(1)}' in a "
-                         "simulation path is address-ordered and "
-                         "nondeterministic; iterate a vector/map or sort "
-                         "first (NOLINT with justification if the body "
-                         "provably commutes)",
+                         f"std::{m.group(0)} in a simulation path iterates in "
+                         "hash order; use a vector or std::map, or give a "
+                         "lookup-only container a justified NOLINT (its "
+                         "other uses must then stay lookups)",
                          "tracer-no-nondeterminism-in-sim")
-
-    def check_narrowing(self):
-        if not self.in_path(PATH_FILTER_NARROW):
-            return
-        rank = {}
-        for line in self.code:
-            for m in INT_DECL.finditer(blank_strings(line)):
-                bits = m.group(2)
-                rank[m.group(3)] = int(bits) if bits else 64
-        fn_names = enclosing_function_tracker(self.code)
-        for idx, line in enumerate(self.code):
-            fn = fn_names[idx]
-            if fn is not None and not CODEC_FUNCTION.search(fn):
                 continue
-            code = blank_strings(line)
-            if "static_cast" in code:
-                continue
-            m = ASSIGNMENT.match(code)
-            if not m:
-                continue
-            lhs, rhs = m.group(1), m.group(2)
-            lhs_rank = rank.get(lhs)
-            if lhs_rank is None or lhs_rank >= 64:
-                continue
-            rhs_rank = 0
-            if re.search(r"\.\s*(size|length|count)\s*\(\)", rhs):
-                rhs_rank = 64
-            for ident in re.findall(r"[A-Za-z_]\w*", rhs):
-                rhs_rank = max(rhs_rank, rank.get(ident, 0))
-            if rhs_rank > lhs_rank:
-                self.add(idx, 0,
-                         f"implicit narrowing into {lhs_rank}-bit '{lhs}' in "
-                         f"codec function '{fn or '?'}' can silently truncate "
-                         "a wire field; make the width change an explicit "
-                         "static_cast next to a range check",
-                         "tracer-unchecked-narrowing-in-codec")
+            for use in uses:
+                m = use.search(code)
+                if m:
+                    self.add(idx, m.start(),
+                             f"'{m.group(0)}' is a std::unordered_* container: "
+                             "only lookups (find/at/count/insert/erase/[]) "
+                             "keep hash order out of results; iterating, "
+                             "binding or passing it exposes that order",
+                             "tracer-no-nondeterminism-in-sim")
+                    break
 
     # -- NOLINT handling ---------------------------------------------------
 
@@ -480,11 +435,14 @@ def main(argv):
     files = collect_files(paths)
     if not files:
         sys.exit("tracer_lint.py: no input files")
+    linters = [FileLinter(path, os.path.abspath(path).replace(os.sep, "/"),
+                          fixture_mode=fixture_mode) for path in files]
+    # A lookup-only map is declared in a header and used in its .cpp, so
+    # the names are gathered across every file before any is checked.
+    unordered_names = set().union(*(l.unordered_names() for l in linters))
     total = 0
-    for path in files:
-        display = os.path.abspath(path).replace(os.sep, "/")
-        linter = FileLinter(path, display, fixture_mode=fixture_mode)
-        for diag in linter.run():
+    for linter in linters:
+        for diag in linter.run(unordered_names):
             print(diag)
             total += 1
     if total:

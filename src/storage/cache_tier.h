@@ -147,8 +147,10 @@ class CacheTier final : public BlockDevice {
   // only ever enumerated through the lists, keeping behaviour independent
   // of hash ordering.
   LruList dram_lru_;
+  // NOLINTNEXTLINE(tracer-no-nondeterminism-in-sim): lookup-only index; enumeration goes through dram_lru_
   std::unordered_map<LineId, DramEntry> dram_;
   LruList tier_lru_;
+  // NOLINTNEXTLINE(tracer-no-nondeterminism-in-sim): lookup-only index; enumeration goes through tier_lru_
   std::unordered_map<LineId, TierEntry> tier_;
   std::size_t dirty_ = 0;
 

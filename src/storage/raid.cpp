@@ -30,17 +30,10 @@ std::size_t RaidGeometry::parity_disk(std::uint64_t row) const {
   return disk_count - 1 - static_cast<std::size_t>(row % disk_count);
 }
 
-std::vector<RaidGeometry::Extent> RaidGeometry::map(Bytes logical_byte,
-                                                    Bytes bytes) const {
-  std::vector<Extent> extents;
-  map_into(logical_byte, bytes, extents);
-  return extents;
-}
-
 void RaidGeometry::map_into(Bytes logical_byte, Bytes bytes,
                             std::vector<Extent>& out) const {
   if (logical_byte + bytes > capacity()) {
-    throw std::out_of_range("RaidGeometry::map: extent beyond capacity");
+    throw std::out_of_range("RaidGeometry::map_into: extent beyond capacity");
   }
   out.clear();
   Bytes remaining = bytes;

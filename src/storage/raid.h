@@ -47,14 +47,11 @@ struct RaidGeometry {
   };
 
   /// Map [logical_byte, logical_byte + bytes) onto member-disk extents,
-  /// split at stripe-unit boundaries, in logical order.
-  std::vector<Extent> map(Bytes logical_byte, Bytes bytes) const;
-
-  /// Allocation-free variant for hot paths: clears `out` and fills it with
-  /// exactly what map() would return, reusing the vector's capacity. The
-  /// extents' `row` fields are non-decreasing (logical order walks rows
-  /// forward), which RaidController exploits to group rows with a linear
-  /// scan instead of a std::map.
+  /// split at stripe-unit boundaries, in logical order. Clears `out` and
+  /// reuses its capacity, so the hot path allocates nothing. The extents'
+  /// `row` fields are non-decreasing (logical order walks rows forward),
+  /// which RaidController exploits to group rows with a linear scan
+  /// instead of a std::map.
   void map_into(Bytes logical_byte, Bytes bytes, std::vector<Extent>& out) const;
 
   /// Disk-local sector of the parity unit in `row`, plus its disk.

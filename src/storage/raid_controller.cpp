@@ -1,9 +1,24 @@
 #include "storage/raid_controller.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace tracer::storage {
+
+namespace {
+
+/// pending_ keeps child countdowns as u32 to stay one dense array; a
+/// request fanning out to more children than that is rejected, not wrapped.
+std::uint32_t child_count(std::size_t children) {
+  if (children > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("RaidController: request fans out to too many "
+                            "child I/Os");
+  }
+  return static_cast<std::uint32_t>(children);
+}
+
+}  // namespace
 
 RaidController::RaidController(sim::Simulator& sim, RaidGeometry geometry,
                                std::vector<BlockDevice*> disks,
@@ -166,7 +181,7 @@ void RaidController::issue_read(std::uint32_t slot, Sector sector,
   for (const auto& extent : extents_) {
     total += disk_failed(extent.disk) ? disks_.size() - 1 : 1;
   }
-  pending_[slot] = total;
+  pending_[slot] = child_count(total);
   stats_.child_reads += total;
 
   for (const auto& extent : extents_) {
@@ -269,7 +284,7 @@ void RaidController::issue_write(std::uint32_t slot, Sector sector,
   geometry_.map_into(sector * kSectorSize, bytes, extents_);
 
   if (geometry_.level == RaidLevel::kRaid0) {
-    pending_[slot] = extents_.size();
+    pending_[slot] = child_count(extents_.size());
     stats_.child_writes += extents_.size();
     for (const auto& extent : extents_) {
       issue_child(extent.disk, extent.sector, extent.bytes, OpType::kWrite,
@@ -290,7 +305,7 @@ void RaidController::issue_write(std::uint32_t slot, Sector sector,
     sim_.schedule_in(0.0, [this, slot] { child_done(slot); });
     return;
   }
-  pending_[slot] = total;
+  pending_[slot] = child_count(total);
 
   for (const RowPlan& plan : row_plans_) {
     if (plan.reads_begin == plan.reads_end) {

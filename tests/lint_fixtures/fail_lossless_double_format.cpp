@@ -1,6 +1,6 @@
 // Fail fixture for tracer-lossless-double-format: sub-%.17g floating
-// conversions in codec paths silently lose bits on the wire (the PR 9
-// %.9g bug class).
+// conversions in codec paths silently lose bits on the wire (the %.9g bug
+// class).
 #include <cstdio>
 #include <string>
 
@@ -18,5 +18,10 @@ std::string encode_record(double joules, int precision) {
   std::string row = tracer::util::format("%.16g", joules);  // expect: tracer-lossless-double-format
   row += tracer::util::format("%.*f", precision, joules);  // expect: tracer-lossless-double-format
   row += tracer::util::format("j=%g w=%d", joules, precision);  // expect: tracer-lossless-double-format
+  // Adjacent literals are one format string to the compiler.
+  row += tracer::util::format("%" "g", joules);  // expect: tracer-lossless-double-format
+  row += tracer::util::format("%."  // expect: tracer-lossless-double-format
+                              "6g",
+                              joules);
   return row;
 }

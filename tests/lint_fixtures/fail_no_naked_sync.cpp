@@ -26,3 +26,8 @@ class BoundedQueue {
 class Snapshotter {
   std::shared_mutex table_lock_;  // expect: tracer-no-naked-sync
 };
+
+namespace legacy {
+using namespace std;
+mutex registry_lock;  // expect: tracer-no-naked-sync
+}  // namespace legacy

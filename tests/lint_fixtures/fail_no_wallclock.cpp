@@ -1,8 +1,6 @@
 // Fail fixture for tracer-no-wallclock: every marked line must produce a
 // diagnostic. `expect:` markers are parsed by the fixture runner
-// (tests/test_tracer_tidy_fixtures.cpp); `expect-lint-only:` lines are
-// enforced only by scripts/tracer_lint.py (clang-tidy suppresses the
-// diagnostic via NOLINT but cannot check for a justification).
+// (tests/test_lint_fixtures.cpp).
 #include <chrono>
 #include <ctime>
 
@@ -19,6 +17,12 @@ double lease_deadline_seconds() {
 
 std::chrono::system_clock::time_point next_heartbeat() {  // expect: tracer-no-wallclock
   // A NOLINT without a justification is itself a violation of the NOLINT
-  // policy (docs/STATIC_ANALYSIS.md) — the fallback linter flags it.
-  return std::chrono::system_clock::now();  // NOLINT(tracer-no-wallclock)  expect-lint-only: tracer-nolint-justification
+  // policy (docs/STATIC_ANALYSIS.md).
+  return std::chrono::system_clock::now();  // NOLINT(tracer-no-wallclock)  expect: tracer-nolint-justification
+}
+
+double frame_time_seconds() {
+  // libstdc++ defines high_resolution_clock as an alias of system_clock.
+  const auto now = std::chrono::high_resolution_clock::now();  // expect: tracer-no-wallclock
+  return std::chrono::duration<double>(now.time_since_epoch()).count();
 }

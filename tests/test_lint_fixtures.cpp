@@ -1,29 +1,18 @@
-// Fixture-driven proof that the tracer static-analysis checks fire where
-// they must and stay silent where they must not (docs/STATIC_ANALYSIS.md).
+// Fixture-driven proof that the tracer-* invariant checks fire where they
+// must and stay silent where they must not (docs/STATIC_ANALYSIS.md).
 //
-// Every fixture under tools/tracer-tidy/test/fixtures/ carries inline
-// markers:
-//   // expect: tracer-<check>            — both runners must diagnose here
-//   expect-lint-only: tracer-<check>     — only scripts/tracer_lint.py can
-//                                          (clang-tidy honours the NOLINT it
-//                                          is complaining about)
-//
-// The test runs the portable runner (scripts/tracer_lint.py --fixture-mode)
-// on every fixture and compares the emitted (line, check) set against the
-// markers exactly — extra findings fail the same as missing ones. When the
-// real clang-tidy plugin is available (TRACER_TIDY_PLUGIN env var pointing
-// at tracer_tidy_module.so, as in the CI tracer-tidy-plugin job), the same
-// comparison runs against the plugin; locally without clang the plugin
-// cases skip with a notice instead of failing.
+// Every fixture under tests/lint_fixtures/ carries inline markers
+// `// expect: tracer-<check>` on the lines that must be diagnosed. The test
+// runs scripts/tracer_lint.py --fixture-mode on every fixture and compares
+// the emitted (line, check) set against the markers exactly — extra
+// findings fail the same as missing ones.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -42,8 +31,7 @@ namespace fs = std::filesystem;
 using Finding = std::pair<int, std::string>;  // (line, check-name)
 
 const fs::path kSourceDir = fs::path(TRACER_SOURCE_DIR);
-const fs::path kFixtureDir =
-    kSourceDir / "tools" / "tracer-tidy" / "test" / "fixtures";
+const fs::path kFixtureDir = kSourceDir / "tests" / "lint_fixtures";
 
 struct CommandResult {
   int exit_code = -1;
@@ -52,8 +40,7 @@ struct CommandResult {
 
 CommandResult run_command(const std::string& command) {
   CommandResult result;
-  // Findings go to stdout (tracer_lint.py) or stdout+stderr (clang-tidy);
-  // fold them together so both runners parse identically.
+  // Findings go to stdout and the summary to stderr; fold them together.
   FILE* pipe = popen((command + " 2>&1").c_str(), "r");
   if (!pipe) return result;
   char buffer[4096];
@@ -63,28 +50,18 @@ CommandResult run_command(const std::string& command) {
   return result;
 }
 
-/// Markers expected from the portable linter (expect + expect-lint-only)
-/// and from the clang-tidy plugin (expect only).
-struct ExpectedFindings {
-  std::multiset<Finding> lint;
-  std::multiset<Finding> plugin;
-};
-
-ExpectedFindings parse_markers(const fs::path& fixture) {
-  ExpectedFindings expected;
+std::multiset<Finding> parse_markers(const fs::path& fixture) {
+  std::multiset<Finding> expected;
   std::ifstream in(fixture);
   EXPECT_TRUE(in.is_open()) << "cannot open fixture " << fixture;
-  static const std::regex kMarker(
-      R"(expect(-lint-only)?:\s*(tracer-[a-z0-9-]+))");
+  static const std::regex kMarker(R"(expect:\s*(tracer-[a-z0-9-]+))");
   std::string line;
   int number = 0;
   while (std::getline(in, line)) {
     ++number;
     for (std::sregex_iterator it(line.begin(), line.end(), kMarker), end;
          it != end; ++it) {
-      const bool lint_only = (*it)[1].matched;
-      expected.lint.emplace(number, (*it)[2].str());
-      if (!lint_only) expected.plugin.emplace(number, (*it)[2].str());
+      expected.emplace(number, (*it)[1].str());
     }
   }
   return expected;
@@ -137,10 +114,6 @@ void expect_same_findings(const fs::path& fixture,
       << describe(actual);
 }
 
-// ---------------------------------------------------------------------------
-// Portable runner: scripts/tracer_lint.py --fixture-mode
-// ---------------------------------------------------------------------------
-
 CommandResult run_lint(const fs::path& fixture) {
   const std::string command = "python3 \"" +
                               (kSourceDir / "scripts" / "tracer_lint.py").string() +
@@ -148,12 +121,12 @@ CommandResult run_lint(const fs::path& fixture) {
   return run_command(command);
 }
 
-TEST(TracerLintFixtures, FixtureSuiteCoversAllFiveChecks) {
+TEST(TracerLintFixtures, FixtureSuiteCoversAllFourChecks) {
   // One fail/pass pair per check; a missing pair means a check has no
   // automated proof that it fires.
   const std::vector<std::string> kChecks = {
       "no_wallclock", "no_naked_sync", "lossless_double_format",
-      "no_nondeterminism_in_sim", "unchecked_narrowing_in_codec"};
+      "no_nondeterminism_in_sim"};
   for (const auto& check : kChecks) {
     EXPECT_TRUE(fs::exists(kFixtureDir / ("fail_" + check + ".cpp")))
         << "missing fail fixture for " << check;
@@ -168,13 +141,12 @@ TEST(TracerLintFixtures, FailFixturesFireExactlyOnMarkedLines) {
   for (const auto& fixture : fixtures) {
     SCOPED_TRACE(fixture.filename().string());
     const auto expected = parse_markers(fixture);
-    ASSERT_FALSE(expected.lint.empty())
+    ASSERT_FALSE(expected.empty())
         << "fail fixture has no expect markers; the test would be vacuous";
     const auto result = run_lint(fixture);
     EXPECT_EQ(result.exit_code, 1)
         << "linter must exit 1 on findings\n" << result.output;
-    expect_same_findings(fixture, expected.lint,
-                         parse_findings(result.output));
+    expect_same_findings(fixture, expected, parse_findings(result.output));
   }
 }
 
@@ -184,55 +156,10 @@ TEST(TracerLintFixtures, PassFixturesStaySilent) {
   for (const auto& fixture : fixtures) {
     SCOPED_TRACE(fixture.filename().string());
     const auto expected = parse_markers(fixture);
-    EXPECT_TRUE(expected.lint.empty())
+    EXPECT_TRUE(expected.empty())
         << "pass fixture must not carry expect markers";
     const auto result = run_lint(fixture);
     EXPECT_EQ(result.exit_code, 0) << result.output;
-    expect_same_findings(fixture, {}, parse_findings(result.output));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Real clang-tidy plugin (CI): TRACER_TIDY_PLUGIN=<path to .so>
-// ---------------------------------------------------------------------------
-
-const char* plugin_path() { return std::getenv("TRACER_TIDY_PLUGIN"); }
-
-CommandResult run_plugin(const fs::path& fixture) {
-  const char* clang_tidy = std::getenv("TRACER_CLANG_TIDY");
-  const std::string command =
-      std::string(clang_tidy ? clang_tidy : "clang-tidy") + " -load \"" +
-      plugin_path() +
-      "\" \"-checks=-*,tracer-*\" \"-header-filter=\" \"" + fixture.string() +
-      "\" -- -std=c++20";
-  return run_command(command);
-}
-
-TEST(TracerTidyPluginFixtures, FailFixturesFireExactlyOnMarkedLines) {
-  if (!plugin_path()) {
-    GTEST_SKIP() << "TRACER_TIDY_PLUGIN not set: clang-tidy plugin not "
-                    "built in this configuration (covered by the "
-                    "tracer-tidy-plugin CI job)";
-  }
-  for (const auto& fixture : fixtures_matching("fail_")) {
-    SCOPED_TRACE(fixture.filename().string());
-    const auto expected = parse_markers(fixture);
-    ASSERT_FALSE(expected.plugin.empty());
-    const auto result = run_plugin(fixture);
-    expect_same_findings(fixture, expected.plugin,
-                         parse_findings(result.output));
-  }
-}
-
-TEST(TracerTidyPluginFixtures, PassFixturesStaySilent) {
-  if (!plugin_path()) {
-    GTEST_SKIP() << "TRACER_TIDY_PLUGIN not set: clang-tidy plugin not "
-                    "built in this configuration (covered by the "
-                    "tracer-tidy-plugin CI job)";
-  }
-  for (const auto& fixture : fixtures_matching("pass_")) {
-    SCOPED_TRACE(fixture.filename().string());
-    const auto result = run_plugin(fixture);
     expect_same_findings(fixture, {}, parse_findings(result.output));
   }
 }

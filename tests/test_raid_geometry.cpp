@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 namespace tracer::storage {
 namespace {
@@ -59,7 +60,8 @@ TEST(RaidGeometry, Raid0HasNoParityDisk) {
 TEST(RaidGeometry, MapSplitsAtStripeUnitBoundaries) {
   const auto geometry = testbed_geometry(6);
   // 300 KB starting 64 KB into unit 0: 64K + 128K + 108K.
-  const auto extents = geometry.map(64 * kKiB, 300 * kKiB);
+  std::vector<RaidGeometry::Extent> extents;
+  geometry.map_into(64 * kKiB, 300 * kKiB, extents);
   ASSERT_EQ(extents.size(), 3u);
   EXPECT_EQ(extents[0].bytes, 64 * kKiB);
   EXPECT_EQ(extents[1].bytes, 128 * kKiB);
@@ -70,15 +72,17 @@ TEST(RaidGeometry, MapSplitsAtStripeUnitBoundaries) {
 
 TEST(RaidGeometry, MapRejectsBeyondCapacity) {
   const auto geometry = testbed_geometry(6);
-  EXPECT_THROW(geometry.map(geometry.capacity() - 4096, 8192),
+  std::vector<RaidGeometry::Extent> extents;
+  EXPECT_THROW(geometry.map_into(geometry.capacity() - 4096, 8192, extents),
                std::out_of_range);
 }
 
 TEST(RaidGeometry, DataNeverLandsOnParityDisk) {
   const auto geometry = testbed_geometry(6);
+  std::vector<RaidGeometry::Extent> extents;
   for (std::uint64_t unit = 0; unit < 600; ++unit) {
-    const auto extents =
-        geometry.map(unit * geometry.stripe_unit, geometry.stripe_unit);
+    geometry.map_into(unit * geometry.stripe_unit, geometry.stripe_unit,
+                      extents);
     ASSERT_EQ(extents.size(), 1u);
     EXPECT_NE(extents[0].disk, geometry.parity_disk(extents[0].row));
   }
@@ -86,13 +90,14 @@ TEST(RaidGeometry, DataNeverLandsOnParityDisk) {
 
 TEST(RaidGeometry, RowFillsEveryNonParityDiskExactlyOnce) {
   const auto geometry = testbed_geometry(6);
+  std::vector<RaidGeometry::Extent> extents;
   for (std::uint64_t row = 0; row < 20; ++row) {
     std::set<std::size_t> disks;
     for (std::size_t position = 0; position < geometry.data_disks();
          ++position) {
       const Bytes addr =
           (row * geometry.data_disks() + position) * geometry.stripe_unit;
-      const auto extents = geometry.map(addr, geometry.stripe_unit);
+      geometry.map_into(addr, geometry.stripe_unit, extents);
       ASSERT_EQ(extents.size(), 1u);
       EXPECT_EQ(extents[0].row, row);
       disks.insert(extents[0].disk);
@@ -106,9 +111,10 @@ TEST(RaidGeometry, MappingIsInjectivePerDiskSector) {
   // Property: distinct logical units never collide on (disk, sector).
   const auto geometry = testbed_geometry(5);
   std::map<std::pair<std::size_t, Sector>, Bytes> seen;
+  std::vector<RaidGeometry::Extent> extents;
   for (std::uint64_t unit = 0; unit < 1000; ++unit) {
     const Bytes addr = unit * geometry.stripe_unit;
-    const auto extents = geometry.map(addr, geometry.stripe_unit);
+    geometry.map_into(addr, geometry.stripe_unit, extents);
     ASSERT_EQ(extents.size(), 1u);
     const auto key = std::make_pair(extents[0].disk, extents[0].sector);
     ASSERT_EQ(seen.count(key), 0u) << "collision at logical unit " << unit;
@@ -119,9 +125,10 @@ TEST(RaidGeometry, MappingIsInjectivePerDiskSector) {
 TEST(RaidGeometry, MapPreservesTotalBytes) {
   const auto geometry = testbed_geometry(6);
   // Property sweep over odd sizes and offsets.
+  std::vector<RaidGeometry::Extent> extents;
   for (Bytes offset : {0ULL, 512ULL, 4096ULL, 130048ULL, 262144ULL}) {
     for (Bytes size : {512ULL, 4096ULL, 65536ULL, 131072ULL, 1048576ULL}) {
-      const auto extents = geometry.map(offset, size);
+      geometry.map_into(offset, size, extents);
       Bytes total = 0;
       for (const auto& extent : extents) total += extent.bytes;
       EXPECT_EQ(total, size);
@@ -142,10 +149,11 @@ TEST(RaidGeometry, SequentialUnitsRotateAcrossDisks) {
   // Consecutive logical units in one row land on distinct disks (striping).
   const auto geometry = testbed_geometry(6);
   std::set<std::size_t> disks;
+  std::vector<RaidGeometry::Extent> extents;
   for (std::size_t position = 0; position < geometry.data_disks();
        ++position) {
-    const auto extents = geometry.map(position * geometry.stripe_unit,
-                                      geometry.stripe_unit);
+    geometry.map_into(position * geometry.stripe_unit, geometry.stripe_unit,
+                      extents);
     disks.insert(extents[0].disk);
   }
   EXPECT_EQ(disks.size(), geometry.data_disks());

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "storage/raid.h"
 #include "util/rng.h"
@@ -43,12 +44,13 @@ TEST_P(RaidGeometryProperty, ParityRotationCoversAllDisksWithPeriodN) {
 TEST_P(RaidGeometryProperty, RandomExtentsPreserveBytesAndBounds) {
   const auto g = geometry();
   util::Rng rng(std::get<0>(GetParam()) * 1000 + 7);
+  std::vector<RaidGeometry::Extent> extents;
   for (int trial = 0; trial < 200; ++trial) {
     const Bytes size =
         (1 + rng.below(2 * g.stripe_unit / kSectorSize)) * kSectorSize;
     const Bytes offset =
         rng.below((g.capacity() - size) / kSectorSize) * kSectorSize;
-    const auto extents = g.map(offset, size);
+    g.map_into(offset, size, extents);
     Bytes total = 0;
     for (const auto& extent : extents) {
       total += extent.bytes;
@@ -67,8 +69,9 @@ TEST_P(RaidGeometryProperty, ContiguousUnitsNeverCollide) {
   std::map<std::pair<std::size_t, Sector>, std::uint64_t> seen;
   const std::uint64_t units =
       std::min<std::uint64_t>(500, g.capacity() / g.stripe_unit);
+  std::vector<RaidGeometry::Extent> extents;
   for (std::uint64_t unit = 0; unit < units; ++unit) {
-    const auto extents = g.map(unit * g.stripe_unit, g.stripe_unit);
+    g.map_into(unit * g.stripe_unit, g.stripe_unit, extents);
     ASSERT_EQ(extents.size(), 1u);
     const auto key = std::make_pair(extents[0].disk, extents[0].sector);
     EXPECT_EQ(seen.count(key), 0u) << "unit " << unit << " collides";
@@ -78,13 +81,15 @@ TEST_P(RaidGeometryProperty, ContiguousUnitsNeverCollide) {
 
 TEST_P(RaidGeometryProperty, RowMembersArePairwiseDistinct) {
   const auto g = geometry();
+  std::vector<RaidGeometry::Extent> extents;
   for (std::uint64_t row = 0; row < 3 * g.disk_count; ++row) {
     std::set<std::size_t> disks;
     for (std::size_t position = 0; position < g.data_disks(); ++position) {
       const Bytes addr =
           (row * g.data_disks() + position) * g.stripe_unit;
       if (addr + g.stripe_unit > g.capacity()) break;
-      disks.insert(g.map(addr, g.stripe_unit)[0].disk);
+      g.map_into(addr, g.stripe_unit, extents);
+      disks.insert(extents[0].disk);
     }
     disks.insert(g.parity_disk(row));
     EXPECT_EQ(disks.size(), g.disk_count);
