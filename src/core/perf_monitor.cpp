@@ -1,6 +1,7 @@
 #include "core/perf_monitor.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace tracer::core {
 
@@ -17,9 +18,12 @@ constexpr std::size_t kHistBinsPerDecade = 40;
 
 PerfMonitor::PerfMonitor(Seconds sampling_cycle)
     : cycle_(sampling_cycle),
-      ops_(sampling_cycle),
-      bytes_series_(sampling_cycle),
-      latency_hist_(kHistLoMs, kHistHiMs, kHistBinsPerDecade) {}
+      latency_scale_(kHistLoMs, kHistHiMs, kHistBinsPerDecade),
+      latency_bins_(latency_scale_.bin_count(), 0) {
+  if (!(sampling_cycle > 0.0)) {
+    throw std::invalid_argument("PerfMonitor: sampling_cycle must be > 0");
+  }
+}
 
 PerfReport PerfMonitor::report(Seconds duration) const {
   PerfReport out;
@@ -31,24 +35,23 @@ PerfReport PerfMonitor::report(Seconds duration) const {
     out.mbps = static_cast<double>(bytes_) / out.duration / 1.0e6;
   }
   out.avg_response_ms = latency_.mean();
-  out.p95_response_ms = latency_hist_.percentile(0.95);
+  out.p95_response_ms = latency_scale_.percentile(
+      0.95, completions_, [this](std::size_t i) { return latency_bins_[i]; });
   out.max_response_ms = latency_.max();
   out.iops_series.reserve(ops_.size());
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    out.iops_series.push_back(ops_.bin_rate(i));
-  }
+  for (const double ops : ops_) out.iops_series.push_back(ops / cycle_);
   out.mbps_series.reserve(bytes_series_.size());
-  for (std::size_t i = 0; i < bytes_series_.size(); ++i) {
-    out.mbps_series.push_back(bytes_series_.bin_rate(i) / 1.0e6);
+  for (const double bytes : bytes_series_) {
+    out.mbps_series.push_back(bytes / cycle_ / 1.0e6);
   }
   return out;
 }
 
 void PerfMonitor::reset() {
-  ops_ = util::TimeBinnedSeries(cycle_);
-  bytes_series_ = util::TimeBinnedSeries(cycle_);
+  ops_.clear();
+  bytes_series_.clear();
   latency_.reset();
-  latency_hist_.reset();
+  std::fill(latency_bins_.begin(), latency_bins_.end(), 0);
   completions_ = 0;
   bytes_ = 0;
   last_finish_ = 0.0;

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "obs/registry.h"
 #include "storage/io_request.h"
@@ -33,18 +35,26 @@ class PerfMonitor {
  public:
   explicit PerfMonitor(Seconds sampling_cycle = 1.0);
 
-  /// Record one completion. Inline: both replay kernels call this once per
-  /// package on their hot path.
+  /// Record one completion. Inline: the replay engine calls this once per
+  /// measured package. The monitor is single-threaded per replay, so its
+  /// latency bins are plain counts, and one sampling-cycle index serves
+  /// both rate series.
   void on_complete(const storage::IoCompletion& completion) {
     ++completions_;
     bytes_ += completion.bytes;
     last_finish_ = std::max(last_finish_, completion.finish_time);
-    ops_.add(completion.finish_time, 1.0);
-    bytes_series_.add(completion.finish_time,
-                      static_cast<double>(completion.bytes));
+    Seconds t = completion.finish_time;
+    if (t < 0.0) t = 0.0;
+    const auto cycle = static_cast<std::size_t>(t / cycle_);
+    if (cycle >= ops_.size()) {
+      ops_.resize(cycle + 1, 0.0);
+      bytes_series_.resize(cycle + 1, 0.0);
+    }
+    ops_[cycle] += 1.0;
+    bytes_series_[cycle] += static_cast<double>(completion.bytes);
     const double latency_ms = completion.latency() * 1e3;
     latency_.add(latency_ms);
-    latency_hist_.add(latency_ms);
+    ++latency_bins_[latency_scale_.index(latency_ms)];
   }
 
   std::uint64_t completions() const { return completions_; }
@@ -58,10 +68,13 @@ class PerfMonitor {
 
  private:
   Seconds cycle_;
-  util::TimeBinnedSeries ops_;
-  util::TimeBinnedSeries bytes_series_;
+  // Completions and bytes per sampling cycle (cycle i covers
+  // [i * cycle_, (i + 1) * cycle_) by finish time).
+  std::vector<double> ops_;
+  std::vector<double> bytes_series_;
   util::RunningStats latency_;
-  obs::LogHistogram latency_hist_;
+  obs::LogScale latency_scale_;
+  std::vector<std::uint64_t> latency_bins_;  ///< counts per latency_scale_ bin
   std::uint64_t completions_ = 0;
   Bytes bytes_ = 0;
   Seconds last_finish_ = 0.0;

@@ -28,65 +28,63 @@ Sector wrap_sector(Sector sector, Bytes bytes, Bytes capacity) {
   }
   // Valid start sectors form the inclusive range
   // [0, capacity_sectors - request_sectors], so the modulus is usable + 1;
-  // a request that exactly fills the device always starts at 0.
+  // a request that exactly fills the device always starts at 0. A sector
+  // already in range is its own residue, so it skips the division.
   const Sector usable = capacity_sectors - request_sectors;
-  return sector % (usable + 1);
+  return sector <= usable ? sector : sector % (usable + 1);
 }
 
-void ReplayEngine::schedule_bunch(const trace::TraceSource& source,
-                                  std::size_t index,
-                                  storage::BlockDevice& device,
-                                  Seconds warm_end) {
-  if (index >= source.bunch_count()) {
+void ReplayEngine::schedule_bunch(std::size_t index) {
+  if (index >= source_->bunch_count()) {
     trace_exhausted_ = true;
     return;
   }
-  const Seconds at = source.timestamp(index) / options_.time_scale;
+  const Seconds at = source_->timestamp(index) / options_.time_scale;
   if (options_.max_duration > 0.0 && at > options_.max_duration) {
     trace_exhausted_ = true;
     return;
   }
-  auto issue = [this, &source, index, &device, warm_end] {
-    // Warm-up bunches populate device state (caches, tiers) but stay out of
-    // the perf metrics; classification is by submit time (the hdd_warmup
-    // golden report pins it). With warmup_window == 0 this is always true.
-    const bool measured = !(sim_.now() < warm_end);
+  sim_.schedule_at(at, *this, index);
+}
+
+void ReplayEngine::on_event(std::uint64_t index) {
+  // Warm-up bunches populate device state (caches, tiers) but stay out of
+  // the perf metrics; classification is by submit time (the hdd_warmup
+  // golden report pins it). With warmup_window == 0 this is always true.
+  const bool measured = !(sim_.now() < warm_end_);
+  if (measured) {
+    ++bunches_submitted_;
+  } else {
+    ++warmup_bunches_;
+  }
+  // Concurrent packages of a bunch are submitted in parallel (§IV-A).
+  // For a window-backed source this is the only packages() call for
+  // this index, strictly in order — the sliding-window contract.
+  const auto bunch = static_cast<std::size_t>(index);
+  for (const auto& pkg : source_->packages(bunch)) {
+    storage::IoRequest request;
+    request.id = next_id_++;
+    request.sector = options_.wrap_addresses
+                         ? wrap_sector(pkg.sector, pkg.bytes, device_capacity_)
+                         : pkg.sector;
+    request.bytes = pkg.bytes;
+    request.op = pkg.op;
+    ++packages_in_flight_;
     if (measured) {
-      ++bunches_submitted_;
+      ++packages_submitted_;
     } else {
-      ++warmup_bunches_;
+      ++warmup_packages_;
     }
-    // Concurrent packages of a bunch are submitted in parallel (§IV-A).
-    // For a window-backed source this is the only packages() call for
-    // this index, strictly in order — the sliding-window contract.
-    for (const auto& pkg : source.packages(index)) {
-      storage::IoRequest request;
-      request.id = next_id_++;
-      request.sector = options_.wrap_addresses
-                           ? wrap_sector(pkg.sector, pkg.bytes,
-                                         device.capacity())
-                           : pkg.sector;
-      request.bytes = pkg.bytes;
-      request.op = pkg.op;
-      ++packages_in_flight_;
-      if (measured) {
-        ++packages_submitted_;
-      } else {
-        ++warmup_packages_;
-      }
-      max_in_flight_ = std::max(max_in_flight_, packages_in_flight_);
-      device.submit(request, [this, measured](
-                                 const storage::IoCompletion& completion) {
-        --packages_in_flight_;
-        if (measured) monitor_.on_complete(completion);
-      });
-    }
-    schedule_bunch(source, index + 1, device, warm_end);
-  };
-  // The hot loop's own event kind must never heap-allocate (§perf): the
-  // closure has to fit the simulator Action's inline buffer.
-  static_assert(sim::Simulator::Action::fits_inline<decltype(issue)>);
-  sim_.schedule_at(at, std::move(issue));
+    max_in_flight_ = std::max(max_in_flight_, packages_in_flight_);
+    device_->submit(request, storage::CompletionCallback(*this, measured));
+  }
+  schedule_bunch(bunch + 1);
+}
+
+void ReplayEngine::on_complete(std::uint64_t measured,
+                               const storage::IoCompletion& completion) {
+  --packages_in_flight_;
+  if (measured != 0) monitor_.on_complete(completion);
 }
 
 ReplayReport ReplayEngine::replay(
@@ -121,6 +119,10 @@ ReplayReport ReplayEngine::replay(
   // is sim_.now() and the whole path below is identical to a warmup-free
   // replay.
   const Seconds warm_end = sim_.now() + options_.warmup_window;
+  source_ = &source;
+  device_ = &device;
+  device_capacity_ = device.capacity();
+  warm_end_ = warm_end;
 
   power::PowerAnalyzer analyzer(options_.sampling_cycle, options_.sensor,
                                 options_.sensor_seed);
@@ -184,7 +186,7 @@ ReplayReport ReplayEngine::replay(
   // so scheduling never reallocates mid-replay (the capacity-stability
   // regression test replays twice and asserts no growth).
   sim_.reserve(std::max<std::size_t>(256, device.max_concurrent_events() + 64));
-  schedule_bunch(source, 0, device, warm_end);
+  schedule_bunch(0);
   sim_.run();
 
   const Seconds end = sim_.now();

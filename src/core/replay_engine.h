@@ -13,6 +13,7 @@
 // efficiency metrics.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/metrics.h"
@@ -93,7 +94,7 @@ struct ReplayReport {
   std::vector<power::PowerSample> power_series;
 };
 
-class ReplayEngine {
+class ReplayEngine final : private sim::EventTarget, private storage::IoSink {
  public:
   /// The engine owns its simulator: every replay is an isolated experiment
   /// (mirrors one workload-generator machine driving one array).
@@ -115,8 +116,14 @@ class ReplayEngine {
   sim::Simulator& simulator() { return sim_; }
 
  private:
-  void schedule_bunch(const trace::TraceSource& source, std::size_t index,
-                      storage::BlockDevice& device, Seconds warm_end);
+  /// Schedule bunch `index` of the running replay's source (or mark the
+  /// trace exhausted).
+  void schedule_bunch(std::size_t index);
+  /// Typed event: issue bunch `index`'s packages, then schedule the next.
+  void on_event(std::uint64_t index) override;
+  /// Routed completion; the tag is 1 for a measured package, 0 for warm-up.
+  void on_complete(std::uint64_t measured,
+                   const storage::IoCompletion& completion) override;
 
   /// Build the ReplayReport of a finished replay: perf over the trace
   /// window, channel-0 power statistics, extra channels, efficiency. Reads
@@ -129,6 +136,11 @@ class ReplayEngine {
   ReplayOptions options_;
   sim::Simulator sim_;
   PerfMonitor monitor_;
+  // The running replay's inputs, read by its bunch events.
+  const trace::TraceSource* source_ = nullptr;
+  storage::BlockDevice* device_ = nullptr;
+  Bytes device_capacity_ = 0;
+  Seconds warm_end_ = 0.0;
   std::uint64_t next_id_ = 1;
   std::uint64_t packages_in_flight_ = 0;
   std::uint64_t packages_submitted_ = 0;

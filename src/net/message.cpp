@@ -37,11 +37,11 @@ void Message::set(const std::string& key, const std::string& value) {
 }
 
 void Message::set_double(const std::string& key, double value) {
-  // %.17g round-trips every finite double exactly. The fleet layer depends
-  // on this: a record that crosses the wire must merge into the journal
-  // bit-identical to one produced locally (the old %.9g silently lost the
-  // low mantissa bits of every value it carried).
-  fields[key] = util::format("%.17g", value);
+  // %.17g (format_lossless) round-trips every finite double exactly. The
+  // fleet layer depends on this: a record that crosses the wire must merge
+  // into the journal bit-identical to one produced locally (the old %.9g
+  // silently lost the low mantissa bits of every value it carried).
+  fields[key] = util::format_lossless(value);
 }
 
 void Message::set_u64(const std::string& key, std::uint64_t value) {

@@ -65,36 +65,17 @@ std::size_t checked_bin_count(double lo, double hi,
 }
 }  // namespace
 
-LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade)
+LogScale::LogScale(double lo, double hi, std::size_t bins_per_decade)
     : lo_(lo), hi_(hi), log_lo_(std::log10(lo)),
       bins_per_log10_(static_cast<double>(bins_per_decade)),
-      bins_(checked_bin_count(lo, hi, bins_per_decade)) {}
+      bin_count_(checked_bin_count(lo, hi, bins_per_decade)) {}
 
-double LogHistogram::bin_lo(std::size_t i) const {
+double LogScale::bin_lo(std::size_t i) const {
   return std::pow(10.0, log_lo_ + static_cast<double>(i) / bins_per_log10_);
 }
 
-double LogHistogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double LogHistogram::percentile(double q) const {
-  const std::uint64_t total = total_.load(std::memory_order_relaxed);
-  if (total == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const auto count =
-        static_cast<double>(bins_[i].load(std::memory_order_relaxed));
-    if (cum + count >= target) {
-      // Geometric interpolation within the bin keeps the estimate's
-      // relative error within one bin ratio.
-      const double frac = count > 0.0 ? (target - cum) / count : 0.0;
-      return bin_lo(i) * std::pow(bin_hi(i) / bin_lo(i), frac);
-    }
-    cum += count;
-  }
-  return hi_;
-}
+LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade)
+    : scale_(lo, hi, bins_per_decade), bins_(scale_.bin_count()) {}
 
 void LogHistogram::reset() noexcept {
   for (auto& bin : bins_) bin.store(0, std::memory_order_relaxed);

@@ -69,13 +69,64 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Log-scale histogram over [lo, hi): bin edges are geometrically spaced,
-/// `bins_per_decade` per factor of ten, so relative resolution is uniform
-/// across the range — sub-millisecond SSD latencies and multi-second HDD
-/// stragglers both land in meaningfully narrow bins (a linear 5 ms grid
-/// cannot resolve the former at all). Samples below lo (and non-positive
-/// values) clamp into the first bin, samples >= hi into the last, so totals
-/// are conserved. Bin counts are atomics: add() is thread-safe and lock-free.
+/// Bin geometry of a log-scale histogram over [lo, hi): bin edges are
+/// geometrically spaced, `bins_per_decade` per factor of ten, so relative
+/// resolution is uniform across the range — sub-millisecond SSD latencies
+/// and multi-second HDD stragglers both land in meaningfully narrow bins (a
+/// linear 5 ms grid cannot resolve the former at all). Samples below lo
+/// (and non-positive values) clamp into the first bin, samples >= hi into
+/// the last, so totals are conserved. Shared by LogHistogram (atomic
+/// counts) and single-threaded binners with plain counts
+/// (core::PerfMonitor), which then agree bin for bin and percentile for
+/// percentile.
+class LogScale {
+ public:
+  LogScale(double lo, double hi, std::size_t bins_per_decade = 40);
+
+  // Inline: once per I/O completion on the replay hot path (the log10 is
+  // the irreducible part; the call overhead is not).
+  std::size_t index(double x) const noexcept {
+    if (!(x > lo_)) return 0;
+    const double pos = (std::log10(x) - log_lo_) * bins_per_log10_;
+    return std::min(static_cast<std::size_t>(pos), bin_count_ - 1);
+  }
+
+  std::size_t bin_count() const { return bin_count_; }
+  double bin_lo(std::size_t i) const;
+  double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
+  double lo() const { return lo_; }
+  double hi() const { return hi_; }
+
+  /// Value at quantile q in [0,1] of `total` samples, bin i holding
+  /// `count(i)`; geometrically interpolated within the bin. Relative error
+  /// is bounded by one bin ratio (10^(1/bins_per_decade)).
+  template <typename CountOf>
+  double percentile(double q, std::uint64_t total, CountOf count) const {
+    if (total == 0) return lo_;
+    q = std::clamp(q, 0.0, 1.0);
+    const double target = q * static_cast<double>(total);
+    double cum = 0.0;
+    for (std::size_t i = 0; i < bin_count_; ++i) {
+      const auto n = static_cast<double>(count(i));
+      if (cum + n >= target) {
+        const double frac = n > 0.0 ? (target - cum) / n : 0.0;
+        return bin_lo(i) * std::pow(bin_hi(i) / bin_lo(i), frac);
+      }
+      cum += n;
+    }
+    return hi_;
+  }
+
+ private:
+  double lo_;
+  double hi_;
+  double log_lo_;
+  double bins_per_log10_;  ///< bins per log10 unit
+  std::size_t bin_count_;
+};
+
+/// Log-scale histogram (LogScale bins) with atomic counts: add() is
+/// thread-safe and lock-free.
 class LogHistogram {
  public:
   LogHistogram(double lo, double hi, std::size_t bins_per_decade = 40);
@@ -83,15 +134,8 @@ class LogHistogram {
   LogHistogram(const LogHistogram&) = delete;
   LogHistogram& operator=(const LogHistogram&) = delete;
 
-  // Inline: once per I/O completion on the replay hot path (the log10 is
-  // the irreducible part; the call overhead is not).
   void add(double x, std::uint64_t weight = 1) noexcept {
-    std::size_t idx = 0;
-    if (x > lo_) {
-      const double pos = (std::log10(x) - log_lo_) * bins_per_log10_;
-      idx = std::min(static_cast<std::size_t>(pos), bins_.size() - 1);
-    }
-    bins_[idx].fetch_add(weight, std::memory_order_relaxed);
+    bins_[scale_.index(x)].fetch_add(weight, std::memory_order_relaxed);
     total_.fetch_add(weight, std::memory_order_relaxed);
   }
 
@@ -102,22 +146,22 @@ class LogHistogram {
   std::uint64_t bin(std::size_t i) const {
     return bins_.at(i).load(std::memory_order_relaxed);
   }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
+  double bin_lo(std::size_t i) const { return scale_.bin_lo(i); }
+  double bin_hi(std::size_t i) const { return scale_.bin_hi(i); }
+  double lo() const { return scale_.lo(); }
+  double hi() const { return scale_.hi(); }
 
-  /// Value at quantile q in [0,1], geometrically interpolated within the
-  /// bin. Relative error is bounded by one bin ratio (10^(1/bins_per_decade)).
-  double percentile(double q) const;
+  /// Value at quantile q in [0,1] (LogScale::percentile).
+  double percentile(double q) const {
+    return scale_.percentile(q, total(), [this](std::size_t i) {
+      return bins_[i].load(std::memory_order_relaxed);
+    });
+  }
 
   void reset() noexcept;
 
  private:
-  double lo_;
-  double hi_;
-  double log_lo_;
-  double bins_per_log10_;  ///< bins per log10 unit
+  LogScale scale_;
   std::vector<std::atomic<std::uint64_t>> bins_;
   std::atomic<std::uint64_t> total_{0};
 };

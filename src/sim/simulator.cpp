@@ -5,7 +5,6 @@
 namespace tracer::sim {
 
 void Simulator::schedule_at(Seconds at, Action action) {
-  if (at < now_) ++late_schedules_;
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -15,8 +14,7 @@ void Simulator::schedule_at(Seconds at, Action action) {
     free_slots_.pop_back();
     slots_[slot] = std::move(action);
   }
-  heap_.push_back(Event{std::max(at, now_), next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push(at, nullptr, slot);
 }
 
 void Simulator::schedule_in(Seconds delay, Action action) {
@@ -28,13 +26,18 @@ bool Simulator::step() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Event event = heap_.back();
   heap_.pop_back();
-  // Move the callable out and recycle its slot *before* invoking: the
-  // action may schedule new events (and thus reuse the slot).
-  Action action = std::move(slots_[event.slot]);
-  slots_[event.slot].reset();
-  free_slots_.push_back(event.slot);
   now_ = event.time;
   ++dispatched_;
+  if (event.target != nullptr) {
+    event.target->on_event(event.arg);
+    return true;
+  }
+  // Move the closure out and recycle its slot *before* invoking: the
+  // action may schedule new events (and thus reuse the slot).
+  const auto slot = static_cast<std::uint32_t>(event.arg);
+  Action action = std::move(slots_[slot]);
+  slots_[slot].reset();
+  free_slots_.push_back(slot);
   action();
   return true;
 }

@@ -5,17 +5,19 @@
 // (see DESIGN.md §6). Events at equal timestamps fire in scheduling order
 // (FIFO tie-break via a monotone sequence number) so runs are deterministic.
 //
-// The event queue is a flat binary heap over a std::vector of 24-byte
-// trivially-copyable entries (time, seq, slot) — reservable, cache-friendly,
-// movable pop, no const_cast move-from-top(). The event callables live in a
-// side slab indexed by slot and recycled through a free list, so heap sifts
-// never move a closure, and the callable itself is a small-buffer
-// util::SmallFunction: scheduling an event whose closure fits the inline
-// buffer performs no heap allocation in steady state. All of the replay
-// engine's and device models' event kinds fit (replay_engine.cpp
-// static_asserts its own); only oversized closures fall back to the heap.
+// The event queue is a flat binary heap over a std::vector of 32-byte
+// trivially-copyable entries (time, seq, target, arg). Every event that
+// fires per package or per child I/O is typed: the entry names an
+// EventTarget and a 64-bit argument, and firing it is one
+// `target->on_event(arg)` call, so the hot path builds, moves and destroys
+// no closure. Cold timers (samplers, policies, pacing, tests) may still
+// schedule a closure: it lives in a side slab indexed by the entry's arg
+// and recycled through a free list, and its entry has no target. Both kinds
+// share the heap and the sequence counter, so their relative order is the
+// scheduling order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,10 +26,21 @@
 
 namespace tracer::sim {
 
+/// Receiver of typed events: `arg` is whatever the target scheduled with
+/// (a bunch index, an in-flight slot, an epoch).
+class EventTarget {
+ public:
+  virtual void on_event(std::uint64_t arg) = 0;
+
+ protected:
+  ~EventTarget() = default;
+};
+
 class Simulator {
  public:
-  /// Inline capacity 112 bytes: the largest hot-path closure (the SSD
-  /// model's completion, ~96 bytes) fits with headroom.
+  /// Cold-timer closure. Inline capacity 112 bytes, so a test device's
+  /// completion closure (request, callback, completion record) needs no
+  /// heap; larger closures fall back to the heap.
   using Action = util::SmallFunction<void(), 112>;
 
   Simulator() = default;
@@ -37,24 +50,32 @@ class Simulator {
   /// Current simulation time in seconds.
   Seconds now() const { return now_; }
 
+  /// Schedule `target.on_event(arg)` at absolute time `at` (clamped to
+  /// now()). `target` is borrowed and must outlive the event.
+  void schedule_at(Seconds at, EventTarget& target, std::uint64_t arg) {
+    push(at, &target, arg);
+  }
+
+  /// Typed event `delay` seconds from now (negative clamps to 0).
+  void schedule_in(Seconds delay, EventTarget& target, std::uint64_t arg) {
+    push(now_ + std::max(delay, 0.0), &target, arg);
+  }
+
   /// Schedule `action` at absolute time `at` (clamped to now()).
   void schedule_at(Seconds at, Action action);
 
   /// Schedule `action` `delay` seconds from now (negative clamps to 0).
   void schedule_in(Seconds delay, Action action);
 
-  /// Pre-size the event heap and callable slab (e.g. before a replay with
-  /// a known queue depth) so steady-state scheduling never reallocates.
-  void reserve(std::size_t events) {
-    heap_.reserve(events);
-    slots_.reserve(events);
-    free_slots_.reserve(events);
-  }
+  /// Pre-size the event heap (e.g. before a replay with a known queue
+  /// depth) so steady-state scheduling never reallocates. The closure slab
+  /// is left to grow: only cold timers use it, and it keeps its capacity.
+  void reserve(std::size_t events) { heap_.reserve(events); }
 
   /// Number of events not yet fired.
   std::size_t pending() const { return heap_.size(); }
 
-  /// Current allocation sizes of the event heap and callable slab. Replay
+  /// Current allocation sizes of the event heap and closure slab. Replay
   /// regression tests assert these are stable across a replay after
   /// reserve() — growth means the in-flight estimate undershot and the hot
   /// loop paid a reallocation.
@@ -87,7 +108,8 @@ class Simulator {
   struct Event {
     Seconds time;
     std::uint64_t seq;
-    std::uint32_t slot;  ///< index of the callable in slots_
+    EventTarget* target;  ///< null for a closure event
+    std::uint64_t arg;    ///< target's argument, or the closure's slot
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -96,12 +118,18 @@ class Simulator {
     }
   };
 
+  void push(Seconds at, EventTarget* target, std::uint64_t arg) {
+    if (at < now_) ++late_schedules_;
+    heap_.push_back(Event{std::max(at, now_), next_seq_++, target, arg});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t late_schedules_ = 0;
   std::vector<Event> heap_;  ///< binary min-time heap (Later comparator)
-  std::vector<Action> slots_;  ///< event callables, addressed by Event::slot
+  std::vector<Action> slots_;  ///< closures, addressed by Event::arg
   std::vector<std::uint32_t> free_slots_;  ///< recycled slots_ indices
 };
 

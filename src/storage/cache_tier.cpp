@@ -33,6 +33,7 @@ CacheTier::CacheTier(sim::Simulator& sim, const CacheTierParams& params,
     : BlockDevice(sim),
       params_(params),
       backing_(backing),
+      capacity_(backing.capacity()),
       timeline_(params.idle_watts +
                 (params.tier_enabled ? params.tier_idle_watts : 0.0)) {
   if (params_.line_size == 0 || params_.line_size % kSectorSize != 0) {
@@ -154,35 +155,72 @@ void CacheTier::drop_from_tier(LineId line) {
   tier_.erase(it);
 }
 
+std::uint32_t CacheTier::park(const IoRequest& request,
+                              CompletionCallback done) {
+  std::uint32_t slot;
+  if (free_ops_.empty()) {
+    slot = static_cast<std::uint32_t>(ops_.size());
+    ops_.emplace_back();
+  } else {
+    slot = free_ops_.back();
+    free_ops_.pop_back();
+  }
+  ops_[slot] = PendingIo{request, std::move(done), sim_.now()};
+  return slot;
+}
+
+PendingIo CacheTier::unpark(std::uint32_t slot) {
+  PendingIo op = std::move(ops_[slot]);
+  free_ops_.push_back(slot);
+  return op;
+}
+
 void CacheTier::complete_locally(const IoRequest& request,
                                  CompletionCallback done, Seconds latency,
                                  Watts extra_watts) {
   const Seconds now = sim_.now();
-  const Seconds finish = now + latency;
-  timeline_.add_pulse(now, finish, extra_watts);
-  sim_.schedule_in(latency,
-                   [this, request, done = std::move(done), now, finish] {
-                     --foreground_;
-                     done(IoCompletion{request.id, now, finish, request.bytes,
-                                       request.op});
-                   });
+  timeline_.add_pulse(now, now + latency, extra_watts);
+  sim_.schedule_in(latency, *this, park(request, std::move(done)));
+}
+
+void CacheTier::on_event(std::uint64_t slot) {
+  const PendingIo op = unpark(static_cast<std::uint32_t>(slot));
+  --foreground_;
+  // The event fires at its own time, so now() is the finish time.
+  op.done(IoCompletion{op.request.id, op.submit_time, sim_.now(),
+                       op.request.bytes, op.request.op});
 }
 
 void CacheTier::forward_miss(const IoRequest& request,
                              CompletionCallback done) {
   ++stats_.misses;
   obs_counters().misses.increment();
-  backing_.submit(
-      request, [this, request, done = std::move(done)](const IoCompletion& c) {
-        // Fill: returned lines land in DRAM clean, evicting the cold end.
-        const LineId first = first_line(request);
-        const LineId last = last_line(request);
-        for (LineId line = first; line <= last; ++line) {
-          insert_dram(line, false);
-        }
-        --foreground_;
-        done(c);
-      });
+  const std::uint32_t slot = park(request, std::move(done));
+  backing_.submit(request,
+                  CompletionCallback(*this, route_tag(Route::kMiss, slot)));
+}
+
+void CacheTier::on_complete(std::uint64_t tag, const IoCompletion& c) {
+  const auto route = static_cast<Route>(tag >> 32);
+  if (route == Route::kWriteBack) {
+    --background_writes_;
+    if (flush_in_flight_ && --flush_remaining_ == 0) {
+      flush_in_flight_ = false;
+      maybe_flush();  // ratio may still be above threshold
+    }
+    return;
+  }
+  const PendingIo op = unpark(static_cast<std::uint32_t>(tag));
+  if (route == Route::kMiss) {
+    // Fill: returned lines land in DRAM clean, evicting the cold end.
+    const LineId first = first_line(op.request);
+    const LineId last = last_line(op.request);
+    for (LineId line = first; line <= last; ++line) {
+      insert_dram(line, false);
+    }
+  }
+  --foreground_;
+  op.done(c);
 }
 
 void CacheTier::write_back_line(LineId line) {
@@ -190,13 +228,8 @@ void CacheTier::write_back_line(LineId line) {
   const IoRequest req{++scratch_id_, line * sectors_per_line,
                       params_.line_size, OpType::kWrite};
   ++background_writes_;
-  backing_.submit(req, [this](const IoCompletion&) {
-    --background_writes_;
-    if (flush_in_flight_ && --flush_remaining_ == 0) {
-      flush_in_flight_ = false;
-      maybe_flush();  // ratio may still be above threshold
-    }
-  });
+  backing_.submit(req,
+                  CompletionCallback(*this, route_tag(Route::kWriteBack, 0)));
 }
 
 void CacheTier::maybe_flush() {
@@ -226,6 +259,9 @@ void CacheTier::maybe_flush() {
 }
 
 void CacheTier::submit(const IoRequest& request, CompletionCallback done) {
+  if (!range_fits(request.sector, request.bytes, capacity_)) {
+    throw std::out_of_range("CacheTier: request beyond capacity");
+  }
   ++foreground_;
   const LineId first = first_line(request);
   const LineId last = last_line(request);
@@ -252,11 +288,9 @@ void CacheTier::submit(const IoRequest& request, CompletionCallback done) {
     ++stats_.bypasses;
     obs_counters().misses.increment();
     obs_counters().bypasses.increment();
+    const std::uint32_t slot = park(request, std::move(done));
     backing_.submit(request,
-                    [this, done = std::move(done)](const IoCompletion& c) {
-                      --foreground_;
-                      done(c);
-                    });
+                    CompletionCallback(*this, route_tag(Route::kBypass, slot)));
     return;
   }
 

@@ -76,14 +76,16 @@ struct CacheTierStats {
   std::uint64_t demotions = 0;   ///< lines dropped from a full tier
 };
 
-class CacheTier final : public BlockDevice {
+class CacheTier final : public BlockDevice,
+                        private sim::EventTarget,
+                        private IoSink {
  public:
   /// `backing` is borrowed, must share `sim`, and must outlive the wrapper.
   CacheTier(sim::Simulator& sim, const CacheTierParams& params,
             BlockDevice& backing);
 
   // BlockDevice
-  Bytes capacity() const override { return backing_.capacity(); }
+  Bytes capacity() const override { return capacity_; }
   void submit(const IoRequest& request, CompletionCallback done) override;
   std::size_t outstanding() const override {
     return foreground_ + background_writes_;
@@ -114,6 +116,22 @@ class CacheTier final : public BlockDevice {
     LruList::iterator lru;
   };
 
+  /// What a completion from the backing device finishes: a foreground
+  /// miss (fills DRAM) or bypass, whose op slot is the tag's low 32 bits,
+  /// or a background write-back.
+  enum class Route : std::uint64_t { kMiss = 0, kBypass = 1, kWriteBack = 2 };
+  static std::uint64_t route_tag(Route route, std::uint32_t slot) {
+    return static_cast<std::uint64_t>(route) << 32 | slot;
+  }
+
+  /// Typed event: the op slot of a request served from DRAM or the tier.
+  void on_event(std::uint64_t slot) override;
+  void on_complete(std::uint64_t tag, const IoCompletion& completion) override;
+  /// Park a foreground request until its completion; returns its slot.
+  std::uint32_t park(const IoRequest& request, CompletionCallback done);
+  /// Release a slot, handing back its request.
+  PendingIo unpark(std::uint32_t slot);
+
   LineId first_line(const IoRequest& r) const;
   LineId last_line(const IoRequest& r) const;
 
@@ -138,6 +156,7 @@ class CacheTier final : public BlockDevice {
 
   CacheTierParams params_;
   BlockDevice& backing_;
+  Bytes capacity_;  ///< the backing device's, fixed at construction
   power::PowerTimeline timeline_;
 
   std::size_t max_lines_ = 0;
@@ -154,6 +173,10 @@ class CacheTier final : public BlockDevice {
   std::unordered_map<LineId, TierEntry> tier_;
   std::size_t dirty_ = 0;
 
+  /// Foreground requests in flight, addressed by op slot; released slots
+  /// are reused, so steady state allocates no op state.
+  std::vector<PendingIo> ops_;
+  std::vector<std::uint32_t> free_ops_;
   std::size_t foreground_ = 0;         ///< caller requests in flight
   std::size_t background_writes_ = 0;  ///< eviction/flush writes in flight
   bool flush_in_flight_ = false;

@@ -46,7 +46,9 @@ class DiskArray final : public BlockDevice {
   DiskArray(sim::Simulator& sim, const ArrayConfig& config);
 
   // BlockDevice
-  Bytes capacity() const override { return controller_->capacity(); }
+  Bytes capacity() const override {
+    return controller_ ? controller_->capacity() : 0;
+  }
   void submit(const IoRequest& request, CompletionCallback done) override;
   std::size_t outstanding() const override { return controller_->outstanding(); }
   std::size_t max_concurrent_events() const override {

@@ -28,7 +28,7 @@ void HddModel::submit(const IoRequest& request, CompletionCallback done) {
   if (request.bytes == 0) {
     throw std::invalid_argument("HddModel: zero-byte request");
   }
-  enqueue(Pending{request, std::move(done), sim_.now()});
+  queue_.push_back(PendingIo{request, std::move(done), sim_.now()});
   last_activity_ = sim_.now();
   if (power_state_ == PowerState::kStandby) {
     spin_up();  // I/O arrival wakes a spun-down drive
@@ -59,27 +59,23 @@ void HddModel::spin_up() {
   timeline_.set_base(t0, params_.idle_watts);
   timeline_.add_pulse(t0, t0 + params_.spin_up_time,
                       params_.spin_up_extra_watts);
-  sim_.schedule_in(params_.spin_up_time, [this, epoch] {
-    if (epoch != spin_up_epoch_ ||
-        power_state_ != PowerState::kSpinningUp) {
-      return;
-    }
-    power_state_ = PowerState::kActive;
-    if (!busy_) start_next();
-  });
+  sim_.schedule_in(params_.spin_up_time, *this, epoch);
 }
 
-void HddModel::enqueue(Pending pending) {
-  if (queue_count_ == queue_.size()) {
-    // Full: lay the ring out again in arrival order at twice the size.
-    std::vector<Pending> grown(std::max<std::size_t>(16, 2 * queue_.size()));
-    for (std::size_t k = 0; k < queue_count_; ++k) {
-      grown[k] = std::move(queued_at(k));
-    }
-    queue_.swap(grown);
-    queue_head_ = 0;
+void HddModel::on_event(std::uint64_t arg) {
+  if (arg == 0) {
+    complete_in_service();
+  } else {
+    finish_spin_up(arg);
   }
-  queued_at(queue_count_++) = std::move(pending);
+}
+
+void HddModel::finish_spin_up(std::uint64_t epoch) {
+  if (epoch != spin_up_epoch_ || power_state_ != PowerState::kSpinningUp) {
+    return;
+  }
+  power_state_ = PowerState::kActive;
+  if (!busy_) start_next();
 }
 
 std::size_t HddModel::pick_next() const {
@@ -90,8 +86,8 @@ std::size_t HddModel::pick_next() const {
   // the head in the current sweep direction; fall back to nearest overall.
   std::size_t best = 0;
   std::uint64_t best_distance = ~0ULL;
-  for (std::size_t k = 0; k < queue_count_; ++k) {
-    const std::uint64_t cyl = cylinder_of(queued_at(k).request.sector);
+  for (std::size_t k = 0; k < queue_.size(); ++k) {
+    const std::uint64_t cyl = cylinder_of(queue_.at(k).request.sector);
     const std::uint64_t distance = cyl > mech_.head_cylinder
                                        ? cyl - mech_.head_cylinder
                                        : mech_.head_cylinder - cyl;
@@ -103,23 +99,11 @@ std::size_t HddModel::pick_next() const {
   return best;
 }
 
-HddModel::Pending HddModel::take(std::size_t offset) {
-  Pending pending = std::move(queued_at(offset));
-  // LOOK may serve from the middle: shift the requests ahead of it one slot
-  // back, then drop the head slot.
-  for (std::size_t k = offset; k > 0; --k) {
-    queued_at(k) = std::move(queued_at(k - 1));
-  }
-  queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
-  --queue_count_;
-  return pending;
-}
-
 void HddModel::start_next() {
   if (queued() == 0 || power_state_ != PowerState::kActive) return;
   busy_ = true;
 
-  in_service_ = take(pick_next());
+  in_service_ = queue_.take(pick_next());
 
   const IoRequest& req = in_service_.request;
   const Seconds t0 = sim_.now();
@@ -141,20 +125,23 @@ void HddModel::start_next() {
   if (plan.sequential) ++sequential_hits_;
   busy_time_ += plan.service;
 
-  const Seconds finish = t0 + plan.service;
-  sim_.schedule_at(finish, [this, finish] {
-    ++completed_;
-    busy_ = false;
-    last_activity_ = sim_.now();
-    IoCompletion completion{in_service_.request.id, in_service_.submit_time,
-                            finish, in_service_.request.bytes,
-                            in_service_.request.op};
-    CompletionCallback done = std::move(in_service_.done);
-    // Start the next request before invoking the callback so a callback
-    // that submits more I/O sees a live queue, not an idle disk.
-    start_next();
-    done(completion);
-  });
+  sim_.schedule_at(t0 + plan.service, *this, 0);
+}
+
+void HddModel::complete_in_service() {
+  // The event fires at its own time, so now() is the finish time.
+  const Seconds finish = sim_.now();
+  ++completed_;
+  busy_ = false;
+  last_activity_ = finish;
+  IoCompletion completion{in_service_.request.id, in_service_.submit_time,
+                          finish, in_service_.request.bytes,
+                          in_service_.request.op};
+  CompletionCallback done = std::move(in_service_.done);
+  // Start the next request before invoking the callback so a callback
+  // that submits more I/O sees a live queue, not an idle disk.
+  start_next();
+  done(completion);
 }
 
 }  // namespace tracer::storage

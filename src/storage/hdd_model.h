@@ -10,10 +10,10 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "power/power_timeline.h"
 #include "storage/block_device.h"
+#include "storage/io_queue.h"
 #include "storage/mech_types.h"
 #include "util/rng.h"
 
@@ -45,7 +45,7 @@ struct HddParams {
   enum class Discipline { kFifo, kLook } discipline = Discipline::kFifo;
 };
 
-class HddModel final : public BlockDevice {
+class HddModel final : public BlockDevice, private sim::EventTarget {
  public:
   HddModel(sim::Simulator& sim, const HddParams& params, std::uint64_t seed);
 
@@ -87,42 +87,23 @@ class HddModel final : public BlockDevice {
   void spin_up();
 
  private:
-  struct Pending {
-    IoRequest request;
-    CompletionCallback done;
-    Seconds submit_time = 0.0;
-  };
+  /// Typed event: 0 completes the request in service; any other value is
+  /// the spin-up epoch that scheduled it (stale epochs are ignored).
+  void on_event(std::uint64_t arg) override;
+  void finish_spin_up(std::uint64_t epoch);
+  void complete_in_service();
 
   void start_next();
   std::uint64_t cylinder_of(Sector sector) const;
-  std::size_t queued() const { return queue_count_; }
-  /// The waiting request `offset` places behind the queue's head.
-  Pending& queued_at(std::size_t offset) {
-    return queue_[(queue_head_ + offset) & (queue_.size() - 1)];
-  }
-  const Pending& queued_at(std::size_t offset) const {
-    return queue_[(queue_head_ + offset) & (queue_.size() - 1)];
-  }
-  void enqueue(Pending pending);
+  std::size_t queued() const { return queue_.size(); }
   /// Offset from the queue's head of the request to serve next.
   std::size_t pick_next() const;
-  /// Remove and return the request at `offset`, keeping the others in
-  /// arrival order.
-  Pending take(std::size_t offset);
 
   HddParams params_;
   util::Rng rng_;
   power::PowerTimeline timeline_;
-  // Waiting requests in arrival order: a ring over queue_ (its size a
-  // power of two) holding queue_count_ requests from queue_head_. It grows
-  // only when full, so steady-state queueing allocates nothing, and under a
-  // standing backlog a new request lands in the slot just freed at the
-  // head, which is still in cache. (A std::deque allocates and frees a
-  // node every few requests as the queue slides forward.)
-  std::vector<Pending> queue_;
-  std::size_t queue_head_ = 0;
-  std::size_t queue_count_ = 0;
-  Pending in_service_;  ///< valid while busy_; its completion reads it
+  IoQueue queue_;         ///< waiting requests, arrival order
+  PendingIo in_service_;  ///< valid while busy_; its completion reads it
   bool busy_ = false;
   // Service mechanics come from the shared planner (mech_batch.h):
   // geometry is derived once, head/sequential state advances per request.

@@ -4,7 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
+#include <utility>
 
 #include "util/types.h"
 
@@ -29,6 +30,107 @@ struct IoCompletion {
   Seconds latency() const { return finish_time - submit_time; }
 };
 
-using CompletionCallback = std::function<void(const IoCompletion&)>;
+/// True when `bytes` bytes starting at `start` units of `unit` bytes lie
+/// inside a device of `capacity` bytes. Overflow-safe: `start * unit` and
+/// the end offset are never formed unless they fit, so an external sector
+/// near 2^64 cannot wrap onto a small address and pass.
+constexpr bool range_fits(std::uint64_t start, Bytes bytes, Bytes capacity,
+                          Bytes unit = kSectorSize) {
+  return start <= capacity / unit && bytes <= capacity - start * unit;
+}
+
+/// Receiver of routed completions. A submitter implements on_complete once
+/// and tells its requests apart by the `tag` it chose at submit time.
+class IoSink {
+ public:
+  virtual void on_complete(std::uint64_t tag,
+                           const IoCompletion& completion) = 0;
+
+ protected:
+  ~IoSink() = default;
+};
+
+/// How a device reports a finished request: a route `{sink, tag}` that
+/// fires `sink->on_complete(tag, completion)`. Routing builds, moves and
+/// destroys no closure per request; every submitter under src/ routes.
+/// Tests, benches and examples may pass any callable instead, which is
+/// owned on the heap and destroyed with the callback. Move-only; moves
+/// never throw and leave the source empty.
+class CompletionCallback {
+ public:
+  CompletionCallback() = default;
+
+  /// Route to `sink` (borrowed: it must outlive the request) with `tag`.
+  CompletionCallback(IoSink& sink, std::uint64_t tag) noexcept
+      : sink_(&sink), tag_(tag) {}
+
+  /// Own `fn`, called as `fn(completion)`.
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<
+                !std::is_same_v<D, CompletionCallback> &&
+                std::is_invocable_v<D&, const IoCompletion&>>>
+  CompletionCallback(F&& fn)  // NOLINT(google-explicit-constructor)
+      : sink_(new Closure<D>(std::forward<F>(fn))),
+        destroy_(&destroy_closure<D>) {}
+
+  CompletionCallback(CompletionCallback&& other) noexcept
+      : sink_(std::exchange(other.sink_, nullptr)),
+        tag_(other.tag_),
+        destroy_(std::exchange(other.destroy_, nullptr)) {}
+
+  CompletionCallback& operator=(CompletionCallback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      sink_ = std::exchange(other.sink_, nullptr);
+      tag_ = other.tag_;
+      destroy_ = std::exchange(other.destroy_, nullptr);
+    }
+    return *this;
+  }
+
+  CompletionCallback(const CompletionCallback&) = delete;
+  CompletionCallback& operator=(const CompletionCallback&) = delete;
+
+  ~CompletionCallback() { reset(); }
+
+  explicit operator bool() const { return sink_ != nullptr; }
+
+  void operator()(const IoCompletion& completion) const {
+    sink_->on_complete(tag_, completion);
+  }
+
+ private:
+  template <typename F>
+  struct Closure final : IoSink {
+    template <typename G>
+    explicit Closure(G&& g) : fn(std::forward<G>(g)) {}
+    void on_complete(std::uint64_t, const IoCompletion& completion) override {
+      fn(completion);
+    }
+    F fn;
+  };
+
+  template <typename F>
+  static void destroy_closure(IoSink* sink) noexcept {
+    delete static_cast<Closure<F>*>(sink);
+  }
+
+  void reset() noexcept {
+    if (destroy_ != nullptr) destroy_(sink_);
+    sink_ = nullptr;
+    destroy_ = nullptr;
+  }
+
+  IoSink* sink_ = nullptr;
+  std::uint64_t tag_ = 0;
+  void (*destroy_)(IoSink*) noexcept = nullptr;  ///< set for owned closures
+};
+
+/// A request a device holds until it completes.
+struct PendingIo {
+  IoRequest request;
+  CompletionCallback done;
+  Seconds submit_time = 0.0;
+};
 
 }  // namespace tracer::storage

@@ -50,7 +50,9 @@ HddServicePlan hdd_plan_service(const HddParams& params,
                                 HddMechState& state, util::Rng& rng,
                                 Sector sector, Bytes bytes) {
   HddServicePlan plan;
-  const std::uint64_t target_cyl = hdd_cylinder_of(params, geom, sector);
+  const std::uint64_t start_quotient = sector / geom.sectors_per_cylinder;
+  const std::uint64_t target_cyl =
+      std::min<std::uint64_t>(start_quotient, params.cylinders - 1);
   plan.sequential =
       state.have_position && sector == state.next_sequential_sector;
   plan.seek = hdd_seek_time(params, geom, state.head_cylinder, target_cyl,
@@ -63,8 +65,16 @@ HddServicePlan hdd_plan_service(const HddParams& params,
       params.command_overhead + plan.seek + plan.rotation + plan.transfer;
 
   const Sector end_sector = sector + (bytes + kSectorSize - 1) / kSectorSize;
+  // The last sector usually shares the first one's cylinder: derive that
+  // from the first sector's remainder, and divide only when the request
+  // crosses into another cylinder (or its end wrapped past 2^64).
+  const Sector last = end_sector ? end_sector - 1 : sector;
+  const std::uint64_t spc = geom.sectors_per_cylinder;
+  const std::uint64_t room = spc - (sector - start_quotient * spc);
+  const std::uint64_t last_quotient =
+      last >= sector && last - sector < room ? start_quotient : last / spc;
   state.head_cylinder =
-      hdd_cylinder_of(params, geom, end_sector ? end_sector - 1 : sector);
+      std::min<std::uint64_t>(last_quotient, params.cylinders - 1);
   state.next_sequential_sector = end_sector;
   state.have_position = true;
   return plan;

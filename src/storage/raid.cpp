@@ -1,6 +1,9 @@
 #include "storage/raid.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "storage/io_request.h"
 
 namespace tracer::storage {
 
@@ -32,30 +35,41 @@ std::size_t RaidGeometry::parity_disk(std::uint64_t row) const {
 
 void RaidGeometry::map_into(Bytes logical_byte, Bytes bytes,
                             std::vector<Extent>& out) const {
-  if (logical_byte + bytes > capacity()) {
+  if (!range_fits(logical_byte, bytes, capacity(), 1)) {
     throw std::out_of_range("RaidGeometry::map_into: extent beyond capacity");
   }
   out.clear();
+  if (bytes == 0) return;
+  // Locate the first unit once (a shift for the usual power-of-two stripe
+  // unit), then walk the rest incrementally: each further unit starts at
+  // offset 0 on the next position, and a new row moves parity one disk
+  // back (left-symmetric).
+  std::uint64_t unit_index;
+  Bytes offset;
+  if (std::has_single_bit(stripe_unit)) {
+    const int shift = std::countr_zero(stripe_unit);
+    unit_index = logical_byte >> shift;
+    offset = logical_byte & (stripe_unit - 1);
+  } else {
+    unit_index = logical_byte / stripe_unit;
+    offset = logical_byte % stripe_unit;
+  }
+  const std::size_t data = data_disks();
+  std::uint64_t row = unit_index / data;
+  auto position = static_cast<std::size_t>(unit_index - row * data);
+  const bool raid5 = level == RaidLevel::kRaid5;
+  std::size_t pd = raid5 ? parity_disk(row) : 0;
+
   Bytes remaining = bytes;
-  Bytes at = logical_byte;
-  while (remaining > 0) {
-    const std::uint64_t unit_index = at / stripe_unit;
-    const Bytes offset = at % stripe_unit;
+  while (true) {
     const Bytes chunk = std::min<Bytes>(remaining, stripe_unit - offset);
-
-    const std::uint64_t row = unit_index / data_disks();
-    const auto position = static_cast<std::size_t>(unit_index % data_disks());
-
-    std::size_t disk;
-    if (level == RaidLevel::kRaid5) {
-      // Left-symmetric: data units fill the row starting just after the
-      // parity disk, wrapping around.
-      const std::size_t pd = parity_disk(row);
-      disk = (pd + 1 + position) % disk_count;
-    } else {
-      disk = position;
+    std::size_t disk = position;
+    if (raid5) {
+      // Data units fill the row starting just after the parity disk,
+      // wrapping around.
+      disk = pd + 1 + position;
+      if (disk >= disk_count) disk -= disk_count;
     }
-
     Extent extent;
     extent.disk = disk;
     extent.sector = (row * stripe_unit + offset) / kSectorSize;
@@ -64,8 +78,14 @@ void RaidGeometry::map_into(Bytes logical_byte, Bytes bytes,
     extent.offset_in_unit = offset;
     out.push_back(extent);
 
-    at += chunk;
     remaining -= chunk;
+    if (remaining == 0) return;
+    offset = 0;
+    if (++position == data) {
+      position = 0;
+      ++row;
+      pd = pd == 0 ? disk_count - 1 : pd - 1;
+    }
   }
 }
 

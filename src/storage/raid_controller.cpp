@@ -26,6 +26,7 @@ RaidController::RaidController(sim::Simulator& sim, RaidGeometry geometry,
                                bool merge_contiguous)
     : BlockDevice(sim),
       geometry_(std::move(geometry)),
+      capacity_(geometry_.capacity()),
       disks_(std::move(disks)),
       dispatch_overhead_(dispatch_overhead),
       merge_contiguous_(merge_contiguous),
@@ -61,14 +62,32 @@ void RaidController::submit(const IoRequest& request, CompletionCallback done) {
   if (request.bytes == 0) {
     throw std::invalid_argument("RaidController: zero-byte request");
   }
-  if (request.sector * kSectorSize + request.bytes > capacity()) {
+  if (!range_fits(request.sector, request.bytes, capacity_)) {
     throw std::out_of_range("RaidController: request beyond capacity");
   }
   ++outstanding_;
-  batch_.push_back(Waiting{request, std::move(done), sim_.now()});
+  batch_.push_back(PendingIo{request, std::move(done), sim_.now()});
   if (!dispatch_scheduled_) {
     dispatch_scheduled_ = true;
-    sim_.schedule_in(dispatch_overhead_, [this] { dispatch_batch(); });
+    sim_.schedule_in(dispatch_overhead_, *this, kDispatchEvent);
+  }
+}
+
+void RaidController::on_event(std::uint64_t arg) {
+  if (arg == kDispatchEvent) {
+    dispatch_batch();
+  } else {
+    child_done(static_cast<std::uint32_t>(arg));
+  }
+}
+
+void RaidController::on_complete(std::uint64_t tag, const IoCompletion&) {
+  const auto slot = static_cast<std::uint32_t>(tag);
+  const std::uint64_t phase = tag >> 32;
+  if (phase == 0) {
+    child_done(slot);
+  } else {
+    row_read_done(slot, static_cast<std::uint32_t>(phase - 1));
   }
 }
 
@@ -302,7 +321,7 @@ void RaidController::issue_write(std::uint32_t slot, Sector sector,
     // Degenerate degraded corner: nothing physical to do (e.g. the only
     // touched data unit and the parity are both the failed member's span).
     pending_[slot] = 1;
-    sim_.schedule_in(0.0, [this, slot] { child_done(slot); });
+    sim_.schedule_in(0.0, *this, slot);
     return;
   }
   pending_[slot] = child_count(total);
@@ -329,21 +348,18 @@ void RaidController::issue_write(std::uint32_t slot, Sector sector,
     stats_.child_reads += plan.reads_end - plan.reads_begin;
     for (std::size_t r = plan.reads_begin; r < plan.reads_end; ++r) {
       const auto& extent = plan_reads_[r];
-      IoRequest read_req{next_child_id_++, extent.sector, extent.bytes,
-                         OpType::kRead};
-      disks_[extent.disk]->submit(
-          read_req, [this, slot, phase_index](const IoCompletion&) {
-            row_read_done(slot, phase_index);
-          });
+      issue_child(extent.disk, extent.sector, extent.bytes, OpType::kRead,
+                  slot, std::uint64_t{phase_index} + 1);
     }
   }
 }
 
 void RaidController::issue_child(std::size_t disk, Sector sector, Bytes bytes,
-                                 OpType op, std::uint32_t slot) {
+                                 OpType op, std::uint32_t slot,
+                                 std::uint64_t phase) {
   IoRequest child{next_child_id_++, sector, bytes, op};
   disks_[disk]->submit(child,
-                       [this, slot](const IoCompletion&) { child_done(slot); });
+                       CompletionCallback(*this, child_tag(slot, phase)));
 }
 
 void RaidController::row_read_done(std::uint32_t slot, std::uint32_t phase) {

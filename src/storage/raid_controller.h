@@ -36,7 +36,9 @@ struct RaidControllerStats {
   std::uint64_t reconstructed_reads = 0; ///< degraded-mode rebuilt extents
 };
 
-class RaidController final : public BlockDevice {
+class RaidController final : public BlockDevice,
+                             private sim::EventTarget,
+                             private IoSink {
  public:
   /// `disks` are borrowed; they must outlive the controller and share `sim`.
   /// `dispatch_overhead` is both the per-batch controller latency and the
@@ -47,7 +49,7 @@ class RaidController final : public BlockDevice {
                  bool merge_contiguous = true);
 
   // BlockDevice
-  Bytes capacity() const override { return geometry_.capacity(); }
+  Bytes capacity() const override { return capacity_; }
   void submit(const IoRequest& request, CompletionCallback done) override;
   std::size_t outstanding() const override { return outstanding_; }
   /// One dispatch timer, one degenerate-completion event, plus every
@@ -88,11 +90,19 @@ class RaidController final : public BlockDevice {
   BlockDevice& member(std::size_t disk) { return *disks_.at(disk); }
 
  private:
-  struct Waiting {
-    IoRequest request;
-    CompletionCallback done;
-    Seconds submit_time;
-  };
+  /// Typed event argument of the dispatch timer; any other value is the
+  /// transaction slot of a degenerate write that touches no member.
+  static constexpr std::uint64_t kDispatchEvent = ~0ULL;
+
+  /// Completion tag of a child I/O: its transaction slot in the low 32
+  /// bits, and above them 0 for a plain child or 1 + the index of the
+  /// read-modify-write row whose read it is.
+  static std::uint64_t child_tag(std::uint32_t slot, std::uint64_t phase) {
+    return phase << 32 | slot;
+  }
+
+  void on_event(std::uint64_t arg) override;
+  void on_complete(std::uint64_t tag, const IoCompletion&) override;
   /// Read-modify-write bookkeeping of one stripe row: when the row's reads
   /// finish, its deferred writes go out.
   struct RowPhase {
@@ -103,7 +113,7 @@ class RaidController final : public BlockDevice {
   /// on `free_txns_` and keep their vectors' capacity, so a steady-state
   /// replay allocates no transaction state.
   struct Transaction {
-    std::vector<Waiting> members;  ///< complete together with the op
+    std::vector<PendingIo> members;  ///< complete together with the op
     std::vector<RowPhase> rows;    ///< first `rows_used` entries are live
     std::uint32_t rows_used = 0;
   };
@@ -120,7 +130,7 @@ class RaidController final : public BlockDevice {
   void issue_write(std::uint32_t slot, Sector sector, Bytes bytes);
   void plan_raid5_rows();
   void issue_child(std::size_t disk, Sector sector, Bytes bytes, OpType op,
-                   std::uint32_t slot);
+                   std::uint32_t slot, std::uint64_t phase = 0);
   void row_read_done(std::uint32_t slot, std::uint32_t phase);
   void child_done(std::uint32_t slot);
   std::uint32_t alloc_txn();
@@ -129,12 +139,13 @@ class RaidController final : public BlockDevice {
   }
 
   RaidGeometry geometry_;
+  Bytes capacity_;  ///< geometry_.capacity(), fixed at construction
   std::vector<BlockDevice*> disks_;
   Seconds dispatch_overhead_;
   bool merge_contiguous_;
   Bytes max_merge_bytes_;
-  std::vector<Waiting> batch_;
-  std::vector<Waiting> dispatching_;  ///< batch_ swapped out at dispatch
+  std::vector<PendingIo> batch_;
+  std::vector<PendingIo> dispatching_;  ///< batch_ swapped out at dispatch
   bool dispatch_scheduled_ = false;
   std::vector<Transaction> txns_;
   /// Children in flight per slot, apart from txns_ so the completions of

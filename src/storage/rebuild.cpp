@@ -1,7 +1,6 @@
 #include "storage/rebuild.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 namespace tracer::storage {
@@ -56,40 +55,40 @@ void RebuildProcess::rebuild_next_chunk() {
     return;
   }
 
-  const Bytes chunk = std::min<Bytes>(params_.chunk, total_ - cursor_);
-  const Sector sector = cursor_ / kSectorSize;
-  const Seconds chunk_began = sim_.now();
+  chunk_bytes_ = std::min<Bytes>(params_.chunk, total_ - cursor_);
+  chunk_sector_ = cursor_ / kSectorSize;
+  chunk_began_ = sim_.now();
 
   // Phase 1: read this disk-local range from every surviving member (the
   // row-units of a range are at identical local offsets on all members).
-  auto reads_left = std::make_shared<std::size_t>(0);
   const std::size_t members = controller_.member_count();
-  *reads_left = members - 1;
-
-  auto on_read = [this, reads_left, sector, chunk,
-                  chunk_began](const IoCompletion&) {
-    if (--*reads_left > 0) return;
-    // Phase 2: write the reconstructed range to the replacement.
-    IoRequest write_req{0, sector, chunk, OpType::kWrite};
-    controller_.member(target_disk_)
-        .submit(write_req, [this, chunk, chunk_began](const IoCompletion&) {
-          rebuilt_ += chunk;
-          cursor_ += chunk;
-          // Throttle: the next chunk may start no earlier than the pace
-          // set by throttle_mbps, measured from this chunk's start.
-          const Seconds pace =
-              static_cast<double>(chunk) / (params_.throttle_mbps * 1e6);
-          const Seconds elapsed_chunk = sim_.now() - chunk_began;
-          const Seconds delay = std::max(0.0, pace - elapsed_chunk);
-          sim_.schedule_in(delay, [this] { rebuild_next_chunk(); });
-        });
-  };
-
+  reads_left_ = members - 1;
   for (std::size_t d = 0; d < members; ++d) {
     if (d == target_disk_) continue;
-    IoRequest read_req{0, sector, chunk, OpType::kRead};
-    controller_.member(d).submit(read_req, on_read);
+    IoRequest read_req{0, chunk_sector_, chunk_bytes_, OpType::kRead};
+    controller_.member(d).submit(read_req,
+                                 CompletionCallback(*this, kChunkRead));
   }
+}
+
+void RebuildProcess::on_complete(std::uint64_t tag, const IoCompletion&) {
+  if (tag == kChunkRead) {
+    if (--reads_left_ > 0) return;
+    // Phase 2: write the reconstructed range to the replacement.
+    IoRequest write_req{0, chunk_sector_, chunk_bytes_, OpType::kWrite};
+    controller_.member(target_disk_)
+        .submit(write_req, CompletionCallback(*this, kChunkWrite));
+    return;
+  }
+  rebuilt_ += chunk_bytes_;
+  cursor_ += chunk_bytes_;
+  // Throttle: the next chunk may start no earlier than the pace set by
+  // throttle_mbps, measured from this chunk's start.
+  const Seconds pace =
+      static_cast<double>(chunk_bytes_) / (params_.throttle_mbps * 1e6);
+  const Seconds elapsed_chunk = sim_.now() - chunk_began_;
+  const Seconds delay = std::max(0.0, pace - elapsed_chunk);
+  sim_.schedule_in(delay, [this] { rebuild_next_chunk(); });
 }
 
 }  // namespace tracer::storage

@@ -24,7 +24,7 @@ struct RebuildParams {
   Bytes limit_bytes = 0;        ///< rebuild only this much (0 = whole disk)
 };
 
-class RebuildProcess {
+class RebuildProcess final : private IoSink {
  public:
   /// The controller must already be degraded; the rebuild targets its
   /// failed member (assumed physically replaced by an identical drive).
@@ -43,7 +43,13 @@ class RebuildProcess {
   Seconds elapsed() const { return finished_at_ - started_at_; }
 
  private:
+  /// Completion tags: a surviving member's read of the current chunk, or
+  /// the replacement's write of it.
+  static constexpr std::uint64_t kChunkRead = 0;
+  static constexpr std::uint64_t kChunkWrite = 1;
+
   void rebuild_next_chunk();
+  void on_complete(std::uint64_t tag, const IoCompletion&) override;
 
   sim::Simulator& sim_;
   RaidController& controller_;
@@ -53,6 +59,11 @@ class RebuildProcess {
   Bytes total_ = 0;
   Bytes rebuilt_ = 0;
   Bytes cursor_ = 0;  ///< next disk-local byte to reconstruct
+  // The chunk in flight (one at a time).
+  Sector chunk_sector_ = 0;
+  Bytes chunk_bytes_ = 0;
+  Seconds chunk_began_ = 0.0;
+  std::size_t reads_left_ = 0;
   bool running_ = false;
   bool complete_ = false;
   Seconds started_at_ = 0.0;

@@ -18,6 +18,8 @@ SsdModel::SsdModel(sim::Simulator& sim, const SsdParams& params,
     throw std::invalid_argument(
         "SsdModel: capacity, channels and stripe must be > 0");
   }
+  in_flight_.reserve(params_.channels);
+  free_slots_.reserve(params_.channels);
 }
 
 std::size_t SsdModel::channels_for(Bytes bytes) const {
@@ -28,7 +30,7 @@ void SsdModel::submit(const IoRequest& request, CompletionCallback done) {
   if (request.bytes == 0) {
     throw std::invalid_argument("SsdModel: zero-byte request");
   }
-  queue_.push_back(Pending{request, std::move(done), sim_.now()});
+  queue_.push_back(PendingIo{request, std::move(done), sim_.now()});
   maybe_dispatch();
 }
 
@@ -36,15 +38,13 @@ void SsdModel::maybe_dispatch() {
   // FIFO: head-of-line blocks until enough channels free. This keeps
   // completion order sane and models a single NCQ-style dispatch engine.
   while (!queue_.empty() &&
-         channels_for(queue_.front().request.bytes) <=
+         channels_for(queue_.at(0).request.bytes) <=
              params_.channels - busy_channels_) {
-    Pending pending = std::move(queue_.front());
-    queue_.pop_front();
-    start(std::move(pending));
+    start(queue_.take(0));
   }
 }
 
-void SsdModel::start(Pending pending) {
+void SsdModel::start(PendingIo pending) {
   const IoRequest& req = pending.request;
   const SsdServicePlan plan =
       ssd_plan_service(params_, mech_, req.sector, req.bytes, req.op);
@@ -62,17 +62,30 @@ void SsdModel::start(Pending pending) {
       static_cast<double>(params_.channels);
   timeline_.add_pulse(t0 + params_.command_overhead, t0 + service, extra);
 
-  const Seconds finish = t0 + service;
-  sim_.schedule_at(finish, [this, pending = std::move(pending), finish,
-                            used_channels]() mutable {
-    ++completed_;
-    busy_channels_ -= used_channels;
-    --active_requests_;
-    IoCompletion completion{pending.request.id, pending.submit_time, finish,
-                            pending.request.bytes, pending.request.op};
-    maybe_dispatch();
-    pending.done(completion);
-  });
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_flight_[slot] = InFlight{std::move(pending), used_channels};
+  sim_.schedule_at(t0 + service, *this, slot);
+}
+
+void SsdModel::on_event(std::uint64_t slot) {
+  const auto index = static_cast<std::uint32_t>(slot);
+  InFlight done = std::move(in_flight_[index]);
+  free_slots_.push_back(index);
+  ++completed_;
+  busy_channels_ -= done.channels;
+  --active_requests_;
+  // The event fires at its own time, so now() is the finish time.
+  IoCompletion completion{done.io.request.id, done.io.submit_time, sim_.now(),
+                          done.io.request.bytes, done.io.request.op};
+  maybe_dispatch();
+  done.io.done(completion);
 }
 
 }  // namespace tracer::storage

@@ -13,11 +13,12 @@
 // pulses that stack across concurrently active channels.
 #pragma once
 
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "power/power_timeline.h"
 #include "storage/block_device.h"
+#include "storage/io_queue.h"
 #include "storage/mech_types.h"
 #include "util/rng.h"
 
@@ -39,7 +40,7 @@ struct SsdParams {
   Watts write_extra_watts = 2.1;       ///< program current above idle
 };
 
-class SsdModel final : public BlockDevice {
+class SsdModel final : public BlockDevice, private sim::EventTarget {
  public:
   SsdModel(sim::Simulator& sim, const SsdParams& params, std::uint64_t seed);
 
@@ -63,20 +64,26 @@ class SsdModel final : public BlockDevice {
   std::uint64_t completed_requests() const { return completed_; }
 
  private:
-  struct Pending {
-    IoRequest request;
-    CompletionCallback done;
-    Seconds submit_time;
+  /// A request in service and the channels it holds.
+  struct InFlight {
+    PendingIo io;
+    std::size_t channels = 0;
   };
 
-  void start(Pending pending);
+  /// Typed event: the in-flight slot whose service finished.
+  void on_event(std::uint64_t slot) override;
+  void start(PendingIo pending);
   void maybe_dispatch();
   std::size_t channels_for(Bytes bytes) const;
 
   SsdParams params_;
   util::Rng rng_;
   power::PowerTimeline timeline_;
-  std::deque<Pending> queue_;
+  IoQueue queue_;  ///< waiting requests, arrival order
+  /// Requests in service, addressed by their completion event's slot. At
+  /// most one per channel, so the constructor's reservation is final.
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::size_t busy_channels_ = 0;
   std::size_t active_requests_ = 0;
   // Sequential-detection state for the shared planner (mech_batch.h);

@@ -41,7 +41,7 @@ CsvWriter::RowBuilder& CsvWriter::RowBuilder::add(double v, int precision) {
 }
 
 CsvWriter::RowBuilder& CsvWriter::RowBuilder::add_lossless(double v) {
-  fields_.push_back(format("%.17g", v));
+  fields_.push_back(format_lossless(v));
   return *this;
 }
 

@@ -24,10 +24,10 @@ class CsvWriter {
     explicit RowBuilder(CsvWriter& writer) : writer_(writer) {}
     RowBuilder& add(std::string_view s);
     RowBuilder& add(double v, int precision = 6);
-    /// %.17g: round-trips every finite double exactly. Use this (not a
-    /// display precision) whenever the row will be parsed back — journals
-    /// and databases are codecs, not reports (tracer-lossless-double-format
-    /// in docs/STATIC_ANALYSIS.md).
+    /// %.17g (format_lossless): round-trips every finite double exactly.
+    /// Use this (not a display precision) whenever the row will be parsed
+    /// back — journals and databases are codecs, not reports
+    /// (tracer-lossless-double-format in docs/STATIC_ANALYSIS.md).
     RowBuilder& add_lossless(double v);
     RowBuilder& add(std::uint64_t v);
     RowBuilder& add(std::int64_t v);

@@ -140,4 +140,12 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
+std::string format_lossless(double v) {
+  // 17 significant digits, a sign, a point and "e-308": 24 characters.
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, v,
+                                    std::chars_format::general, 17);
+  return std::string(buffer, result.ptr);
+}
+
 }  // namespace tracer::util

@@ -37,4 +37,9 @@ std::string format_size(std::uint64_t bytes);
 /// printf-style formatting into std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// `v` as "%.17g" would print it (byte for byte, including inf, nan and
+/// their signs), which round-trips every finite double exactly — through
+/// std::to_chars, so without printf's format parsing and second pass.
+std::string format_lossless(double v);
+
 }  // namespace tracer::util

@@ -66,14 +66,17 @@ storage::IoRequest SyntheticGenerator::next_request() {
 void SyntheticGenerator::issue_one() {
   const storage::IoRequest request = next_request();
   collector_.on_submit(sim_.now(), request);
-  target_.submit(request, [this](const storage::IoCompletion& completion) {
-    ++completed_;
-    completed_bytes_ += completion.bytes;
-    last_finish_ = completion.finish_time;
-    if (!stopping_ && sim_.now() < params_.duration) {
-      issue_one();
-    }
-  });
+  target_.submit(request, storage::CompletionCallback(*this, 0));
+}
+
+void SyntheticGenerator::on_complete(std::uint64_t,
+                                     const storage::IoCompletion& completion) {
+  ++completed_;
+  completed_bytes_ += completion.bytes;
+  last_finish_ = completion.finish_time;
+  if (!stopping_ && sim_.now() < params_.duration) {
+    issue_one();
+  }
 }
 
 GeneratorResult SyntheticGenerator::run() {

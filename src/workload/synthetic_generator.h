@@ -36,7 +36,7 @@ struct GeneratorResult {
   std::uint64_t requests = 0;
 };
 
-class SyntheticGenerator {
+class SyntheticGenerator final : private storage::IoSink {
  public:
   SyntheticGenerator(sim::Simulator& sim, storage::BlockDevice& target,
                      const SyntheticParams& params);
@@ -49,6 +49,9 @@ class SyntheticGenerator {
  private:
   storage::IoRequest next_request();
   void issue_one();
+  /// Routed completion of one closed-loop request (tag unused).
+  void on_complete(std::uint64_t tag,
+                   const storage::IoCompletion& completion) override;
 
   sim::Simulator& sim_;
   storage::BlockDevice& target_;

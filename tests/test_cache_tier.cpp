@@ -102,6 +102,27 @@ TEST(CacheTier, RejectsBadParameters) {
   expect_throws(p);
 }
 
+TEST(CacheTier, RejectsRequestsBeyondCapacityWithoutOverflow) {
+  sim::Simulator sim;
+  FakeBacking backing(sim);  // 1 GiB
+  CacheTier cache(sim, small_cache(4), backing);
+  auto ignore = [](const IoCompletion&) {};
+  // 2^56 sectors is 2^65 bytes: a line index computed from sector * 512
+  // wraps to line 0 and would be served as if it were in range.
+  EXPECT_THROW(cache.submit(IoRequest{1, Sector{1} << 56, 64 * kKiB,
+                                      OpType::kRead},
+                            ignore),
+               std::out_of_range);
+  EXPECT_THROW(cache.submit(IoRequest{2, kGiB / kSectorSize, 4096,
+                                      OpType::kWrite},
+                            ignore),
+               std::out_of_range);
+  sim.run();
+  EXPECT_EQ(cache.outstanding(), 0u);
+  EXPECT_EQ(cache.dram_lines(), 0u);
+  EXPECT_EQ(backing.reads() + backing.writes(), 0u);
+}
+
 TEST(CacheTier, ReadMissFillsThenHits) {
   sim::Simulator sim;
   FakeBacking backing(sim, 0.01);

@@ -70,6 +70,33 @@ TEST(DiskArray, ServesIoEndToEnd) {
   EXPECT_EQ(array.outstanding(), 0u);
 }
 
+TEST(DiskArray, RejectsRequestsBeyondCapacityWithoutOverflow) {
+  sim::Simulator sim;
+  DiskArray array(sim, ArrayConfig::hdd_testbed(6));
+  int completed = 0;
+  auto count = [&completed](const IoCompletion&) { ++completed; };
+  // 2^56 sectors is 2^65 bytes: a byte offset computed as sector * 512
+  // wraps to 0 and would pass a naive range check.
+  EXPECT_THROW(array.submit(IoRequest{1, Sector{1} << 56, 4 * kKiB,
+                                      OpType::kRead},
+                            count),
+               std::out_of_range);
+  EXPECT_THROW(array.submit(IoRequest{2, ~Sector{0}, kSectorSize,
+                                      OpType::kWrite},
+                            count),
+               std::out_of_range);
+  // The last sectors of the array are valid; one byte more is not.
+  const Sector end = array.capacity() / kSectorSize;
+  EXPECT_THROW(array.submit(IoRequest{3, end - 8, 8 * kSectorSize + 1,
+                                      OpType::kRead},
+                            count),
+               std::out_of_range);
+  array.submit(IoRequest{4, end - 8, 8 * kSectorSize, OpType::kRead}, count);
+  sim.run();
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(array.outstanding(), 0u);
+}
+
 TEST(DiskArray, ActiveEnergyAboveIdle) {
   sim::Simulator sim;
   DiskArray array(sim, ArrayConfig::hdd_testbed(6));

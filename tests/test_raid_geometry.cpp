@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace tracer::storage {
 namespace {
@@ -75,6 +78,76 @@ TEST(RaidGeometry, MapRejectsBeyondCapacity) {
   std::vector<RaidGeometry::Extent> extents;
   EXPECT_THROW(geometry.map_into(geometry.capacity() - 4096, 8192, extents),
                std::out_of_range);
+}
+
+TEST(RaidGeometry, MapRejectsExtentWhoseEndOverflows) {
+  const auto geometry = testbed_geometry(6);
+  std::vector<RaidGeometry::Extent> extents;
+  // logical_byte + bytes wraps past 2^64 to a small value.
+  EXPECT_THROW(geometry.map_into(~Bytes{0} - 1023, 4096, extents),
+               std::out_of_range);
+  EXPECT_THROW(geometry.map_into(geometry.capacity() + 1, 0, extents),
+               std::out_of_range);
+  geometry.map_into(geometry.capacity(), 0, extents);
+  EXPECT_TRUE(extents.empty());
+}
+
+/// map_into as one division per stripe unit, the definition the
+/// incremental walk must reproduce extent for extent.
+std::vector<RaidGeometry::Extent> reference_map(const RaidGeometry& g,
+                                                Bytes at, Bytes bytes) {
+  std::vector<RaidGeometry::Extent> out;
+  while (bytes > 0) {
+    const std::uint64_t unit_index = at / g.stripe_unit;
+    const Bytes offset = at % g.stripe_unit;
+    const Bytes chunk = std::min<Bytes>(bytes, g.stripe_unit - offset);
+    const std::uint64_t row = unit_index / g.data_disks();
+    const auto position = static_cast<std::size_t>(unit_index % g.data_disks());
+    RaidGeometry::Extent extent;
+    extent.disk = g.level == RaidLevel::kRaid5
+                      ? (g.parity_disk(row) + 1 + position) % g.disk_count
+                      : position;
+    extent.sector = (row * g.stripe_unit + offset) / kSectorSize;
+    extent.bytes = chunk;
+    extent.row = row;
+    extent.offset_in_unit = offset;
+    out.push_back(extent);
+    at += chunk;
+    bytes -= chunk;
+  }
+  return out;
+}
+
+TEST(RaidGeometry, IncrementalMapMatchesPerUnitDivision) {
+  // Power-of-two units take the shift path, the others the division path;
+  // requests span up to four rows so parity rotation wraps mid-request.
+  const RaidGeometry geometries[] = {
+      RaidGeometry(RaidLevel::kRaid5, 6, 128 * kKiB, kGiB),
+      RaidGeometry(RaidLevel::kRaid5, 3, 4 * kKiB, kGiB),
+      RaidGeometry(RaidLevel::kRaid5, 5, 96 * kKiB, kGiB),
+      RaidGeometry(RaidLevel::kRaid5, 4, 3 * kSectorSize, kGiB),
+      RaidGeometry(RaidLevel::kRaid0, 4, 64 * kKiB, kGiB),
+      RaidGeometry(RaidLevel::kRaid0, 2, 5 * kSectorSize, kGiB),
+  };
+  util::Rng rng(17);
+  std::vector<RaidGeometry::Extent> extents;
+  for (const auto& g : geometries) {
+    const Bytes row_bytes = g.stripe_unit * g.data_disks();
+    for (int trial = 0; trial < 500; ++trial) {
+      const Bytes bytes = 1 + rng.below(4 * row_bytes);
+      const Bytes at = rng.below(g.capacity() - bytes + 1);
+      g.map_into(at, bytes, extents);
+      const auto expected = reference_map(g, at, bytes);
+      ASSERT_EQ(extents.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(extents[i].disk, expected[i].disk);
+        EXPECT_EQ(extents[i].sector, expected[i].sector);
+        EXPECT_EQ(extents[i].bytes, expected[i].bytes);
+        EXPECT_EQ(extents[i].row, expected[i].row);
+        EXPECT_EQ(extents[i].offset_in_unit, expected[i].offset_in_unit);
+      }
+    }
+  }
 }
 
 TEST(RaidGeometry, DataNeverLandsOnParityDisk) {

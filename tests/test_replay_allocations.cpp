@@ -1,11 +1,11 @@
 // Heap-allocation regression test for the classic replay path.
 //
 // Replaces the global allocation functions with counting wrappers, then
-// replays an HDD-array trace of N bunches and one of 10·N bunches on fresh
-// engines and arrays. The second replay submits ten times the packages, so
-// any per-package, per-transaction or per-child allocation in the replay
-// engine, the RAID controller or the disk models shows up as thousands of
-// extra allocations. What may remain is set-up (engine, array, report) and
+// replays an HDD- or SSD-array trace of N bunches and one of 10·N bunches
+// on fresh engines and arrays. The second replay submits ten times the
+// packages, so any per-package, per-transaction or per-child allocation in
+// the replay engine, the RAID controller or the disk models shows up as
+// thousands of extra allocations. What may remain is set-up (engine, array, report) and
 // the amortised growth of per-replay series vectors, which is logarithmic
 // in the replay length and bounded by `kGrowthSlack`.
 //
@@ -121,13 +121,13 @@ struct Counted {
   ReplayReport report;
 };
 
-Counted replay_counted(const trace::Trace& trace, int failed_disk) {
+Counted replay_counted(const trace::Trace& trace,
+                       const storage::ArrayConfig& config, int failed_disk) {
   const std::uint64_t before = g_allocations.load();
   Counted counted;
   {
     ReplayEngine engine;
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
+    storage::DiskArray array(engine.simulator(), config);
     if (failed_disk >= 0) {
       array.controller().fail_disk(static_cast<std::size_t>(failed_disk));
     }
@@ -137,13 +137,14 @@ Counted replay_counted(const trace::Trace& trace, int failed_disk) {
   return counted;
 }
 
-void expect_flat_allocations(int failed_disk) {
+void expect_flat_allocations(const storage::ArrayConfig& config,
+                             int failed_disk) {
   constexpr std::size_t kBunches = 400;
   const trace::Trace small = sustainable_trace(kBunches);
   const trace::Trace large = sustainable_trace(10 * kBunches);
 
-  const Counted a = replay_counted(small, failed_disk);
-  const Counted b = replay_counted(large, failed_disk);
+  const Counted a = replay_counted(small, config, failed_disk);
+  const Counted b = replay_counted(large, config, failed_disk);
   ASSERT_GT(a.report.packages_replayed, 0u);
   ASSERT_GT(b.report.packages_replayed, 9 * a.report.packages_replayed);
   // The load must be sustainable, or queue growth (not per-package cost)
@@ -156,11 +157,17 @@ void expect_flat_allocations(int failed_disk) {
 }
 
 TEST(ReplayAllocations, HealthyHddArrayDoesNotAllocatePerPackage) {
-  expect_flat_allocations(-1);
+  expect_flat_allocations(storage::ArrayConfig::hdd_testbed(6), -1);
 }
 
 TEST(ReplayAllocations, DegradedHddArrayDoesNotAllocatePerPackage) {
-  expect_flat_allocations(2);
+  expect_flat_allocations(storage::ArrayConfig::hdd_testbed(6), 2);
+}
+
+TEST(ReplayAllocations, SsdArrayDoesNotAllocatePerPackage) {
+  // The SSD model's queue and in-flight completions must be as flat as the
+  // HDD's (a std::deque queue allocates a node every few requests).
+  expect_flat_allocations(storage::ArrayConfig::ssd_testbed(4), -1);
 }
 
 TEST(ReplayAllocations, CounterSeesHeapAllocations) {

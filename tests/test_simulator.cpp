@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 namespace tracer::sim {
@@ -157,6 +158,56 @@ TEST(Simulator, ReserveDoesNotDisturbPendingEvents) {
   sim.schedule_at(2.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 2);
+}
+
+/// Typed-event target that records its arguments in firing order.
+class Recorder final : public EventTarget {
+ public:
+  explicit Recorder(std::vector<std::uint64_t>& order) : order_(order) {}
+  void on_event(std::uint64_t arg) override { order_.push_back(arg); }
+
+ private:
+  std::vector<std::uint64_t>& order_;
+};
+
+TEST(Simulator, TypedAndClosureEventsAtOneTimeFireInSchedulingOrder) {
+  Simulator sim;
+  std::vector<std::uint64_t> order;
+  Recorder recorder(order);
+  // Even numbers are typed events, odd ones closures, all at t = 1.
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    if (i % 2 == 0) {
+      sim.schedule_at(1.0, recorder, i);
+    } else {
+      sim.schedule_at(1.0, [&order, i] { order.push_back(i); });
+    }
+  }
+  // Scheduled while t = 1 fires: behind everything already queued there.
+  sim.schedule_at(0.5, [&] {
+    sim.schedule_at(1.0, recorder, 10);
+    sim.schedule_in(0.5, [&order] { order.push_back(11); });
+  });
+  sim.run();
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t i = 0; i < 12; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.events_dispatched(), 13u);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(Simulator, TypedEventsClampPastTimesAndCountThem) {
+  Simulator sim;
+  std::vector<std::uint64_t> order;
+  Recorder recorder(order);
+  double fired_at = -1.0;
+  sim.schedule_at(2.0, [&] {
+    sim.schedule_at(1.0, recorder, 7);  // in the past
+    sim.schedule_in(-1.0, [&] { fired_at = sim.now(); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{7}));
+  EXPECT_DOUBLE_EQ(fired_at, 2.0);
+  EXPECT_EQ(sim.late_schedule_count(), 1u);
 }
 
 TEST(Simulator, CountsDispatchedEvents) {

@@ -54,8 +54,8 @@ TEST(SmallFunction, FitsInlinePredicateMatchesStorage) {
 }
 
 TEST(SmallFunction, ReplayEngineSizedCapturesStayInline) {
-  // The device models capture ~96 bytes (request + completion callback);
-  // they must not regress onto the heap.
+  // Test and bench devices capture a request and a completion callback
+  // (~96 bytes); they must not regress onto the heap.
   struct Pending {
     std::uint64_t id, sector, bytes, op;
     double submit_time;

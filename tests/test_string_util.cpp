@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+
+#include "util/rng.h"
+
 namespace tracer::util {
 namespace {
 
@@ -113,6 +121,48 @@ TEST(FormatSize, PicksLargestExactUnit) {
 TEST(Format, PrintfStyle) {
   EXPECT_EQ(format("%d-%s-%.2f", 7, "x", 1.5), "7-x-1.50");
   EXPECT_EQ(format("empty"), "empty");
+}
+
+std::string printf_17g(double v) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.17g", v);
+  return buffer;
+}
+
+TEST(FormatLossless, MatchesPrintf17gOnSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 2.0 / 3.0, 1e-5, 1e-4, 123456.0,
+      1e16, 1e17, 12345678901234567890.0, 1e100, -1e-300, DBL_MAX, -DBL_MAX,
+      DBL_MIN, std::numeric_limits<double>::denorm_min(), 2.5e-310,
+      -4.9406564584124654e-324, DBL_EPSILON, 1.0 + DBL_EPSILON, kInf, -kInf,
+      kNan, -kNan};
+  for (const double v : values) {
+    EXPECT_EQ(format_lossless(v), printf_17g(v)) << printf_17g(v);
+  }
+}
+
+TEST(FormatLossless, MatchesPrintf17gOnRandomBitPatterns) {
+  // Every bit pattern is some double: finite values of every magnitude,
+  // subnormals, infinities and NaNs with payloads.
+  Rng rng(20241018);
+  for (int i = 0; i < 100000; ++i) {
+    const double v = std::bit_cast<double>(rng.next());
+    ASSERT_EQ(format_lossless(v), printf_17g(v)) << i;
+  }
+}
+
+TEST(FormatLossless, RoundTripsFiniteValues) {
+  Rng rng(7);
+  for (int i = 0; i < 10000; ++i) {
+    const double v = std::bit_cast<double>(rng.next());
+    if (!std::isfinite(v)) continue;
+    double parsed = 0.0;
+    ASSERT_TRUE(parse_double(format_lossless(v), parsed));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed),
+              std::bit_cast<std::uint64_t>(v));
+  }
 }
 
 }  // namespace
