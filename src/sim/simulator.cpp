@@ -5,16 +5,7 @@
 namespace tracer::sim {
 
 void Simulator::schedule_at(Seconds at, Action action) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(action));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(action);
-  }
-  push(at, nullptr, slot);
+  push(at, nullptr, closures_.put(std::move(action)));
 }
 
 void Simulator::schedule_in(Seconds delay, Action action) {
@@ -32,12 +23,9 @@ bool Simulator::step() {
     event.target->on_event(event.arg);
     return true;
   }
-  // Move the closure out and recycle its slot *before* invoking: the
-  // action may schedule new events (and thus reuse the slot).
-  const auto slot = static_cast<std::uint32_t>(event.arg);
-  Action action = std::move(slots_[slot]);
-  slots_[slot].reset();
-  free_slots_.push_back(slot);
+  // Take the closure out and free its slot *before* invoking: the action
+  // may schedule new events (and thus reuse the slot).
+  Action action = closures_.take(static_cast<std::uint32_t>(event.arg));
   action();
   return true;
 }
@@ -58,8 +46,7 @@ Seconds Simulator::run_until(Seconds t_end) {
 
 void Simulator::clear() {
   heap_.clear();
-  slots_.clear();
-  free_slots_.clear();
+  closures_.clear();
 }
 
 }  // namespace tracer::sim

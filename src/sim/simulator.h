@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/slot_array.h"
 #include "util/small_function.h"
 #include "util/types.h"
 
@@ -80,7 +81,7 @@ class Simulator {
   /// reserve() — growth means the in-flight estimate undershot and the hot
   /// loop paid a reallocation.
   std::size_t heap_capacity() const { return heap_.capacity(); }
-  std::size_t slot_capacity() const { return slots_.capacity(); }
+  std::size_t slot_capacity() const { return closures_.capacity(); }
 
   /// Run until the event queue drains. Returns the final clock value.
   Seconds run();
@@ -129,8 +130,7 @@ class Simulator {
   std::uint64_t dispatched_ = 0;
   std::uint64_t late_schedules_ = 0;
   std::vector<Event> heap_;  ///< binary min-time heap (Later comparator)
-  std::vector<Action> slots_;  ///< closures, addressed by Event::arg
-  std::vector<std::uint32_t> free_slots_;  ///< recycled slots_ indices
+  util::SlotArray<Action> closures_;  ///< addressed by Event::arg
 };
 
 }  // namespace tracer::sim

@@ -155,26 +155,6 @@ void CacheTier::drop_from_tier(LineId line) {
   tier_.erase(it);
 }
 
-std::uint32_t CacheTier::park(const IoRequest& request,
-                              CompletionCallback done) {
-  std::uint32_t slot;
-  if (free_ops_.empty()) {
-    slot = static_cast<std::uint32_t>(ops_.size());
-    ops_.emplace_back();
-  } else {
-    slot = free_ops_.back();
-    free_ops_.pop_back();
-  }
-  ops_[slot] = PendingIo{request, std::move(done), sim_.now()};
-  return slot;
-}
-
-PendingIo CacheTier::unpark(std::uint32_t slot) {
-  PendingIo op = std::move(ops_[slot]);
-  free_ops_.push_back(slot);
-  return op;
-}
-
 void CacheTier::complete_locally(const IoRequest& request,
                                  CompletionCallback done, Seconds latency,
                                  Watts extra_watts) {
@@ -184,7 +164,7 @@ void CacheTier::complete_locally(const IoRequest& request,
 }
 
 void CacheTier::on_event(std::uint64_t slot) {
-  const PendingIo op = unpark(static_cast<std::uint32_t>(slot));
+  const PendingIo op = ops_.take(static_cast<std::uint32_t>(slot));
   --foreground_;
   // The event fires at its own time, so now() is the finish time.
   op.done(IoCompletion{op.request.id, op.submit_time, sim_.now(),
@@ -210,7 +190,7 @@ void CacheTier::on_complete(std::uint64_t tag, const IoCompletion& c) {
     }
     return;
   }
-  const PendingIo op = unpark(static_cast<std::uint32_t>(tag));
+  const PendingIo op = ops_.take(static_cast<std::uint32_t>(tag));
   if (route == Route::kMiss) {
     // Fill: returned lines land in DRAM clean, evicting the cold end.
     const LineId first = first_line(op.request);

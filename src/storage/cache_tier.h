@@ -44,6 +44,7 @@
 
 #include "power/power_timeline.h"
 #include "storage/block_device.h"
+#include "util/slot_array.h"
 
 namespace tracer::storage {
 
@@ -128,9 +129,9 @@ class CacheTier final : public BlockDevice,
   void on_event(std::uint64_t slot) override;
   void on_complete(std::uint64_t tag, const IoCompletion& completion) override;
   /// Park a foreground request until its completion; returns its slot.
-  std::uint32_t park(const IoRequest& request, CompletionCallback done);
-  /// Release a slot, handing back its request.
-  PendingIo unpark(std::uint32_t slot);
+  std::uint32_t park(const IoRequest& request, CompletionCallback done) {
+    return ops_.put(PendingIo{request, std::move(done), sim_.now()});
+  }
 
   LineId first_line(const IoRequest& r) const;
   LineId last_line(const IoRequest& r) const;
@@ -173,10 +174,7 @@ class CacheTier final : public BlockDevice,
   std::unordered_map<LineId, TierEntry> tier_;
   std::size_t dirty_ = 0;
 
-  /// Foreground requests in flight, addressed by op slot; released slots
-  /// are reused, so steady state allocates no op state.
-  std::vector<PendingIo> ops_;
-  std::vector<std::uint32_t> free_ops_;
+  util::SlotArray<PendingIo> ops_;     ///< foreground requests in flight
   std::size_t foreground_ = 0;         ///< caller requests in flight
   std::size_t background_writes_ = 0;  ///< eviction/flush writes in flight
   bool flush_in_flight_ = false;

@@ -19,7 +19,6 @@ SsdModel::SsdModel(sim::Simulator& sim, const SsdParams& params,
         "SsdModel: capacity, channels and stripe must be > 0");
   }
   in_flight_.reserve(params_.channels);
-  free_slots_.reserve(params_.channels);
 }
 
 std::size_t SsdModel::channels_for(Bytes bytes) const {
@@ -62,22 +61,12 @@ void SsdModel::start(PendingIo pending) {
       static_cast<double>(params_.channels);
   timeline_.add_pulse(t0 + params_.command_overhead, t0 + service, extra);
 
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  in_flight_[slot] = InFlight{std::move(pending), used_channels};
-  sim_.schedule_at(t0 + service, *this, slot);
+  sim_.schedule_at(t0 + service, *this,
+                   in_flight_.put(InFlight{std::move(pending), used_channels}));
 }
 
 void SsdModel::on_event(std::uint64_t slot) {
-  const auto index = static_cast<std::uint32_t>(slot);
-  InFlight done = std::move(in_flight_[index]);
-  free_slots_.push_back(index);
+  InFlight done = in_flight_.take(static_cast<std::uint32_t>(slot));
   ++completed_;
   busy_channels_ -= done.channels;
   --active_requests_;

@@ -14,13 +14,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "power/power_timeline.h"
 #include "storage/block_device.h"
 #include "storage/io_queue.h"
 #include "storage/mech_types.h"
 #include "util/rng.h"
+#include "util/slot_array.h"
 
 namespace tracer::storage {
 
@@ -82,8 +82,7 @@ class SsdModel final : public BlockDevice, private sim::EventTarget {
   IoQueue queue_;  ///< waiting requests, arrival order
   /// Requests in service, addressed by their completion event's slot. At
   /// most one per channel, so the constructor's reservation is final.
-  std::vector<InFlight> in_flight_;
-  std::vector<std::uint32_t> free_slots_;
+  util::SlotArray<InFlight> in_flight_;
   std::size_t busy_channels_ = 0;
   std::size_t active_requests_ = 0;
   // Sequential-detection state for the shared planner (mech_batch.h);
