@@ -1,7 +1,6 @@
 #include "core/perf_monitor.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace tracer::core {
 
@@ -18,12 +17,10 @@ constexpr std::size_t kHistBinsPerDecade = 40;
 
 PerfMonitor::PerfMonitor(Seconds sampling_cycle)
     : cycle_(sampling_cycle),
+      ops_(sampling_cycle),
+      bytes_series_(sampling_cycle),
       latency_scale_(kHistLoMs, kHistHiMs, kHistBinsPerDecade),
-      latency_bins_(latency_scale_.bin_count(), 0) {
-  if (!(sampling_cycle > 0.0)) {
-    throw std::invalid_argument("PerfMonitor: sampling_cycle must be > 0");
-  }
-}
+      latency_bins_(latency_scale_.bin_count(), 0) {}
 
 PerfReport PerfMonitor::report(Seconds duration) const {
   PerfReport out;
@@ -39,17 +36,19 @@ PerfReport PerfMonitor::report(Seconds duration) const {
       0.95, completions_, [this](std::size_t i) { return latency_bins_[i]; });
   out.max_response_ms = latency_.max();
   out.iops_series.reserve(ops_.size());
-  for (const double ops : ops_) out.iops_series.push_back(ops / cycle_);
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    out.iops_series.push_back(ops_.bin_rate(i));
+  }
   out.mbps_series.reserve(bytes_series_.size());
-  for (const double bytes : bytes_series_) {
-    out.mbps_series.push_back(bytes / cycle_ / 1.0e6);
+  for (std::size_t i = 0; i < bytes_series_.size(); ++i) {
+    out.mbps_series.push_back(bytes_series_.bin_rate(i) / 1.0e6);
   }
   return out;
 }
 
 void PerfMonitor::reset() {
-  ops_.clear();
-  bytes_series_.clear();
+  ops_ = util::TimeBinnedSeries(cycle_);
+  bytes_series_ = util::TimeBinnedSeries(cycle_);
   latency_.reset();
   std::fill(latency_bins_.begin(), latency_bins_.end(), 0);
   completions_ = 0;

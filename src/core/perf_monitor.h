@@ -37,21 +37,14 @@ class PerfMonitor {
 
   /// Record one completion. Inline: the replay engine calls this once per
   /// measured package. The monitor is single-threaded per replay, so its
-  /// latency bins are plain counts, and one sampling-cycle index serves
-  /// both rate series.
+  /// latency bins are plain counts.
   void on_complete(const storage::IoCompletion& completion) {
     ++completions_;
     bytes_ += completion.bytes;
     last_finish_ = std::max(last_finish_, completion.finish_time);
-    Seconds t = completion.finish_time;
-    if (t < 0.0) t = 0.0;
-    const auto cycle = static_cast<std::size_t>(t / cycle_);
-    if (cycle >= ops_.size()) {
-      ops_.resize(cycle + 1, 0.0);
-      bytes_series_.resize(cycle + 1, 0.0);
-    }
-    ops_[cycle] += 1.0;
-    bytes_series_[cycle] += static_cast<double>(completion.bytes);
+    ops_.add(completion.finish_time, 1.0);
+    bytes_series_.add(completion.finish_time,
+                      static_cast<double>(completion.bytes));
     const double latency_ms = completion.latency() * 1e3;
     latency_.add(latency_ms);
     ++latency_bins_[latency_scale_.index(latency_ms)];
@@ -68,10 +61,8 @@ class PerfMonitor {
 
  private:
   Seconds cycle_;
-  // Completions and bytes per sampling cycle (cycle i covers
-  // [i * cycle_, (i + 1) * cycle_) by finish time).
-  std::vector<double> ops_;
-  std::vector<double> bytes_series_;
+  util::TimeBinnedSeries ops_;
+  util::TimeBinnedSeries bytes_series_;
   util::RunningStats latency_;
   obs::LogScale latency_scale_;
   std::vector<std::uint64_t> latency_bins_;  ///< counts per latency_scale_ bin

@@ -1,7 +1,6 @@
 #include "storage/raid.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "storage/io_request.h"
 
@@ -40,20 +39,11 @@ void RaidGeometry::map_into(Bytes logical_byte, Bytes bytes,
   }
   out.clear();
   if (bytes == 0) return;
-  // Locate the first unit once (a shift for the usual power-of-two stripe
-  // unit), then walk the rest incrementally: each further unit starts at
-  // offset 0 on the next position, and a new row moves parity one disk
-  // back (left-symmetric).
-  std::uint64_t unit_index;
-  Bytes offset;
-  if (std::has_single_bit(stripe_unit)) {
-    const int shift = std::countr_zero(stripe_unit);
-    unit_index = logical_byte >> shift;
-    offset = logical_byte & (stripe_unit - 1);
-  } else {
-    unit_index = logical_byte / stripe_unit;
-    offset = logical_byte % stripe_unit;
-  }
+  // Locate the first unit once, then walk the rest incrementally: each
+  // further unit starts at offset 0 on the next position, and a new row
+  // moves parity one disk back (left-symmetric).
+  const std::uint64_t unit_index = logical_byte / stripe_unit;
+  Bytes offset = logical_byte % stripe_unit;
   const std::size_t data = data_disks();
   std::uint64_t row = unit_index / data;
   auto position = static_cast<std::size_t>(unit_index - row * data);

@@ -119,8 +119,8 @@ std::vector<RaidGeometry::Extent> reference_map(const RaidGeometry& g,
 }
 
 TEST(RaidGeometry, IncrementalMapMatchesPerUnitDivision) {
-  // Power-of-two units take the shift path, the others the division path;
-  // requests span up to four rows so parity rotation wraps mid-request.
+  // Power-of-two and other stripe units; requests span up to four rows so
+  // parity rotation wraps mid-request.
   const RaidGeometry geometries[] = {
       RaidGeometry(RaidLevel::kRaid5, 6, 128 * kKiB, kGiB),
       RaidGeometry(RaidLevel::kRaid5, 3, 4 * kKiB, kGiB),

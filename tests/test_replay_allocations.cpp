@@ -5,9 +5,9 @@
 // on fresh engines and arrays. The second replay submits ten times the
 // packages, so any per-package, per-transaction or per-child allocation in
 // the replay engine, the RAID controller or the disk models shows up as
-// thousands of extra allocations. What may remain is set-up (engine, array, report) and
-// the amortised growth of per-replay series vectors, which is logarithmic
-// in the replay length and bounded by `kGrowthSlack`.
+// thousands of extra allocations. What may remain is set-up (engine,
+// array, report) and the amortised growth of per-replay series vectors,
+// which is logarithmic in the replay length and bounded by `kGrowthSlack`.
 //
 // This is its own executable because replacing operator new is global.
 #include <gtest/gtest.h>
