@@ -8,6 +8,7 @@
 // contention on top; power rises with the extra member activity.
 #include "bench_common.h"
 
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 #include "storage/rebuild.h"
 #include "util/rng.h"
@@ -44,6 +45,7 @@ Outcome run(State state) {
   const Sector span = array.capacity() / kSectorSize - 256;
   double total_latency = 0.0;
   std::uint64_t completions = 0;
+  storage::CallbackSink done;
   const Seconds duration = 20.0;
   Seconds t = 0.0;
   while (true) {
@@ -52,10 +54,10 @@ Outcome run(State state) {
     const Sector sector = rng.below(span / 32) * 32;
     sim.schedule_at(t, [&, sector] {
       array.submit(storage::IoRequest{1, sector, 16 * kKiB, OpType::kRead},
-                   [&](const storage::IoCompletion& c) {
+                   done.bind([&](const storage::IoCompletion& c) {
                      total_latency += c.latency();
                      ++completions;
-                   });
+                   }));
     });
   }
   sim.run_until(duration);

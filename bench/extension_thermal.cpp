@@ -9,6 +9,7 @@
 
 #include "core/proportional_filter.h"
 #include "power/thermal.h"
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 #include "workload/synthetic_generator.h"
 
@@ -54,12 +55,14 @@ int main() {
     monitor.schedule_sampling(sim, 0.0, filtered.duration());
 
     std::uint64_t next_id = 1;
+    storage::CallbackSink done;
     for (const auto& bunch : filtered.bunches) {
-      sim.schedule_at(bunch.timestamp, [&array, &bunch, &next_id] {
+      sim.schedule_at(bunch.timestamp, [&array, &bunch, &next_id, &done] {
         for (const auto& pkg : bunch.packages) {
           storage::IoRequest request{next_id++, pkg.sector, pkg.bytes,
                                      pkg.op};
-          array.submit(request, [](const storage::IoCompletion&) {});
+          array.submit(request,
+                       done.bind([](const storage::IoCompletion&) {}));
         }
       });
     }

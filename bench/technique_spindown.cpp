@@ -11,6 +11,7 @@
 // to find.
 #include "bench_common.h"
 
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 #include "storage/power_policy.h"
 #include "util/rng.h"
@@ -38,6 +39,7 @@ Outcome run(double iops, bool enable_policy, Seconds duration = 600.0) {
   const Sector span = array.capacity() / kSectorSize - 256;
   double total_latency = 0.0;
   std::uint64_t completions = 0;
+  storage::CallbackSink done;
 
   Seconds t = 0.0;
   while (true) {
@@ -46,10 +48,10 @@ Outcome run(double iops, bool enable_policy, Seconds duration = 600.0) {
     const Sector sector = rng.below(span / 128) * 128;
     sim.schedule_at(t, [&, sector] {
       array.submit(storage::IoRequest{1, sector, 64 * kKiB, OpType::kRead},
-                   [&](const storage::IoCompletion& c) {
+                   done.bind([&](const storage::IoCompletion& c) {
                      total_latency += c.latency();
                      ++completions;
-                   });
+                   }));
     });
   }
   sim.run();

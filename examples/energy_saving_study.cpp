@@ -10,6 +10,7 @@
 
 #include "core/interarrival_scaler.h"
 #include "core/perf_monitor.h"
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 #include "storage/power_policy.h"
 #include "util/table.h"
@@ -37,18 +38,20 @@ StudyResult run(const trace::Trace& trace, double idle_timeout) {
   }
 
   core::PerfMonitor monitor(1.0);
+  storage::CallbackSink done;
   const Sector span = array.capacity() / kSectorSize;
   for (std::size_t i = 0; i < trace.bunches.size(); ++i) {
     const trace::Bunch& bunch = trace.bunches[i];
-    sim.schedule_at(bunch.timestamp, [&array, &monitor, &bunch, span] {
+    sim.schedule_at(bunch.timestamp, [&array, &monitor, &done, &bunch, span] {
       for (const auto& pkg : bunch.packages) {
         storage::IoRequest request;
         request.sector = pkg.sector % (span - 4096);
         request.bytes = pkg.bytes;
         request.op = pkg.op;
-        array.submit(request, [&monitor](const storage::IoCompletion& c) {
-          monitor.on_complete(c);
-        });
+        array.submit(request,
+                     done.bind([&monitor](const storage::IoCompletion& c) {
+                       monitor.on_complete(c);
+                     }));
       }
     });
   }

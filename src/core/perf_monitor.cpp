@@ -13,14 +13,21 @@ namespace {
 constexpr double kHistLoMs = 0.01;
 constexpr double kHistHiMs = 10000.0;
 constexpr std::size_t kHistBinsPerDecade = 40;
+
+/// Built once per process: a LogScale's bin table costs a bisection of
+/// log10 calls per bin, and a campaign builds a monitor per test.
+const obs::LogScale& latency_scale() {
+  static const obs::LogScale scale(kHistLoMs, kHistHiMs, kHistBinsPerDecade);
+  return scale;
+}
 }  // namespace
 
 PerfMonitor::PerfMonitor(Seconds sampling_cycle)
     : cycle_(sampling_cycle),
       ops_(sampling_cycle),
       bytes_series_(sampling_cycle),
-      latency_scale_(kHistLoMs, kHistHiMs, kHistBinsPerDecade),
-      latency_bins_(latency_scale_.bin_count(), 0) {}
+      latency_scale_(&latency_scale()),
+      latency_bins_(latency_scale_->bin_count(), 0) {}
 
 PerfReport PerfMonitor::report(Seconds duration) const {
   PerfReport out;
@@ -32,7 +39,7 @@ PerfReport PerfMonitor::report(Seconds duration) const {
     out.mbps = static_cast<double>(bytes_) / out.duration / 1.0e6;
   }
   out.avg_response_ms = latency_.mean();
-  out.p95_response_ms = latency_scale_.percentile(
+  out.p95_response_ms = latency_scale_->percentile(
       0.95, completions_, [this](std::size_t i) { return latency_bins_[i]; });
   out.max_response_ms = latency_.max();
   out.iops_series.reserve(ops_.size());

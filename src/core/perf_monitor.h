@@ -47,7 +47,7 @@ class PerfMonitor {
                       static_cast<double>(completion.bytes));
     const double latency_ms = completion.latency() * 1e3;
     latency_.add(latency_ms);
-    ++latency_bins_[latency_scale_.index(latency_ms)];
+    ++latency_bins_[latency_scale_->index(latency_ms)];
   }
 
   std::uint64_t completions() const { return completions_; }
@@ -64,7 +64,7 @@ class PerfMonitor {
   util::TimeBinnedSeries ops_;
   util::TimeBinnedSeries bytes_series_;
   util::RunningStats latency_;
-  obs::LogScale latency_scale_;
+  const obs::LogScale* latency_scale_;  ///< one per process (its table)
   std::vector<std::uint64_t> latency_bins_;  ///< counts per latency_scale_ bin
   std::uint64_t completions_ = 0;
   Bytes bytes_ = 0;

@@ -1,10 +1,12 @@
 #include "obs/registry.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace tracer::obs {
@@ -68,7 +70,43 @@ std::size_t checked_bin_count(double lo, double hi,
 LogScale::LogScale(double lo, double hi, std::size_t bins_per_decade)
     : lo_(lo), hi_(hi), log_lo_(std::log10(lo)),
       bins_per_log10_(static_cast<double>(bins_per_decade)),
-      bin_count_(checked_bin_count(lo, hi, bins_per_decade)) {}
+      bin_count_(checked_bin_count(lo, hi, bins_per_decade)),
+      edges_(bin_count_ + 1, lo) {
+  // The formula index() reproduces, for x > lo.
+  const auto by_log10 = [this](double x) {
+    const double pos = (std::log10(x) - log_lo_) * bins_per_log10_;
+    return std::min(static_cast<std::size_t>(pos), bin_count_ - 1);
+  };
+  // Bisect over the ordered bit patterns of positive doubles for the first
+  // double of each bin; the largest finite double lies in the last bin.
+  const auto max_bits =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max());
+  for (std::size_t i = 1; i < bin_count_; ++i) {
+    std::uint64_t below = std::bit_cast<std::uint64_t>(edges_[i - 1]);
+    std::uint64_t above = max_bits;
+    while (above - below > 1) {
+      const std::uint64_t mid = below + (above - below) / 2;
+      if (by_log10(std::bit_cast<double>(mid)) >= i) {
+        above = mid;
+      } else {
+        below = mid;
+      }
+    }
+    edges_[i] = std::bit_cast<double>(above);
+  }
+  edges_[bin_count_] = std::numeric_limits<double>::infinity();
+
+  // index() looks cells up only for lo < x < edges_[bin_count_ - 1].
+  first_cell_ = cell(lo_);
+  cell_bin_.resize(cell(edges_[bin_count_ - 1]) - first_cell_ + 1);
+  std::size_t bin = 0;
+  for (std::size_t k = 0; k < cell_bin_.size(); ++k) {
+    const double start =
+        std::bit_cast<double>((first_cell_ + k) << (52 - kCellBits));
+    while (bin + 1 < bin_count_ && edges_[bin + 1] <= start) ++bin;
+    cell_bin_[k] = static_cast<std::uint32_t>(bin);
+  }
+}
 
 double LogScale::bin_lo(std::size_t i) const {
   return std::pow(10.0, log_lo_ + static_cast<double>(i) / bins_per_log10_);

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -83,12 +84,20 @@ class LogScale {
  public:
   LogScale(double lo, double hi, std::size_t bins_per_decade = 40);
 
-  // Inline: once per I/O completion on the replay hot path (the log10 is
-  // the irreducible part; the call overhead is not).
+  /// Bin of `x`: floor((log10(x) - log10(lo)) * bins_per_decade), clamped
+  /// into [0, bin_count()); non-positive values and NaN land in bin 0. The
+  /// result is that formula's, bit for bit, but no log10 is taken: a table
+  /// indexed by x's exponent and top mantissa bits names the bin of the
+  /// cell's first double, and comparing x with the next bin's first double
+  /// finishes (one comparison while a cell, 1/64 of an octave, is narrower
+  /// than a bin: up to 148 bins per decade). Inline: once per I/O
+  /// completion on the replay hot path.
   std::size_t index(double x) const noexcept {
     if (!(x > lo_)) return 0;
-    const double pos = (std::log10(x) - log_lo_) * bins_per_log10_;
-    return std::min(static_cast<std::size_t>(pos), bin_count_ - 1);
+    if (x >= edges_[bin_count_ - 1]) return bin_count_ - 1;
+    std::size_t i = cell_bin_[cell(x) - first_cell_];
+    while (x >= edges_[i + 1]) ++i;
+    return i;
   }
 
   std::size_t bin_count() const { return bin_count_; }
@@ -118,11 +127,22 @@ class LogScale {
   }
 
  private:
+  static constexpr int kCellBits = 6;  ///< mantissa bits per table cell
+  /// Table cell of a positive double: its exponent and top mantissa bits.
+  static std::uint64_t cell(double x) noexcept {
+    return std::bit_cast<std::uint64_t>(x) >> (52 - kCellBits);
+  }
+
   double lo_;
   double hi_;
   double log_lo_;
   double bins_per_log10_;  ///< bins per log10 unit
   std::size_t bin_count_;
+  /// edges_[i]: the smallest double in bin i (edges_[0] = lo, and a +inf
+  /// sentinel at edges_[bin_count_]).
+  std::vector<double> edges_;
+  std::uint64_t first_cell_ = 0;        ///< cell(lo)
+  std::vector<std::uint32_t> cell_bin_;  ///< bin of each cell's first double
 };
 
 /// Log-scale histogram (LogScale bins) with atomic counts: add() is

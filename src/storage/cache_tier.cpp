@@ -1,7 +1,6 @@
 #include "storage/cache_tier.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "obs/registry.h"
 
@@ -160,7 +159,7 @@ void CacheTier::complete_locally(const IoRequest& request,
                                  Watts extra_watts) {
   const Seconds now = sim_.now();
   timeline_.add_pulse(now, now + latency, extra_watts);
-  sim_.schedule_in(latency, *this, park(request, std::move(done)));
+  sim_.schedule_in(latency, *this, park(request, done));
 }
 
 void CacheTier::on_event(std::uint64_t slot) {
@@ -175,7 +174,7 @@ void CacheTier::forward_miss(const IoRequest& request,
                              CompletionCallback done) {
   ++stats_.misses;
   obs_counters().misses.increment();
-  const std::uint32_t slot = park(request, std::move(done));
+  const std::uint32_t slot = park(request, done);
   backing_.submit(request,
                   CompletionCallback(*this, route_tag(Route::kMiss, slot)));
 }
@@ -268,7 +267,7 @@ void CacheTier::submit(const IoRequest& request, CompletionCallback done) {
     ++stats_.bypasses;
     obs_counters().misses.increment();
     obs_counters().bypasses.increment();
-    const std::uint32_t slot = park(request, std::move(done));
+    const std::uint32_t slot = park(request, done);
     backing_.submit(request,
                     CompletionCallback(*this, route_tag(Route::kBypass, slot)));
     return;
@@ -284,7 +283,7 @@ void CacheTier::submit(const IoRequest& request, CompletionCallback done) {
     }
     ++stats_.hits;
     obs_counters().hits.increment();
-    complete_locally(request, std::move(done), params_.hit_latency,
+    complete_locally(request, done, params_.hit_latency,
                      params_.hit_extra_watts);
     maybe_flush();
     return;
@@ -310,7 +309,7 @@ void CacheTier::submit(const IoRequest& request, CompletionCallback done) {
     for (LineId line = first; line <= last; ++line) touch_dram(line);
     ++stats_.hits;
     obs_counters().hits.increment();
-    complete_locally(request, std::move(done), params_.hit_latency,
+    complete_locally(request, done, params_.hit_latency,
                      params_.hit_extra_watts);
     return;
   }
@@ -332,12 +331,12 @@ void CacheTier::submit(const IoRequest& request, CompletionCallback done) {
     }
     ++stats_.tier_hits;
     obs_counters().tier_hits.increment();
-    complete_locally(request, std::move(done), params_.tier_hit_latency,
+    complete_locally(request, done, params_.tier_hit_latency,
                      params_.tier_extra_watts);
     return;
   }
 
-  forward_miss(request, std::move(done));
+  forward_miss(request, done);
 }
 
 }  // namespace tracer::storage

@@ -130,7 +130,7 @@ class CacheTier final : public BlockDevice,
   void on_complete(std::uint64_t tag, const IoCompletion& completion) override;
   /// Park a foreground request until its completion; returns its slot.
   std::uint32_t park(const IoRequest& request, CompletionCallback done) {
-    return ops_.put(PendingIo{request, std::move(done), sim_.now()});
+    return ops_.put(PendingIo{request, done, sim_.now()});
   }
 
   LineId first_line(const IoRequest& r) const;

@@ -69,7 +69,7 @@ void DiskArray::submit(const IoRequest& request, CompletionCallback done) {
   if (!controller_) {
     throw std::logic_error("DiskArray: no disks installed");
   }
-  controller_->submit(request, std::move(done));
+  controller_->submit(request, done);
 }
 
 std::vector<HddModel*> DiskArray::hdd_disks() {

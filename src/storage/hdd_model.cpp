@@ -28,7 +28,7 @@ void HddModel::submit(const IoRequest& request, CompletionCallback done) {
   if (request.bytes == 0) {
     throw std::invalid_argument("HddModel: zero-byte request");
   }
-  queue_.push_back(PendingIo{request, std::move(done), sim_.now()});
+  queue_.push_back(PendingIo{request, done, sim_.now()});
   last_activity_ = sim_.now();
   if (power_state_ == PowerState::kStandby) {
     spin_up();  // I/O arrival wakes a spun-down drive
@@ -137,7 +137,7 @@ void HddModel::complete_in_service() {
   IoCompletion completion{in_service_.request.id, in_service_.submit_time,
                           finish, in_service_.request.bytes,
                           in_service_.request.op};
-  CompletionCallback done = std::move(in_service_.done);
+  const CompletionCallback done = in_service_.done;
   // Start the next request before invoking the callback so a callback
   // that submits more I/O sees a live queue, not an idle disk.
   start_next();

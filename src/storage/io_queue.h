@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "storage/io_request.h"
@@ -33,18 +32,18 @@ class IoQueue {
     if (count_ == slots_.size()) {
       // Full: lay the ring out again in arrival order at twice the size.
       std::vector<PendingIo> grown(std::max<std::size_t>(16, 2 * slots_.size()));
-      for (std::size_t k = 0; k < count_; ++k) grown[k] = std::move(at(k));
+      for (std::size_t k = 0; k < count_; ++k) grown[k] = at(k);
       slots_.swap(grown);
       head_ = 0;
     }
-    at(count_++) = std::move(pending);
+    at(count_++) = pending;
   }
 
   /// Remove and return the request at `offset`, keeping the others in
   /// arrival order (LOOK may serve from the middle).
   PendingIo take(std::size_t offset) {
-    PendingIo pending = std::move(at(offset));
-    for (std::size_t k = offset; k > 0; --k) at(k) = std::move(at(k - 1));
+    PendingIo pending = at(offset);
+    for (std::size_t k = offset; k > 0; --k) at(k) = at(k - 1);
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
     return pending;

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
-#include <utility>
 
 #include "util/types.h"
 
@@ -51,11 +49,11 @@ class IoSink {
 };
 
 /// How a device reports a finished request: a route `{sink, tag}` that
-/// fires `sink->on_complete(tag, completion)`. Routing builds, moves and
-/// destroys no closure per request; every submitter under src/ routes.
-/// Tests, benches and examples may pass any callable instead, which is
-/// owned on the heap and destroyed with the callback. Move-only; moves
-/// never throw and leave the source empty.
+/// fires `sink->on_complete(tag, completion)`. Plain data: copying a route
+/// copies two words and owns nothing, so a request moves through queues,
+/// batches and in-flight slots as a plain copy. Closures (tests, benches,
+/// examples) go through a storage::CallbackSink, which owns them and hands
+/// out routes.
 class CompletionCallback {
  public:
   CompletionCallback() = default;
@@ -64,66 +62,17 @@ class CompletionCallback {
   CompletionCallback(IoSink& sink, std::uint64_t tag) noexcept
       : sink_(&sink), tag_(tag) {}
 
-  /// Own `fn`, called as `fn(completion)`.
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<
-                !std::is_same_v<D, CompletionCallback> &&
-                std::is_invocable_v<D&, const IoCompletion&>>>
-  CompletionCallback(F&& fn)  // NOLINT(google-explicit-constructor)
-      : sink_(new Closure<D>(std::forward<F>(fn))),
-        destroy_(&destroy_closure<D>) {}
-
-  CompletionCallback(CompletionCallback&& other) noexcept
-      : sink_(std::exchange(other.sink_, nullptr)),
-        tag_(other.tag_),
-        destroy_(std::exchange(other.destroy_, nullptr)) {}
-
-  CompletionCallback& operator=(CompletionCallback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      sink_ = std::exchange(other.sink_, nullptr);
-      tag_ = other.tag_;
-      destroy_ = std::exchange(other.destroy_, nullptr);
-    }
-    return *this;
-  }
-
-  CompletionCallback(const CompletionCallback&) = delete;
-  CompletionCallback& operator=(const CompletionCallback&) = delete;
-
-  ~CompletionCallback() { reset(); }
-
   explicit operator bool() const { return sink_ != nullptr; }
 
   void operator()(const IoCompletion& completion) const {
     sink_->on_complete(tag_, completion);
   }
 
+  bool operator==(const CompletionCallback&) const = default;
+
  private:
-  template <typename F>
-  struct Closure final : IoSink {
-    template <typename G>
-    explicit Closure(G&& g) : fn(std::forward<G>(g)) {}
-    void on_complete(std::uint64_t, const IoCompletion& completion) override {
-      fn(completion);
-    }
-    F fn;
-  };
-
-  template <typename F>
-  static void destroy_closure(IoSink* sink) noexcept {
-    delete static_cast<Closure<F>*>(sink);
-  }
-
-  void reset() noexcept {
-    if (destroy_ != nullptr) destroy_(sink_);
-    sink_ = nullptr;
-    destroy_ = nullptr;
-  }
-
   IoSink* sink_ = nullptr;
   std::uint64_t tag_ = 0;
-  void (*destroy_)(IoSink*) noexcept = nullptr;  ///< set for owned closures
 };
 
 /// A request a device holds until it completes.

@@ -66,7 +66,7 @@ void RaidController::submit(const IoRequest& request, CompletionCallback done) {
     throw std::out_of_range("RaidController: request beyond capacity");
   }
   ++outstanding_;
-  batch_.push_back(PendingIo{request, std::move(done), sim_.now()});
+  batch_.push_back(PendingIo{request, done, sim_.now()});
   if (!dispatch_scheduled_) {
     dispatch_scheduled_ = true;
     sim_.schedule_in(dispatch_overhead_, *this, kDispatchEvent);
@@ -158,7 +158,7 @@ void RaidController::execute(std::size_t begin, std::size_t end) {
   Bytes bytes = 0;
   for (std::size_t i = begin; i < end; ++i) {
     bytes += dispatching_[i].request.bytes;
-    txn.members.push_back(std::move(dispatching_[i]));
+    txn.members.push_back(dispatching_[i]);
   }
 
   if (op == OpType::kRead) {

@@ -29,7 +29,7 @@ void SsdModel::submit(const IoRequest& request, CompletionCallback done) {
   if (request.bytes == 0) {
     throw std::invalid_argument("SsdModel: zero-byte request");
   }
-  queue_.push_back(PendingIo{request, std::move(done), sim_.now()});
+  queue_.push_back(PendingIo{request, done, sim_.now()});
   maybe_dispatch();
 }
 
@@ -62,7 +62,7 @@ void SsdModel::start(PendingIo pending) {
   timeline_.add_pulse(t0 + params_.command_overhead, t0 + service, extra);
 
   sim_.schedule_at(t0 + service, *this,
-                   in_flight_.put(InFlight{std::move(pending), used_channels}));
+                   in_flight_.put(InFlight{pending, used_channels}));
 }
 
 void SsdModel::on_event(std::uint64_t slot) {

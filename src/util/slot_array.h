@@ -19,6 +19,8 @@ class SlotArray {
     free_.reserve(slots);
   }
   std::size_t capacity() const { return values_.capacity(); }
+  /// Values parked and not yet taken.
+  std::size_t size() const { return values_.size() - free_.size(); }
 
   /// Park `value`; returns its slot.
   std::uint32_t put(T value) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 #include "storage/power_policy.h"
 
@@ -64,7 +65,10 @@ IoRequest line_write(std::uint64_t line, Bytes bytes = 64 * kKiB) {
 
 Seconds run_one(sim::Simulator& sim, CacheTier& cache, const IoRequest& req) {
   Seconds latency = -1.0;
-  cache.submit(req, [&latency](const IoCompletion& c) { latency = c.latency(); });
+  CallbackSink done;
+  cache.submit(req, done.bind([&latency](const IoCompletion& c) {
+    latency = c.latency();
+  }));
   sim.run();
   return latency;
 }
@@ -107,15 +111,16 @@ TEST(CacheTier, RejectsRequestsBeyondCapacityWithoutOverflow) {
   FakeBacking backing(sim);  // 1 GiB
   CacheTier cache(sim, small_cache(4), backing);
   auto ignore = [](const IoCompletion&) {};
+  CallbackSink done;
   // 2^56 sectors is 2^65 bytes: a line index computed from sector * 512
   // wraps to line 0 and would be served as if it were in range.
   EXPECT_THROW(cache.submit(IoRequest{1, Sector{1} << 56, 64 * kKiB,
                                       OpType::kRead},
-                            ignore),
+                            done.bind(ignore)),
                std::out_of_range);
   EXPECT_THROW(cache.submit(IoRequest{2, kGiB / kSectorSize, 4096,
                                       OpType::kWrite},
-                            ignore),
+                            done.bind(ignore)),
                std::out_of_range);
   sim.run();
   EXPECT_EQ(cache.outstanding(), 0u);

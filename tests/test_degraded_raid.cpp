@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 #include "storage/raid_controller.h"
 
@@ -42,6 +43,7 @@ struct Fixture {
   sim::Simulator sim;
   std::vector<std::unique_ptr<RecordingDisk>> disks;
   std::vector<IoCompletion> completions;
+  CallbackSink done;  ///< routes collect()'s closures
   std::unique_ptr<RaidController> raid;
 
   explicit Fixture(std::size_t disk_count = 6) {
@@ -56,7 +58,8 @@ struct Fixture {
   }
 
   CompletionCallback collect() {
-    return [this](const IoCompletion& c) { completions.push_back(c); };
+    return done.bind(
+        [this](const IoCompletion& c) { completions.push_back(c); });
   }
 
   std::size_t ops_on(std::size_t disk) const {
@@ -170,11 +173,12 @@ TEST(DegradedRaid, DegradedThroughputPenaltyOnRealArray) {
     }
     util::Rng rng(7);
     int completions = 0;
+    CallbackSink done;
     for (int i = 0; i < 60; ++i) {
       array.submit(
           IoRequest{static_cast<std::uint64_t>(i), rng.below(1ULL << 28) * 8,
                     16 * kKiB, OpType::kRead},
-          [&completions](const IoCompletion&) { ++completions; });
+          done.bind([&completions](const IoCompletion&) { ++completions; }));
     }
     const Seconds end = sim.run();
     EXPECT_EQ(completions, 60);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/callback_sink.h"
+
 namespace tracer::storage {
 namespace {
 
@@ -40,8 +42,9 @@ TEST(DiskArray, ZeroDiskEnclosureIsPowerOnlyDevice) {
   sim::Simulator sim;
   DiskArray array(sim, ArrayConfig::hdd_testbed(0));
   EXPECT_NEAR(array.power_at(0.0), 30.0, 1e-9);
+  CallbackSink done;
   EXPECT_THROW(array.submit(IoRequest{1, 0, 4096, OpType::kRead},
-                            [](const IoCompletion&) {}),
+                            done.bind([](const IoCompletion&) {})),
                std::logic_error);
 }
 
@@ -59,11 +62,14 @@ TEST(DiskArray, ServesIoEndToEnd) {
   sim::Simulator sim;
   DiskArray array(sim, ArrayConfig::hdd_testbed(6));
   std::vector<IoCompletion> completions;
+  CallbackSink done;
   for (int i = 0; i < 8; ++i) {
     array.submit(IoRequest{static_cast<std::uint64_t>(i),
                            static_cast<Sector>(i) * 4096, 16 * kKiB,
                            OpType::kRead},
-                 [&](const IoCompletion& c) { completions.push_back(c); });
+                 done.bind([&](const IoCompletion& c) {
+                   completions.push_back(c);
+                 }));
   }
   sim.run();
   EXPECT_EQ(completions.size(), 8u);
@@ -75,23 +81,25 @@ TEST(DiskArray, RejectsRequestsBeyondCapacityWithoutOverflow) {
   DiskArray array(sim, ArrayConfig::hdd_testbed(6));
   int completed = 0;
   auto count = [&completed](const IoCompletion&) { ++completed; };
+  CallbackSink done;
   // 2^56 sectors is 2^65 bytes: a byte offset computed as sector * 512
   // wraps to 0 and would pass a naive range check.
   EXPECT_THROW(array.submit(IoRequest{1, Sector{1} << 56, 4 * kKiB,
                                       OpType::kRead},
-                            count),
+                            done.bind(count)),
                std::out_of_range);
   EXPECT_THROW(array.submit(IoRequest{2, ~Sector{0}, kSectorSize,
                                       OpType::kWrite},
-                            count),
+                            done.bind(count)),
                std::out_of_range);
   // The last sectors of the array are valid; one byte more is not.
   const Sector end = array.capacity() / kSectorSize;
   EXPECT_THROW(array.submit(IoRequest{3, end - 8, 8 * kSectorSize + 1,
                                       OpType::kRead},
-                            count),
+                            done.bind(count)),
                std::out_of_range);
-  array.submit(IoRequest{4, end - 8, 8 * kSectorSize, OpType::kRead}, count);
+  array.submit(IoRequest{4, end - 8, 8 * kSectorSize, OpType::kRead},
+               done.bind(count));
   sim.run();
   EXPECT_EQ(completed, 1);
   EXPECT_EQ(array.outstanding(), 0u);
@@ -101,12 +109,13 @@ TEST(DiskArray, ActiveEnergyAboveIdle) {
   sim::Simulator sim;
   DiskArray array(sim, ArrayConfig::hdd_testbed(6));
   util::Rng rng(3);
+  CallbackSink done;
   for (int i = 0; i < 200; ++i) {
     array.submit(IoRequest{static_cast<std::uint64_t>(i),
                            rng.below(array.capacity() / kSectorSize - 64) /
                                8 * 8,
                            16 * kKiB, OpType::kWrite},
-                 [](const IoCompletion&) {});
+                 done.bind([](const IoCompletion&) {}));
   }
   const Seconds end = sim.run();
   const Joules energy = array.energy_until(end);
@@ -138,8 +147,11 @@ TEST(DiskArray, SeedsGiveIndependentButDeterministicDisks) {
     config.seed = seed;
     DiskArray array(sim, config);
     Seconds finish = 0.0;
+    CallbackSink done;
     array.submit(IoRequest{1, 99999, 4096, OpType::kRead},
-                 [&](const IoCompletion& c) { finish = c.finish_time; });
+                 done.bind([&](const IoCompletion& c) {
+                   finish = c.finish_time;
+                 }));
     sim.run();
     return finish;
   };

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "storage/callback_sink.h"
+
 namespace tracer::storage {
 namespace {
 
@@ -68,8 +70,9 @@ TEST(DiskSpec, ParsedParamsBuildAWorkingModel) {
   sim::Simulator sim;
   HddModel hdd(sim, specs.at("seagate-7200.12"), 1);
   bool done = false;
+  CallbackSink sink;
   hdd.submit(IoRequest{1, 0, 4096, OpType::kRead},
-             [&done](const IoCompletion&) { done = true; });
+             sink.bind([&done](const IoCompletion&) { done = true; }));
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(hdd.power_at(0.0), 8.0);

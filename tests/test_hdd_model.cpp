@@ -6,6 +6,8 @@
 #include <functional>
 #include <vector>
 
+#include "storage/callback_sink.h"
+
 namespace tracer::storage {
 namespace {
 
@@ -13,13 +15,15 @@ struct Fixture {
   sim::Simulator sim;
   HddParams params;
   std::vector<IoCompletion> completions;
+  CallbackSink done;  ///< routes collect()'s closures
 
   std::unique_ptr<HddModel> make(std::uint64_t seed = 1) {
     return std::make_unique<HddModel>(sim, params, seed);
   }
 
   CompletionCallback collect() {
-    return [this](const IoCompletion& c) { completions.push_back(c); };
+    return done.bind(
+        [this](const IoCompletion& c) { completions.push_back(c); });
   }
 };
 
@@ -207,13 +211,13 @@ TEST(HddModel, BacklogThatNeverDrainsServesEveryRequestOnce) {
           if (next_id < kTotal) {
             hdd->submit(IoRequest{next_id++, rng.below(900000000), 4096,
                                   OpType::kRead},
-                        on_done);
+                        f.done.bind(on_done));
           }
         };
     while (next_id < kDepth) {
       hdd->submit(IoRequest{next_id++, rng.below(900000000), 4096,
                             OpType::kRead},
-                  on_done);
+                  f.done.bind(on_done));
     }
     f.sim.run();
     EXPECT_EQ(hdd->outstanding(), 0u);

@@ -1,20 +1,24 @@
-// CompletionCallback (routes and owned closures) and the overflow-safe
-// request range check.
+// CompletionCallback routes, CallbackSink (closures as routes) and the
+// overflow-safe request range check.
 #include "storage/io_request.h"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/simulator.h"
+#include "storage/callback_sink.h"
+#include "storage/hdd_model.h"
+
 namespace tracer::storage {
 namespace {
 
-static_assert(std::is_nothrow_move_constructible_v<CompletionCallback>);
-static_assert(std::is_nothrow_move_assignable_v<CompletionCallback>);
-static_assert(!std::is_copy_constructible_v<CompletionCallback>);
-static_assert(!std::is_copy_assignable_v<CompletionCallback>);
+// Requests move through queues, batches and slots as plain copies.
+static_assert(std::is_trivially_copyable_v<CompletionCallback>);
+static_assert(std::is_trivially_copyable_v<PendingIo>);
 
 /// Records (tag, completion id) for every routed completion.
 class TagSink final : public IoSink {
@@ -45,62 +49,78 @@ struct Probe {
 };
 
 TEST(CompletionCallback, RouteDeliversItsTag) {
+  EXPECT_FALSE(CompletionCallback());
   TagSink sink;
   const std::uint64_t tag = std::uint64_t{3} << 32 | 7;
   const CompletionCallback done(sink, tag);
   ASSERT_TRUE(done);
   done(IoCompletion{42, 0.0, 1.0, 512, OpType::kRead});
-  done(IoCompletion{43, 0.0, 1.0, 512, OpType::kWrite});
+  const CompletionCallback copy = done;  // a copy is the same route
+  copy(IoCompletion{43, 0.0, 1.0, 512, OpType::kWrite});
   EXPECT_EQ(sink.seen,
             (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
                 {tag, 42}, {tag, 43}}));
 }
 
-TEST(CompletionCallback, MovedFromCallbackIsEmpty) {
-  EXPECT_FALSE(CompletionCallback());
-  TagSink sink;
-  CompletionCallback a(sink, 5);
-  CompletionCallback b(std::move(a));
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): the state under test
-  ASSERT_TRUE(b);
-  CompletionCallback c;
-  c = std::move(b);
-  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move): the state under test
-  ASSERT_TRUE(c);
-  c(IoCompletion{9, 0.0, 0.0, 512, OpType::kRead});
-  ASSERT_EQ(sink.seen.size(), 1u);
-  EXPECT_EQ(sink.seen[0].first, 5u);
-
+TEST(CallbackSink, FiredClosureIsDestroyedExactlyOnce) {
   int destroyed = 0, calls = 0;
-  CompletionCallback owned(Probe(&destroyed, &calls));
-  CompletionCallback moved(std::move(owned));
-  EXPECT_FALSE(owned);  // NOLINT(bugprone-use-after-move): the state under test
-  moved(IoCompletion{});
+  CallbackSink sink;
+  const CompletionCallback first = sink.bind(Probe(&destroyed, &calls));
+  EXPECT_EQ(sink.pending(), 1u);
+  EXPECT_EQ(destroyed, 0);
+  first(IoCompletion{});
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(destroyed, 1);  // once, right after it ran
+  EXPECT_EQ(sink.pending(), 0u);
+
+  // The freed slot is reused, also by a closure bound while one runs
+  // (its slot is free before it is called).
+  CompletionCallback inner;
+  const CompletionCallback outer = sink.bind([&](const IoCompletion&) {
+    inner = sink.bind(Probe(&destroyed, &calls));
+  });
+  EXPECT_EQ(outer, first);
+  outer(IoCompletion{});
+  EXPECT_EQ(inner, first);
+  inner(IoCompletion{});
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(sink.pending(), 0u);
+}
+
+TEST(CallbackSink, UnfiredClosuresAreDestroyedWithTheSink) {
+  int destroyed = 0, calls = 0;
+  {
+    CallbackSink sink;
+    sink.bind(Probe(&destroyed, &calls));
+    const CompletionCallback fired = sink.bind(Probe(&destroyed, &calls));
+    sink.bind(Probe(&destroyed, &calls));
+    fired(IoCompletion{});
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(sink.pending(), 2u);
+  }
+  EXPECT_EQ(destroyed, 3);
   EXPECT_EQ(calls, 1);
 }
 
-TEST(CompletionCallback, OwnedClosureIsDestroyedExactlyOnce) {
+TEST(CallbackSink, RejectedSubmitLeavesNoClosureBehind) {
   int destroyed = 0, calls = 0;
-  {
-    CompletionCallback a(Probe(&destroyed, &calls));
-    CompletionCallback b(std::move(a));
-    CompletionCallback c;
-    c = std::move(b);
-    c(IoCompletion{});
-    c(IoCompletion{});
-    EXPECT_EQ(calls, 2);
-    EXPECT_EQ(destroyed, 0);
-  }
+  sim::Simulator sim;
+  HddModel hdd(sim, HddParams{}, 1);
+  CallbackSink sink;
+  EXPECT_THROW(sink.submit(hdd, IoRequest{1, 0, 0, OpType::kRead},
+                           Probe(&destroyed, &calls)),
+               std::invalid_argument);
   EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sink.pending(), 0u);
 
-  // Assigning over an owned closure destroys it then, not later.
-  TagSink sink;
-  CompletionCallback d(Probe(&destroyed, &calls));
-  d = CompletionCallback(sink, 1);
+  sink.submit(hdd, IoRequest{2, 0, 4096, OpType::kRead},
+              Probe(&destroyed, &calls));
+  EXPECT_EQ(sink.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(calls, 1);
   EXPECT_EQ(destroyed, 2);
-  d(IoCompletion{});
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(sink.seen.size(), 1u);
+  EXPECT_EQ(sink.pending(), 0u);
 }
 
 TEST(RangeFits, AcceptsExactlyTheDevice) {

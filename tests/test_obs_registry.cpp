@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -123,6 +126,108 @@ TEST(LogHistogram, RejectsBadRange) {
   EXPECT_THROW(LogHistogram(10.0, 10.0), std::invalid_argument);
   EXPECT_THROW(LogHistogram(10.0, 1.0), std::invalid_argument);
   EXPECT_THROW(LogHistogram(1.0, 10.0, 0), std::invalid_argument);
+}
+
+// ---- LogScale::index against the log10 formula it replaces -------------
+
+/// floor((log10(x) - log10(lo)) * bins_per_decade) clamped into the bins,
+/// with non-positive values and NaN in bin 0 and +inf in the last bin.
+std::size_t log10_bin(double x, double lo, std::size_t bins_per_decade,
+                      std::size_t bins) {
+  if (!(x > lo)) return 0;
+  if (std::isinf(x)) return bins - 1;
+  const double pos = (std::log10(x) - std::log10(lo)) *
+                     static_cast<double>(bins_per_decade);
+  return std::min(static_cast<std::size_t>(pos), bins - 1);
+}
+
+double from_bits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+std::uint64_t to_bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+struct ScaleCase {
+  double lo;
+  double hi;
+  std::size_t bins_per_decade;
+  std::uint64_t random_samples;
+};
+
+/// The PerfMonitor and LogHistogram test scales, an odd range, and one so
+/// fine that a table cell spans several bins.
+constexpr ScaleCase kScales[] = {
+    {0.01, 10000.0, 40, 10000000},
+    {1.0, 100.0, 10, 1000000},
+    {0.1, 100.0, 40, 1000000},
+    {3.7e-5, 7.7, 13, 1000000},
+    {1.0, 10.0, 400, 1000000},
+};
+
+TEST(LogScale, IndexMatchesLog10FormulaOnRandomDoubles) {
+  for (const ScaleCase& c : kScales) {
+    const LogScale scale(c.lo, c.hi, c.bins_per_decade);
+    // Uniform over bit patterns: every binade of [lo/100, hi*100] alike.
+    const std::uint64_t first = to_bits(c.lo / 100.0);
+    const std::uint64_t span = to_bits(c.hi * 100.0) - first + 1;
+    std::mt19937_64 rng(c.bins_per_decade);
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t i = 0; i < c.random_samples; ++i) {
+      const double x = from_bits(first + rng() % span);
+      if (scale.index(x) !=
+          log10_bin(x, c.lo, c.bins_per_decade, scale.bin_count())) {
+        if (++mismatches <= 5) ADD_FAILURE() << "x=" << x << " lo=" << c.lo;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "lo=" << c.lo << " hi=" << c.hi;
+  }
+}
+
+TEST(LogScale, IndexMatchesLog10FormulaAroundEveryBinEdge) {
+  constexpr std::uint64_t kUlps = 2000;
+  for (const ScaleCase& c : kScales) {
+    const LogScale scale(c.lo, c.hi, c.bins_per_decade);
+    const std::size_t bins = scale.bin_count();
+    std::uint64_t mismatches = 0;
+    for (std::size_t i = 1; i < bins; ++i) {
+      const std::uint64_t edge = to_bits(scale.bin_lo(i));
+      // The window holds the formula's own edge: it starts below bin i
+      // and ends in it.
+      ASSERT_LT(log10_bin(from_bits(edge - kUlps), c.lo, c.bins_per_decade,
+                          bins),
+                i);
+      ASSERT_GE(log10_bin(from_bits(edge + kUlps), c.lo, c.bins_per_decade,
+                          bins),
+                i);
+      for (std::uint64_t b = edge - kUlps; b <= edge + kUlps; ++b) {
+        const double x = from_bits(b);
+        if (scale.index(x) != log10_bin(x, c.lo, c.bins_per_decade, bins)) {
+          if (++mismatches <= 5) ADD_FAILURE() << "x=" << x << " bin " << i;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "lo=" << c.lo << " hi=" << c.hi;
+  }
+}
+
+TEST(LogScale, IndexMatchesLog10FormulaOnSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const ScaleCase& c : kScales) {
+    const LogScale scale(c.lo, c.hi, c.bins_per_decade);
+    const std::size_t last = scale.bin_count() - 1;
+    const double specials[] = {
+        0.0, -0.0, -1.0, -kInf, std::numeric_limits<double>::denorm_min(),
+        c.lo, std::nextafter(c.lo, kInf), std::nextafter(c.lo, 0.0),
+        c.hi, std::nextafter(c.hi, kInf), std::nextafter(c.hi, 0.0),
+        std::numeric_limits<double>::max(), kInf};
+    for (double x : specials) {
+      EXPECT_EQ(scale.index(x),
+                log10_bin(x, c.lo, c.bins_per_decade, scale.bin_count()))
+          << "x=" << x;
+    }
+    EXPECT_EQ(scale.index(std::numeric_limits<double>::quiet_NaN()), 0u);
+    EXPECT_EQ(scale.index(-std::numeric_limits<double>::quiet_NaN()), 0u);
+    EXPECT_EQ(scale.index(c.lo), 0u);
+    EXPECT_EQ(scale.index(kInf), last);
+    EXPECT_EQ(scale.index(c.hi), last);
+  }
 }
 
 TEST(Snapshot, ReflectsValuesAndLookupByName) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 
 namespace tracer::storage {
@@ -25,8 +26,11 @@ TEST(HddPowerStates, SpinDownRefusedWhileBusy) {
   HddParams params;
   HddModel hdd(sim, params, 1);
   bool completed = false;
+  CallbackSink done;
   hdd.submit(IoRequest{1, 0, 65536, OpType::kRead},
-             [&completed](const IoCompletion&) { completed = true; });
+             done.bind([&completed](const IoCompletion&) {
+               completed = true;
+             }));
   EXPECT_FALSE(hdd.spin_down());  // request queued/in service
   sim.run();
   EXPECT_TRUE(completed);
@@ -39,9 +43,12 @@ TEST(HddPowerStates, IoArrivalWakesStandbyDriveWithSpinUpLatency) {
   HddModel hdd(sim, params, 1);
   ASSERT_TRUE(hdd.spin_down());
   Seconds latency = -1.0;
+  CallbackSink done;
   sim.schedule_at(5.0, [&] {
     hdd.submit(IoRequest{1, 0, 4096, OpType::kRead},
-               [&latency](const IoCompletion& c) { latency = c.latency(); });
+               done.bind([&latency](const IoCompletion& c) {
+                 latency = c.latency();
+               }));
   });
   sim.run();
   EXPECT_EQ(hdd.power_state(), HddModel::PowerState::kActive);
@@ -136,10 +143,11 @@ TEST(SpinDownManager, VictimsPickedByLeastRecentActivityNotVectorOrder) {
   sim::Simulator sim;
   HddParams hdd_params;
   HddModel a(sim, hdd_params, 0), b(sim, hdd_params, 1), c(sim, hdd_params, 2);
+  CallbackSink done;
   auto touch = [&](HddModel& disk, Seconds at) {
-    sim.schedule_at(at, [&disk] {
+    sim.schedule_at(at, [&disk, &done] {
       disk.submit(IoRequest{1, 0, 4096, OpType::kRead},
-                  [](const IoCompletion&) {});
+                  done.bind([](const IoCompletion&) {}));
     });
   };
   touch(a, 1.0);
@@ -201,12 +209,13 @@ TEST(SpinDownManager, BusyDisksAreNotSpunDown) {
   params.idle_timeout = 1.0;
   SpinDownManager manager(sim, array.hdd_disks(), params);
   // Keep the array continuously busy with sequential reads.
+  CallbackSink done;
   std::function<void(int)> issue = [&](int i) {
     if (i >= 400) return;
     array.submit(IoRequest{static_cast<std::uint64_t>(i),
                            static_cast<Sector>(i) * 256, 128 * kKiB,
                            OpType::kRead},
-                 [&issue, i](const IoCompletion&) { issue(i + 1); });
+                 done.bind([&issue, i](const IoCompletion&) { issue(i + 1); }));
   };
   issue(0);
   manager.schedule(0.0, 1.0);
@@ -228,6 +237,7 @@ TEST(SpinDownManager, EnergySavingsVsLatencyTradeoff) {
     if (enable_policy) manager.schedule(0.0, 300.0);
     double total_latency = 0.0;
     int completions = 0;
+    CallbackSink done;
     util::Rng rng(5);
     const Sector span = array.capacity() / kSectorSize - 256;
     // One random request every ~30 s: archival coldness.
@@ -236,10 +246,10 @@ TEST(SpinDownManager, EnergySavingsVsLatencyTradeoff) {
       const Sector sector = rng.below(span / 8) * 8;
       sim.schedule_at(at, [&, sector] {
         array.submit(IoRequest{1, sector, 65536, OpType::kRead},
-                     [&](const IoCompletion& c) {
+                     done.bind([&](const IoCompletion& c) {
                        total_latency += c.latency();
                        ++completions;
-                     });
+                     }));
       });
     }
     sim.run();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "storage/callback_sink.h"
 #include "power/power_timeline.h"
 
 namespace tracer::storage {
@@ -46,6 +47,7 @@ struct Fixture {
   sim::Simulator sim;
   std::vector<std::unique_ptr<RecordingDisk>> disks;
   std::vector<IoCompletion> completions;
+  CallbackSink done;  ///< routes collect()'s closures
 
   /// `latency_step` > 0 gives disk i a service latency of
   /// 1e-4 + i * latency_step, so children of concurrent transactions
@@ -67,7 +69,8 @@ struct Fixture {
   }
 
   CompletionCallback collect() {
-    return [this](const IoCompletion& c) { completions.push_back(c); };
+    return done.bind(
+        [this](const IoCompletion& c) { completions.push_back(c); });
   }
 
   std::size_t total_child_ops() const {
@@ -274,14 +277,14 @@ TEST(RaidController, CompletionCallbackCanResubmitWhileSlotIsReleased) {
         const std::uint64_t id = next_id++;
         raid->submit(IoRequest{id, static_cast<Sector>(id) * 4096, 4096,
                                OpType::kWrite},
-                     on_done);
+                     f.done.bind(on_done));
       };
   // Four contiguous reads merge into one transaction with four members;
   // each member's completion resubmits while that slot is being released.
   for (std::uint64_t i = 0; i < 4; ++i) {
     raid->submit(IoRequest{i, static_cast<Sector>(i) * 32, 16 * kKiB,
                            OpType::kRead},
-                 on_done);
+                 f.done.bind(on_done));
   }
   f.sim.run();
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 
 namespace tracer::storage {
@@ -109,16 +110,17 @@ TEST(RebuildProcess, ForegroundIoSlowsDuringRebuild) {
     util::Rng rng(17);
     double total_latency = 0.0;
     int completions = 0;
+    CallbackSink done;
     const Sector span = f.array->capacity() / kSectorSize - 256;
     for (int i = 0; i < 40; ++i) {
       const Seconds at = 0.01 * (i + 1);
       const Sector sector = rng.below(span / 8) * 8;
       f.sim.schedule_at(at, [&, sector] {
         f.array->submit(IoRequest{1, sector, 16 * kKiB, OpType::kRead},
-                        [&](const IoCompletion& c) {
+                        done.bind([&](const IoCompletion& c) {
                           total_latency += c.latency();
                           ++completions;
-                        });
+                        }));
       });
     }
     f.sim.run();

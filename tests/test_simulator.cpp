@@ -4,7 +4,12 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <stdexcept>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace tracer::sim {
 namespace {
@@ -215,6 +220,205 @@ TEST(Simulator, CountsDispatchedEvents) {
   for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_dispatched(), 7u);
+}
+
+// ---- Handlers that schedule, count, clear or throw while their own event
+// fires, and a randomized check of the heap against a reference queue.
+
+TEST(Simulator, HandlersSchedulingNoneOneOrThreeEventsKeepTimeOrder) {
+  Simulator sim;
+  std::vector<std::uint64_t> order;
+  Recorder recorder(order);
+  sim.schedule_at(1.0, [] {});  // schedules nothing: a plain pop
+  sim.schedule_at(2.0, [&] { sim.schedule_in(3.0, recorder, 1); });
+  sim.schedule_at(3.0, [&] {
+    sim.schedule_in(0.5, recorder, 2);
+    sim.schedule_in(2.5, recorder, 4);
+    sim.schedule_in(1.5, recorder, 3);
+  });
+  sim.schedule_at(4.0, recorder, 0);
+  sim.run();
+  // 2 at 3.5, 0 at 4.0, 3 at 4.5, 1 at 5.0, 4 at 5.5.
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 0, 3, 1, 4}));
+  EXPECT_EQ(sim.events_dispatched(), 8u);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.5);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, EqualTimesStayFifoWhenAHandlerSchedulesAtItsOwnTime) {
+  Simulator sim;
+  std::vector<std::uint64_t> order;
+  Recorder recorder(order);
+  // The first event at t = 1 schedules more at t = 1 while it fires;
+  // they must fire after everything already queued at t = 1.
+  sim.schedule_at(1.0, [&] {
+    order.push_back(0);
+    sim.schedule_at(1.0, recorder, 4);
+    sim.schedule_in(0.0, [&] { order.push_back(5); });
+  });
+  sim.schedule_at(1.0, recorder, 1);
+  sim.schedule_at(1.0, [&] {
+    order.push_back(2);
+    sim.schedule_at(1.0, recorder, 6);
+  });
+  sim.schedule_at(1.0, recorder, 3);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Simulator, PendingInsideAHandlerExcludesTheFiringEvent) {
+  Simulator sim;
+  std::vector<std::size_t> seen;
+  sim.schedule_at(1.0, [&] {
+    seen.push_back(sim.pending());  // the two at t = 2 and 3
+    sim.schedule_in(5.0, [&] { seen.push_back(sim.pending()); });
+    seen.push_back(sim.pending());
+    sim.schedule_in(6.0, [] {});
+    seen.push_back(sim.pending());
+  });
+  sim.schedule_at(2.0, [&] { seen.push_back(sim.pending()); });
+  sim.schedule_at(3.0, [] {});
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 3, 4, 3, 1}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, ClearInsideAHandlerDropsEveryOtherEvent) {
+  Simulator sim;
+  std::vector<std::uint64_t> order;
+  Recorder recorder(order);
+  sim.schedule_at(1.0, [&] {
+    order.push_back(0);
+    sim.clear();
+    EXPECT_EQ(sim.pending(), 0u);
+    sim.schedule_in(1.0, recorder, 3);  // after clear(): still fires
+  });
+  sim.schedule_at(2.0, recorder, 1);
+  sim.schedule_at(2.0, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 3}));
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+
+  // clear() as the handler's last act leaves nothing to pop.
+  sim.schedule_at(3.0, [&] {
+    sim.schedule_in(1.0, recorder, 9);
+    sim.clear();
+  });
+  sim.schedule_at(5.0, recorder, 8);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 3}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, ClosureTimersRescheduleThemselves) {
+  Simulator sim;
+  std::vector<std::uint64_t> order;
+  Recorder recorder(order);
+  std::vector<double> ticks;
+  std::function<void()> tick = [&] {
+    ticks.push_back(sim.now());
+    if (ticks.size() < 5) sim.schedule_in(1.0, tick);
+  };
+  sim.schedule_at(0.0, tick);
+  sim.schedule_at(2.5, recorder, 1);
+  sim.run();
+  EXPECT_EQ(ticks, (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(sim.events_dispatched(), 6u);
+}
+
+TEST(Simulator, AHandlerThatThrowsLeavesTheQueueUsable) {
+  Simulator sim;
+  std::vector<std::uint64_t> order;
+  Recorder recorder(order);
+  sim.schedule_at(1.0, [] { throw std::runtime_error("handler"); });
+  sim.schedule_at(2.0, recorder, 1);
+  sim.schedule_at(3.0, recorder, 2);
+  EXPECT_THROW(sim.step(), std::runtime_error);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
+}
+
+/// Every firing event schedules 0-3 children at delays on a 0.25 s grid, so
+/// many share a time; even ids are typed events, odd ids closures. Stops
+/// scheduling after `limit` events.
+class Spawner final : public EventTarget {
+ public:
+  Spawner(Simulator& sim, std::uint64_t limit) : sim_(sim), limit_(limit) {}
+
+  void schedule() {
+    const Seconds delay = 0.25 * static_cast<double>(rng_.below(4));
+    const std::uint64_t id = next_id_++;
+    if (id % 2 == 0) {
+      sim_.schedule_in(delay, *this, id);
+    } else {
+      sim_.schedule_in(delay, [this, id] { on_event(id); });
+    }
+  }
+  void on_event(std::uint64_t id) override {
+    fired.push_back(id);
+    const std::uint64_t children = rng_.below(4);
+    for (std::uint64_t k = 0; k < children && next_id_ < limit_; ++k) {
+      schedule();
+    }
+  }
+
+  std::vector<std::uint64_t> fired;
+
+ private:
+  Simulator& sim_;
+  std::uint64_t limit_;
+  util::Rng rng_{2024};
+  std::uint64_t next_id_ = 0;
+};
+
+/// The same process over a std::priority_queue ordered on (time, seq).
+std::vector<std::uint64_t> reference_order(std::uint64_t limit,
+                                           std::uint64_t roots) {
+  struct Entry {
+    Seconds time;
+    std::uint64_t seq;
+  };
+  const auto later = [](const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(later)> queue(later);
+  util::Rng rng(2024);
+  std::uint64_t next_id = 0;
+  Seconds now = 0.0;
+  const auto schedule = [&] {
+    queue.push({now + 0.25 * static_cast<double>(rng.below(4)), next_id++});
+  };
+  for (std::uint64_t i = 0; i < roots; ++i) schedule();
+  std::vector<std::uint64_t> fired;
+  while (!queue.empty()) {
+    const Entry entry = queue.top();
+    queue.pop();
+    now = entry.time;
+    fired.push_back(entry.seq);  // ids are handed out in scheduling order
+    const std::uint64_t children = rng.below(4);
+    for (std::uint64_t k = 0; k < children && next_id < limit; ++k) {
+      schedule();
+    }
+  }
+  return fired;
+}
+
+TEST(Simulator, RandomizedFiringOrderMatchesPriorityQueueReference) {
+  constexpr std::uint64_t kEvents = 100000;
+  constexpr std::uint64_t kRoots = 64;
+  Simulator sim;
+  Spawner spawner(sim, kEvents);
+  for (std::uint64_t i = 0; i < kRoots; ++i) spawner.schedule();
+  // Drive through run_until boundaries as well as run().
+  for (Seconds t = 0.0; t < 50.0; t += 3.7) sim.run_until(t);
+  sim.run();
+  ASSERT_EQ(spawner.fired.size(), kEvents);
+  EXPECT_EQ(spawner.fired, reference_order(kEvents, kRoots));
+  EXPECT_EQ(sim.events_dispatched(), kEvents);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "storage/callback_sink.h"
+
 namespace tracer::storage {
 namespace {
 
@@ -11,13 +13,15 @@ struct Fixture {
   sim::Simulator sim;
   SsdParams params;
   std::vector<IoCompletion> completions;
+  CallbackSink done;  ///< routes collect()'s closures
 
   std::unique_ptr<SsdModel> make(std::uint64_t seed = 1) {
     return std::make_unique<SsdModel>(sim, params, seed);
   }
 
   CompletionCallback collect() {
-    return [this](const IoCompletion& c) { completions.push_back(c); };
+    return done.bind(
+        [this](const IoCompletion& c) { completions.push_back(c); });
   }
 };
 

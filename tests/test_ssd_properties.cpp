@@ -2,6 +2,7 @@
 // and latency sanity must hold across channel counts and striping granules.
 #include <gtest/gtest.h>
 
+#include "storage/callback_sink.h"
 #include "storage/ssd_model.h"
 #include "util/rng.h"
 
@@ -29,10 +30,13 @@ TEST_P(SsdModelProperty, SequentialReadBandwidthConserved) {
   const int count = 256;
   Sector at = 0;
   int completions = 0;
+  CallbackSink done;
   for (int i = 0; i < count; ++i) {
     ssd.submit(IoRequest{static_cast<std::uint64_t>(i), at, request,
                          OpType::kRead},
-               [&completions](const IoCompletion&) { ++completions; });
+               done.bind([&completions](const IoCompletion&) {
+                 ++completions;
+               }));
     at += request / kSectorSize;
   }
   const Seconds end = sim.run();
@@ -48,8 +52,11 @@ TEST_P(SsdModelProperty, SingleLargeRequestUsesInternalStriping) {
   // 8 full widths, so the fixed command overhead amortises away.
   const Bytes big = params().internal_stripe * params().channels * 8;
   Seconds latency = 0.0;
+  CallbackSink done;
   ssd.submit(IoRequest{1, 0, big, OpType::kRead},
-             [&latency](const IoCompletion& c) { latency = c.latency(); });
+             done.bind([&latency](const IoCompletion& c) {
+               latency = c.latency();
+             }));
   sim.run();
   const double rate = static_cast<double>(big) / latency / 1e6;
   // Full-width request reaches (nearly) the aggregate device rate.
@@ -61,8 +68,11 @@ TEST_P(SsdModelProperty, LatencyMonotoneInRequestSize) {
     sim::Simulator sim;
     SsdModel ssd(sim, params(), 1);
     Seconds latency = 0.0;
+    CallbackSink done;
     ssd.submit(IoRequest{1, 0, bytes, OpType::kRead},
-               [&latency](const IoCompletion& c) { latency = c.latency(); });
+               done.bind([&latency](const IoCompletion& c) {
+                 latency = c.latency();
+               }));
     sim.run();
     return latency;
   };
@@ -78,11 +88,12 @@ TEST_P(SsdModelProperty, EnergyConsistentWithPowerEnvelope) {
   sim::Simulator sim;
   SsdModel ssd(sim, params(), 1);
   util::Rng rng(4);
+  CallbackSink done;
   for (int i = 0; i < 200; ++i) {
     ssd.submit(IoRequest{static_cast<std::uint64_t>(i),
                          rng.below(1 << 20) * 8, 16 * kKiB,
                          rng.chance(0.5) ? OpType::kRead : OpType::kWrite},
-               [](const IoCompletion&) {});
+               done.bind([](const IoCompletion&) {}));
   }
   const Seconds end = sim.run();
   const Joules energy = ssd.energy_until(end);
