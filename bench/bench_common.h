@@ -20,10 +20,14 @@
 
 namespace tracer::bench {
 
-/// Repository shared by all bench binaries so peak traces collected by one
-/// bench are reused by the next (mirrors the paper's §III-B step 2).
+/// This binary's peak-trace repository, reused by its later runs (the
+/// paper's §III-B step 2). Each binary has its own subdirectory, named
+/// after it, because a repository is not safe across processes: a trace
+/// one bench is still writing reads back truncated in another, which
+/// `ctest -j` would turn into spurious failures.
 inline std::filesystem::path bench_repository_dir() {
-  return std::filesystem::temp_directory_path() / "tracer-bench-repo";
+  return std::filesystem::temp_directory_path() / "tracer-bench-repo" /
+         TRACER_BENCH_NAME;
 }
 
 inline core::EvaluationOptions bench_options() {

@@ -270,8 +270,8 @@ int main(int argc, char** argv) {
 
   std::printf("distributed evaluation over message channels (Fig 3):\n");
   table.print(std::cout);
-  std::printf("\nlocal databases: hdd=%zu records, ssd=%zu records\n",
-              hdd_host.database().size(), ssd_host.database().size());
+  std::printf("\nrecords: hdd=%zu, ssd=%zu\n", hdd_report.completed(),
+              ssd_report.completed());
 
   if (cli.faulty()) {
     auto& reg = obs::Registry::global();

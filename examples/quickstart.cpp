@@ -3,11 +3,13 @@
 //
 // Walks the whole §III-B procedure: collect a peak trace (IOmeter-style
 // saturation + trace collector), filter it with the proportional filter,
-// replay it with power metering, and print the database records.
+// replay it with power metering, print the records and store them in a
+// results journal.
 #include <cstdio>
 #include <filesystem>
 
 #include "core/evaluation_host.h"
+#include "db/journal.h"
 #include "util/table.h"
 
 #include <iostream>
@@ -31,12 +33,19 @@ int main() {
   mode.random_ratio = 0.25;
   mode.read_ratio = 0.50;
 
+  const auto results = repo_dir / "results.csv";
+  std::filesystem::remove(results);
+  db::CampaignJournal journal(results);
+  std::size_t stored = 0;
+
   util::Table table({"load %", "IOPS", "MBPS", "resp ms", "watts",
                      "IOPS/Watt", "MBPS/kW"});
   for (double load : {0.2, 0.6, 1.0}) {
     mode.load_proportion = load;
-    const core::TestResult result = host.run_test(mode);
-    const db::TestRecord& r = result.record;
+    core::TestResult result = host.run_test(mode);
+    db::TestRecord& r = result.record;
+    r.test_id = ++stored;
+    journal.append(r);
     table.row()
         .add(static_cast<int>(load * 100))
         .add(r.iops, 1)
@@ -51,10 +60,7 @@ int main() {
   std::printf("TRACER quickstart — %s, mode %s\n", array.name.c_str(),
               mode.to_string().c_str());
   table.print(std::cout);
-  std::printf("\n%zu records stored in the results database\n",
-              host.database().size());
-  host.database().export_csv((repo_dir / "results.csv").string());
-  std::printf("CSV exported to %s\n",
-              (repo_dir / "results.csv").string().c_str());
+  std::printf("\n%zu records stored in the results journal %s\n", stored,
+              results.string().c_str());
   return 0;
 }

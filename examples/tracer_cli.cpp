@@ -9,8 +9,9 @@
 //   START_TEST
 //   STOP_TEST
 //
-// Every completed test prints its database record; STOP_TEST (or EOF)
-// exports the session database to tracer_results.csv.
+// Every completed test prints its record and appends it, numbered 1..n, to
+// tracer_results.csv: a campaign journal (the results database) that each
+// session starts afresh.
 //
 // Observability flags:
 //   --metrics-out=PATH   dump the obs:: metrics snapshot on exit
@@ -23,6 +24,7 @@
 #include <string>
 
 #include "core/remote.h"
+#include "db/journal.h"
 #include "net/parser.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -67,6 +69,11 @@ int main(int argc, char** argv) {
               "rnd=<pct> rd=<pct> load=<pct> | START_TEST | STOP_TEST\n",
               config.name.c_str());
 
+  const std::string csv = "tracer_results.csv";
+  std::filesystem::remove(csv);
+  db::CampaignJournal journal(csv);
+  std::size_t records = 0;
+
   std::string line;
   std::uint32_t sequence = 1;
   while (std::getline(std::cin, line)) {
@@ -102,13 +109,15 @@ int main(int argc, char** argv) {
 
     const net::Message reply = service.handle(command);
     std::printf("< %s\n", net::Parser::format_message(reply).c_str());
+    if (reply.type == net::MessageType::kPerfResult) {
+      db::TestRecord record = *service.last_record();
+      record.test_id = ++records;
+      journal.append(record);
+    }
     if (command.type == net::MessageType::kStopTest) break;
   }
 
-  const std::string csv = "tracer_results.csv";
-  host.database().export_csv(csv);
-  std::printf("%zu records written to %s\n", host.database().size(),
-              csv.c_str());
+  std::printf("%zu records written to %s\n", records, csv.c_str());
 
   if (!metrics_out.empty()) {
     const obs::Snapshot snapshot = obs::Registry::global().snapshot();

@@ -132,7 +132,8 @@ struct CampaignOptions {
 class CampaignRunner {
  public:
   /// Campaign over `host` (must outlive the runner): each test is
-  /// host.run_test(mode), so records also land in the host's database.
+  /// host.run_test(mode); its record lands in the journal, when one is set,
+  /// and in the report.
   explicit CampaignRunner(EvaluationHost& host, CampaignOptions options = {});
 
   /// Campaign over a custom executor (remote workload generators, tests).

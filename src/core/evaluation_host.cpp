@@ -8,7 +8,6 @@
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "workload/synthetic_generator.h"
 
 namespace tracer::core {
@@ -243,8 +242,7 @@ TestResult EvaluationHost::replay_filtered(
                       << "%]: power measurement unavailable, recording "
                       << "power_valid=false";
   }
-  result.record.test_id = database_.insert(result.record);
-  TRACER_LOG(kInfo) << "test " << result.record.test_id << " [" << trace_name
+  TRACER_LOG(kInfo) << "test [" << trace_name
                     << " @ " << mode.load_proportion * 100 << "%]: "
                     << result.record.iops << " IOPS, "
                     << result.record.avg_watts << " W, "
@@ -273,33 +271,6 @@ TestResult EvaluationHost::run_source(
   mode.random_ratio = 0.0;  // unknown for external traces
   mode.load_proportion = load_proportion;
   return replay_filtered(std::move(source), trace_name, mode);
-}
-
-std::vector<SweepOutcome> EvaluationHost::run_sweep(
-    const std::vector<workload::WorkloadMode>& modes,
-    util::CancelToken* cancel) {
-  std::vector<SweepOutcome> outcomes(modes.size());
-  util::ThreadPool pool(options_.threads);
-  pool.parallel_for(
-      modes.size(),
-      [this, &modes, &outcomes](std::size_t i) {
-        try {
-          outcomes[i].result = run_test(modes[i]);
-        } catch (const std::exception& e) {
-          outcomes[i].error = e.what();
-          TRACER_LOG(kWarn) << "sweep test " << i << " ["
-                            << modes[i].to_string() << "] failed: "
-                            << e.what();
-        } catch (...) {
-          outcomes[i].error = "unknown error";
-        }
-      },
-      cancel);
-  // Slots the cancellation skipped ran neither branch above.
-  for (auto& outcome : outcomes) {
-    if (!outcome.ok() && outcome.error.empty()) outcome.error = "cancelled";
-  }
-  return outcomes;
 }
 
 }  // namespace tracer::core

@@ -1,10 +1,11 @@
 // Evaluation host (§III-A1): the kernel control part. Owns the trace
-// repository and the results database, builds peak traces on demand (via
-// the synthetic generator), applies the proportional filter, runs replays,
-// and stores one database record per test — the whole §III-B procedure as
-// a library call.
+// repository, builds peak traces on demand (via the synthetic generator),
+// applies the proportional filter, runs replays, and meters each test into
+// one TestRecord — the whole §III-B procedure as a library call. Callers
+// (CampaignRunner, the fleet workers, tracer_cli) store the records in a
+// campaign journal, the results database (db/journal.h).
 //
-// Sweeps fan out across a thread pool: each test gets its own simulator and
+// Tests may run concurrently on one host: each gets its own simulator and
 // its own array instance, the in-process analogue of Fig 3's multiple
 // workload-generator machines and multi-channel power analyzers.
 #pragma once
@@ -13,7 +14,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,15 +22,11 @@
 
 #include "core/metrics.h"
 #include "core/replay_engine.h"
-#include "db/database.h"
+#include "db/record.h"
 #include "storage/disk_array.h"
 #include "trace/repository.h"
 #include "trace/trace_source.h"
 #include "workload/workload_mode.h"
-
-namespace tracer::util {
-class CancelToken;
-}  // namespace tracer::util
 
 namespace tracer::core {
 
@@ -39,10 +35,13 @@ class PowerChannel;
 struct EvaluationOptions {
   Seconds collection_duration = 4.0;  ///< peak-trace collection window
   Seconds sampling_cycle = 1.0;
-  std::size_t threads = 0;            ///< 0 = hardware concurrency
+  /// Read by nothing in src/: sweeps run through CampaignRunner, whose
+  /// CampaignOptions::threads sets the worker count. Kept for callers that
+  /// still assign it.
+  std::size_t threads = 0;
   std::uint64_t seed = 2024;
-  /// Live per-cycle monitoring hook, forwarded to every replay. In sweeps
-  /// this is called concurrently from worker threads.
+  /// Live per-cycle monitoring hook, forwarded to every replay. When tests
+  /// run concurrently it is called concurrently from their threads.
   std::function<void(const CycleSnapshot&)> on_cycle;
 };
 
@@ -50,15 +49,6 @@ struct EvaluationOptions {
 struct TestResult {
   db::TestRecord record;
   ReplayReport report;
-};
-
-/// Per-index outcome of run_sweep: either the completed test or the error
-/// that felled it. One failed test no longer discards the other slots.
-struct SweepOutcome {
-  std::optional<TestResult> result;  ///< engaged when the test completed
-  std::string error;  ///< failure ("cancelled" for skipped slots) otherwise
-
-  bool ok() const { return result.has_value(); }
 };
 
 class EvaluationHost {
@@ -75,7 +65,7 @@ class EvaluationHost {
   /// Shared, immutable peak trace for a mode. The 10 load levels of one
   /// workload mode (and every filter view derived from them) share ONE
   /// generated/parsed trace: a per-key shared_future guarantees the build
-  /// happens exactly once even when run_sweep hammers the same key from
+  /// happens exactly once even when a campaign hammers the same key from
   /// many ThreadPool workers concurrently. Cached traces are immutable
   /// shared state — never mutate through the pointer (docs/MODELS.md).
   std::shared_ptr<const trace::Trace> peak_trace_shared(
@@ -98,25 +88,18 @@ class EvaluationHost {
   std::size_t clear_peak_cache();
 
   /// Run one test: filter the mode's peak trace to mode.load_proportion,
-  /// replay on a fresh array instance, meter, record.
+  /// replay on a fresh array instance, meter, record. The record's test_id
+  /// is left 0; whoever stores the record assigns one. Thread-safe.
   TestResult run_test(const workload::WorkloadMode& mode);
 
   /// Replay an externally supplied trace (real-world workloads) at a load
-  /// proportion. `trace_name` labels the database record. The source may be
+  /// proportion. `trace_name` labels the record. The source may be
   /// an in-memory TraceView or a columnar on-disk trace from
   /// TraceRepository::load_source; the latter is never materialized, and
   /// both produce bit-identical metrics for the same trace.
   TestResult run_source(std::shared_ptr<const trace::TraceSource> source,
                         const std::string& trace_name,
                         double load_proportion);
-
-  /// Run a whole sweep in parallel; outcomes come back in input order. A
-  /// throwing test yields a failed slot instead of aborting the sweep, so
-  /// every completed result survives. Pass a CancelToken to stop early:
-  /// not-yet-started slots come back with error "cancelled".
-  std::vector<SweepOutcome> run_sweep(
-      const std::vector<workload::WorkloadMode>& modes,
-      util::CancelToken* cancel = nullptr);
 
   /// Install/replace the live monitoring hook (see EvaluationOptions).
   /// Not thread-safe with respect to concurrently running tests.
@@ -131,12 +114,11 @@ class EvaluationHost {
   /// completes, with record.power_valid=false and zeroed power/efficiency
   /// fields (graceful degradation — docs/RESILIENCE.md). The channel is
   /// borrowed, not owned; pass nullptr to go back to built-in metering.
-  /// Not thread-safe with run_sweep: external analyzers measure one
+  /// Not thread-safe with concurrent tests: external analyzers measure one
   /// window at a time, so drive them from serial campaigns only.
   void set_power_channel(PowerChannel* channel) { power_channel_ = channel; }
   PowerChannel* power_channel() const { return power_channel_; }
 
-  db::Database& database() { return database_; }
   const storage::ArrayConfig& array_config() const { return array_; }
   trace::TraceRepository& repository() { return repository_; }
 
@@ -155,7 +137,6 @@ class EvaluationHost {
   trace::TraceRepository repository_;
   EvaluationOptions options_;
   PowerChannel* power_channel_ = nullptr;  ///< borrowed; may be null
-  db::Database database_;
   using SharedTrace = std::shared_ptr<const trace::Trace>;
   /// One cache slot per trace key. `generation` disambiguates entries that
   /// reuse a key after clear_peak_cache(): a builder cleaning up its own

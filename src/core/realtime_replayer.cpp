@@ -66,12 +66,6 @@ void SyntheticRealtimeTarget::worker_loop() {
   }
 }
 
-RealtimeReplayer::RealtimeReplayer(double speed) : speed_(speed) {
-  if (!(speed > 0.0)) {
-    throw std::invalid_argument("RealtimeReplayer: speed must be > 0");
-  }
-}
-
 RealtimeReport RealtimeReplayer::replay(const trace::TraceSource& source,
                                         RealtimeTarget& target) {
   if (source.empty()) {
@@ -97,7 +91,7 @@ RealtimeReport RealtimeReplayer::replay(const trace::TraceSource& source,
       report.stopped = true;
       break;
     }
-    const Seconds scheduled = source.timestamp(i) / speed_;
+    const Seconds scheduled = source.timestamp(i);
     // Sleep toward the bunch's deadline in <=10 ms slices so a cancel
     // during a long inter-arrival gap takes effect promptly instead of
     // after the gap. The final slice lands on the deadline, so timing

@@ -8,8 +8,8 @@
 // monitoring thread, which aggregates per-cycle statistics exactly like
 // the DES path.
 //
-// A speed factor replays faster than real time for testing (the inverse of
-// the Fig 2 inter-arrival scaling).
+// To replay faster than the trace's own clock, scale the source first
+// (InterarrivalScaler::scale, the Fig 2 inter-arrival scaling).
 #pragma once
 
 #include <atomic>
@@ -73,7 +73,7 @@ class SyntheticRealtimeTarget final : public RealtimeTarget {
 struct RealtimeReport {
   std::uint64_t packages = 0;
   Bytes bytes = 0;
-  Seconds wall_duration = 0.0;  ///< actual elapsed wall time (scaled domain)
+  Seconds wall_duration = 0.0;  ///< actual elapsed wall time
   double iops = 0.0;
   double mbps = 0.0;
   double avg_latency_ms = 0.0;
@@ -83,9 +83,6 @@ struct RealtimeReport {
 
 class RealtimeReplayer {
  public:
-  /// speed: >1 replays faster than the trace's own clock.
-  explicit RealtimeReplayer(double speed = 1.0);
-
   /// Blocking: replays the whole source, then waits for completions. The
   /// issuing thread reads bunches in order through the source's selection
   /// (no copy). Wrap a plain Trace with TraceView::borrowed.
@@ -105,7 +102,6 @@ class RealtimeReplayer {
   util::CancelToken& cancel_token() { return cancel_; }
 
  private:
-  double speed_;
   util::CancelToken cancel_;
 };
 

@@ -116,6 +116,7 @@ net::Message WorkloadGeneratorService::handle(const net::Message& command) {
         TestResult result = host_.run_test(*configured_);
         net::Message reply = encode_record(result.record);
         reply.sequence = command.sequence;
+        last_record_ = std::move(result.record);
         return reply;
       } catch (const std::exception& e) {
         return net::make_error(command.sequence, e.what());

@@ -43,10 +43,17 @@ class WorkloadGeneratorService {
   /// Handle one command synchronously (exposed for tests).
   net::Message handle(const net::Message& command);
 
+  /// The full record of the last START_TEST that completed, timestamp
+  /// included (the PERF_RESULT reply carries only the measured fields).
+  const std::optional<db::TestRecord>& last_record() const {
+    return last_record_;
+  }
+
  private:
   EvaluationHost& host_;
   ServiceOptions options_;
   std::optional<workload::WorkloadMode> configured_;
+  std::optional<db::TestRecord> last_record_;
   net::ReplyCache replies_;
 };
 

@@ -11,8 +11,8 @@ namespace tracer::core {
 
 ReplayEngine::ReplayEngine(const ReplayOptions& options)
     : options_(options), monitor_(options.sampling_cycle) {
-  if (!(options_.time_scale > 0.0) || !(options_.sampling_cycle > 0.0)) {
-    throw std::invalid_argument("ReplayEngine: bad time scale or cycle");
+  if (!(options_.sampling_cycle > 0.0)) {
+    throw std::invalid_argument("ReplayEngine: bad sampling cycle");
   }
   if (options_.warmup_window < 0.0) {
     throw std::invalid_argument("ReplayEngine: negative warmup_window");
@@ -39,12 +39,7 @@ void ReplayEngine::schedule_bunch(std::size_t index) {
     trace_exhausted_ = true;
     return;
   }
-  const Seconds at = source_->timestamp(index) / options_.time_scale;
-  if (options_.max_duration > 0.0 && at > options_.max_duration) {
-    trace_exhausted_ = true;
-    return;
-  }
-  sim_.schedule_at(at, *this, index);
+  sim_.schedule_at(source_->timestamp(index), *this, index);
 }
 
 void ReplayEngine::on_event(std::uint64_t index) {
@@ -64,9 +59,7 @@ void ReplayEngine::on_event(std::uint64_t index) {
   for (const auto& pkg : source_->packages(bunch)) {
     storage::IoRequest request;
     request.id = next_id_++;
-    request.sector = options_.wrap_addresses
-                         ? wrap_sector(pkg.sector, pkg.bytes, device_capacity_)
-                         : pkg.sector;
+    request.sector = wrap_sector(pkg.sector, pkg.bytes, device_capacity_);
     request.bytes = pkg.bytes;
     request.op = pkg.op;
     ++packages_in_flight_;
@@ -105,12 +98,8 @@ ReplayReport ReplayEngine::replay(
   const std::uint64_t events_before = sim_.events_dispatched();
   const std::uint64_t late_before = sim_.late_schedule_count();
 
-  Seconds effective_window = source.duration() / options_.time_scale;
-  if (options_.max_duration > 0.0) {
-    effective_window = std::min(effective_window, options_.max_duration);
-  }
   if (options_.warmup_window > 0.0 &&
-      options_.warmup_window >= effective_window) {
+      options_.warmup_window >= source.duration()) {
     throw std::invalid_argument(
         "ReplayEngine: warmup_window must be shorter than the replayed "
         "window");
@@ -124,7 +113,8 @@ ReplayReport ReplayEngine::replay(
   device_capacity_ = device.capacity();
   warm_end_ = warm_end;
 
-  power::PowerAnalyzer analyzer(options_.sampling_cycle, options_.sensor,
+  power::PowerAnalyzer analyzer(options_.sampling_cycle,
+                                power::HallSensorParams{},
                                 options_.sensor_seed);
   analyzer.add_channel(device);
   for (auto* extra : extra_sources) {
@@ -237,13 +227,9 @@ ReplayReport ReplayEngine::assemble_report(const trace::TraceSource& source,
   // inclusive end instead would deflate T(f) at saturation and corrupt the
   // eq. 1 load proportions. The warm-up prefix is not part of the measured
   // window (its completions were never fed to the monitor).
-  Seconds trace_window =
-      source.duration() / options_.time_scale - options_.warmup_window;
-  if (options_.max_duration > 0.0) {
-    trace_window =
-        std::min(trace_window, options_.max_duration - options_.warmup_window);
-  }
-  trace_window = std::max(trace_window, options_.sampling_cycle);
+  const Seconds trace_window =
+      std::max(source.duration() - options_.warmup_window,
+               options_.sampling_cycle);
   report.perf = monitor_.report(trace_window);
 
   const auto& channel = analyzer.report(0);

@@ -29,8 +29,8 @@ namespace tracer::core {
 /// sequential runs in the trace stay sequential on the device. The result
 /// is a valid start sector: wrap + ceil(bytes/512) never exceeds the
 /// device's sector count. Throws when the request itself is larger than
-/// the device. Used by replay when ReplayOptions::wrap_addresses is set;
-/// exposed here so boundary behaviour is directly testable.
+/// the device. Replay folds every package this way; exposed here so
+/// boundary behaviour is directly testable.
 Sector wrap_sector(Sector sector, Bytes bytes, Bytes capacity);
 
 /// One sampling-cycle snapshot — what the paper's GUI displays in real
@@ -45,12 +45,12 @@ struct CycleSnapshot {
   std::uint64_t in_flight = 0;    ///< requests outstanding right now
 };
 
+/// Replay settings. Load is set by the source, not here: filter it
+/// (ProportionalFilter) or scale its inter-arrival gaps
+/// (InterarrivalScaler) before the replay.
 struct ReplayOptions {
   Seconds sampling_cycle = 1.0;  ///< paper default: 1 s, configurable
-  double time_scale = 1.0;       ///< >1 compresses gaps (Fig 2 supplement)
-  bool wrap_addresses = true;    ///< fold trace sectors into the device
-  Seconds max_duration = 0.0;    ///< 0 = whole trace; else truncate
-  /// Replay this prefix of the (scaled) trace to populate device state —
+  /// Replay this prefix of the trace to populate device state —
   /// controller caches, tier contents — before measurement starts (2DIO's
   /// point: replayed metrics are wrong unless cache state is realistic).
   /// Warm-up I/O is issued normally but excluded from perf metrics, and the
@@ -58,8 +58,7 @@ struct ReplayOptions {
   /// submit time. 0 disables warm-up and is bit-identical to not having the
   /// option at all. Must be shorter than the replayed window.
   Seconds warmup_window = 0.0;
-  power::HallSensorParams sensor;  ///< meter model for the power channel
-  std::uint64_t sensor_seed = 99;
+  std::uint64_t sensor_seed = 99;  ///< noise seed of the power channel
   /// Invoked at every sampling-cycle boundary during replay (live
   /// monitoring / progress streaming). Runs on the replaying thread.
   std::function<void(const CycleSnapshot&)> on_cycle;

@@ -2,7 +2,8 @@
 // format (docs/FORMATS.md). Completed tests stream here one row at a time,
 // flushed as they land, so a crash or Ctrl-C mid-campaign loses at most the
 // row being written; a restarted campaign loads the journal and skips every
-// test it already holds. Database::export_csv writes the same format.
+// test it already holds. It is the paper's results database (§III-A1):
+// tracer_cli and quickstart write their records through it too.
 //
 // Integrity (docs/FLEET.md): every row carries a trailing FNV-1a checksum
 // over its own bytes, and opening a journal runs truncate-to-last-valid

@@ -83,9 +83,11 @@ class Tracer {
 
   ThreadBuffer& local_buffer();
 
-  /// Cap per thread (~24 MB worst case across 16 threads at 24 B/event);
-  /// beyond it events are counted in dropped_ instead of growing without
-  /// bound — a trace that big is unusable in the viewer anyway.
+  /// Cap per thread: 2^20 events of sizeof(SpanEvent) = 32 B on 64-bit
+  /// hosts, so at most 32 MiB per recording thread. Spans are kept until
+  /// clear(), so a traced run's memory grows with its length up to this
+  /// cap; beyond it events are counted in dropped_ instead — a trace that
+  /// big is unusable in the viewer anyway.
   static constexpr std::size_t kMaxEventsPerThread = 1u << 20;
 
   std::atomic<bool> enabled_{false};

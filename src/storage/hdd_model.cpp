@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "storage/mech_batch.h"
 
 namespace tracer::storage {
 
@@ -17,11 +16,18 @@ HddModel::HddModel(sim::Simulator& sim, const HddParams& params,
   if (params_.cylinders == 0 || params_.capacity == 0) {
     throw std::invalid_argument("HddModel: capacity and cylinders must be > 0");
   }
-  geom_ = derive_hdd_geometry(params_);
+  rotation_period_ = 60.0 / params_.rpm;
+  sectors_per_cylinder_ = std::max<std::uint64_t>(
+      1, params_.capacity / kSectorSize / params_.cylinders);
+  // Coefficient chosen so a full-stroke seek costs full_stroke_seek.
+  seek_coefficient_ =
+      (params_.full_stroke_seek - params_.track_to_track_seek) /
+      std::sqrt(static_cast<double>(params_.cylinders - 1));
 }
 
 std::uint64_t HddModel::cylinder_of(Sector sector) const {
-  return hdd_cylinder_of(params_, geom_, sector);
+  return std::min<std::uint64_t>(sector / sectors_per_cylinder_,
+                                 params_.cylinders - 1);
 }
 
 void HddModel::submit(const IoRequest& request, CompletionCallback done) {
@@ -88,9 +94,9 @@ std::size_t HddModel::pick_next() const {
   std::uint64_t best_distance = ~0ULL;
   for (std::size_t k = 0; k < queue_.size(); ++k) {
     const std::uint64_t cyl = cylinder_of(queue_.at(k).request.sector);
-    const std::uint64_t distance = cyl > mech_.head_cylinder
-                                       ? cyl - mech_.head_cylinder
-                                       : mech_.head_cylinder - cyl;
+    const std::uint64_t distance = cyl > head_cylinder_
+                                       ? cyl - head_cylinder_
+                                       : head_cylinder_ - cyl;
     if (distance < best_distance) {
       best_distance = distance;
       best = k;
@@ -107,25 +113,72 @@ void HddModel::start_next() {
 
   const IoRequest& req = in_service_.request;
   const Seconds t0 = sim_.now();
-  const HddServicePlan plan =
-      hdd_plan_service(params_, geom_, mech_, rng_, req.sector, req.bytes);
+
+  // Plan the service: command + seek + rotation + zoned transfer. The RNG
+  // is drawn only for a non-sequential request, after the sequential test,
+  // so a replay's doubles are reproducible bit for bit (the golden reports
+  // in tests/test_golden_reports.cpp pin them).
+  const Sector sector = req.sector;
+  const std::uint64_t spc = sectors_per_cylinder_;
+  const std::uint64_t start_quotient = sector / spc;
+  const std::uint64_t target_cyl =
+      std::min<std::uint64_t>(start_quotient, params_.cylinders - 1);
+  const bool sequential =
+      have_position_ && sector == next_sequential_sector_;
+  Seconds seek = 0.0;
+  if (!sequential) {
+    const std::uint64_t distance = head_cylinder_ > target_cyl
+                                       ? head_cylinder_ - target_cyl
+                                       : target_cyl - head_cylinder_;
+    seek = distance == 0 ? params_.settle_time
+                         : params_.track_to_track_seek +
+                               seek_coefficient_ *
+                                   std::sqrt(static_cast<double>(distance));
+  }
+  const Seconds rotation =
+      sequential ? 0.0 : rng_.uniform(0.0, rotation_period_);
+  // Media rate falls linearly from the outer to the inner cylinder.
+  const double frac = static_cast<double>(target_cyl) /
+                      static_cast<double>(params_.cylinders - 1);
+  const double media_mbps =
+      params_.outer_rate_mbps +
+      (params_.inner_rate_mbps - params_.outer_rate_mbps) * frac;
+  const Seconds transfer =
+      static_cast<double>(req.bytes) / (media_mbps * 1.0e6);
+  const Seconds service =
+      params_.command_overhead + seek + rotation + transfer;
+
+  // The head ends on the last sector's cylinder, which usually shares the
+  // first one's: derive that from the first sector's remainder, and divide
+  // only when the request crosses into another cylinder (or its end
+  // wrapped past 2^64).
+  const Sector end_sector =
+      sector + (req.bytes + kSectorSize - 1) / kSectorSize;
+  const Sector last = end_sector ? end_sector - 1 : sector;
+  const std::uint64_t room = spc - (sector - start_quotient * spc);
+  const std::uint64_t last_quotient =
+      last >= sector && last - sector < room ? start_quotient : last / spc;
+  head_cylinder_ = std::min<std::uint64_t>(last_quotient,
+                                           params_.cylinders - 1);
+  next_sequential_sector_ = end_sector;
+  have_position_ = true;
 
   // Power: voice coil during the seek, head/channel during the transfer.
   const Seconds seek_begin = t0 + params_.command_overhead;
-  if (plan.seek > 0.0) {
-    timeline_.add_pulse(seek_begin, seek_begin + plan.seek,
+  if (seek > 0.0) {
+    timeline_.add_pulse(seek_begin, seek_begin + seek,
                         params_.seek_extra_watts);
   }
-  const Seconds transfer_begin = seek_begin + plan.seek + plan.rotation;
+  const Seconds transfer_begin = seek_begin + seek + rotation;
   Watts transfer_extra = params_.transfer_extra_watts;
   if (req.op == OpType::kWrite) transfer_extra += params_.write_extra_watts;
-  timeline_.add_pulse(transfer_begin, transfer_begin + plan.transfer,
+  timeline_.add_pulse(transfer_begin, transfer_begin + transfer,
                       transfer_extra);
 
-  if (plan.sequential) ++sequential_hits_;
-  busy_time_ += plan.service;
+  if (sequential) ++sequential_hits_;
+  busy_time_ += service;
 
-  sim_.schedule_at(t0 + plan.service, *this, 0);
+  sim_.schedule_at(t0 + service, *this, 0);
 }
 
 void HddModel::complete_in_service() {

@@ -14,7 +14,6 @@
 #include "power/power_timeline.h"
 #include "storage/block_device.h"
 #include "storage/io_queue.h"
-#include "storage/mech_types.h"
 #include "util/rng.h"
 
 namespace tracer::storage {
@@ -105,10 +104,14 @@ class HddModel final : public BlockDevice, private sim::EventTarget {
   IoQueue queue_;         ///< waiting requests, arrival order
   PendingIo in_service_;  ///< valid while busy_; its completion reads it
   bool busy_ = false;
-  // Service mechanics come from the shared planner (mech_batch.h):
-  // geometry is derived once, head/sequential state advances per request.
-  HddMechGeometry geom_;
-  HddMechState mech_;
+  // Geometry, derived once from params_ by the constructor.
+  Seconds rotation_period_ = 0.0;
+  std::uint64_t sectors_per_cylinder_ = 1;
+  double seek_coefficient_ = 0.0;  ///< seek(d) = t2t + coefficient * sqrt(d)
+  // Head and sequential-detection state; advances in service order.
+  std::uint64_t head_cylinder_ = 0;
+  Sector next_sequential_sector_ = 0;
+  bool have_position_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t sequential_hits_ = 0;
   Seconds busy_time_ = 0.0;

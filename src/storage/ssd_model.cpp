@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "storage/mech_batch.h"
 
 namespace tracer::storage {
 
@@ -22,7 +21,9 @@ SsdModel::SsdModel(sim::Simulator& sim, const SsdParams& params,
 }
 
 std::size_t SsdModel::channels_for(Bytes bytes) const {
-  return ssd_channels_for(params_, bytes);
+  const Bytes stripes =
+      (bytes + params_.internal_stripe - 1) / params_.internal_stripe;
+  return static_cast<std::size_t>(std::min<Bytes>(stripes, params_.channels));
 }
 
 void SsdModel::submit(const IoRequest& request, CompletionCallback done) {
@@ -45,16 +46,32 @@ void SsdModel::maybe_dispatch() {
 
 void SsdModel::start(PendingIo pending) {
   const IoRequest& req = pending.request;
-  const SsdServicePlan plan =
-      ssd_plan_service(params_, mech_, req.sector, req.bytes, req.op);
-  const std::size_t used_channels = plan.used_channels;
+  const std::size_t used_channels = channels_for(req.bytes);
   busy_channels_ += used_channels;
   ++active_requests_;
 
-  const Seconds service = plan.service;
+  const bool sequential =
+      have_position_ && req.sector == next_sequential_sector_;
+  next_sequential_sector_ =
+      req.sector + (req.bytes + kSectorSize - 1) / kSectorSize;
+  have_position_ = true;
+
+  const bool is_write = req.op == OpType::kWrite;
+  // The device's aggregate bandwidth is split evenly across channels; the
+  // request moves bytes/used_channels per channel in parallel.
+  const double device_rate =
+      (is_write ? params_.write_rate_mbps : params_.read_rate_mbps) * 1.0e6;
+  const double per_channel_rate =
+      device_rate / static_cast<double>(params_.channels);
+  double transfer = static_cast<double>(req.bytes) /
+                    static_cast<double>(used_channels) / per_channel_rate;
+  if (!sequential) {
+    transfer *= is_write ? params_.random_write_amplification
+                         : params_.random_read_penalty;
+  }
+  const Seconds service = params_.command_overhead + transfer;
   const Seconds t0 = sim_.now();
   // Active power scales with the number of busy channels.
-  const bool is_write = req.op == OpType::kWrite;
   const Watts extra =
       (is_write ? params_.write_extra_watts : params_.read_extra_watts) *
       static_cast<double>(used_channels) /

@@ -18,7 +18,6 @@
 #include "power/power_timeline.h"
 #include "storage/block_device.h"
 #include "storage/io_queue.h"
-#include "storage/mech_types.h"
 #include "util/rng.h"
 #include "util/slot_array.h"
 
@@ -85,9 +84,10 @@ class SsdModel final : public BlockDevice, private sim::EventTarget {
   util::SlotArray<InFlight> in_flight_;
   std::size_t busy_channels_ = 0;
   std::size_t active_requests_ = 0;
-  // Sequential-detection state for the shared planner (mech_batch.h);
-  // advances per dispatched request.
-  SsdMechState mech_;
+  // Sequential-detection state; advances in dispatch order (== FIFO
+  // enqueue order, thanks to head-of-line blocking).
+  Sector next_sequential_sector_ = 0;
+  bool have_position_ = false;
   std::uint64_t completed_ = 0;
 };
 

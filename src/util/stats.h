@@ -1,6 +1,6 @@
-// Streaming statistics: Welford accumulators, fixed-bin histograms, and
-// time-binned series used by the performance monitor (per-sampling-cycle
-// IOPS/MBPS aggregation, §III-A2 of the paper).
+// Streaming statistics: Welford accumulators and time-binned series used by
+// the performance monitor (per-sampling-cycle IOPS/MBPS aggregation,
+// §III-A2 of the paper).
 #pragma once
 
 #include <cstddef>
@@ -39,33 +39,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp into
-/// the edge bins so totals are conserved. Supports percentile queries for
-/// response-time reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-  std::uint64_t total() const { return total_; }
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Value at quantile q in [0,1], linearly interpolated within the bin.
-  double percentile(double q) const;
-
-  void reset();
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Accumulates (time, value) samples into fixed-duration bins — the

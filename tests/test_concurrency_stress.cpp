@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/evaluation_host.h"
+#include "core/interarrival_scaler.h"
 #include "core/realtime_replayer.h"
 #include "core/replay_engine.h"
 #include "mixed_trace.h"
@@ -163,7 +164,7 @@ TEST(ConcurrencyStress, RegistrySnapshotVsIncrement) {
 // sleeps), the report says so, and — critically — every completion whose
 // callback writes into replay()'s stack frame has landed before return.
 TEST(ConcurrencyStress, RealtimeStopDuringDrain) {
-  core::RealtimeReplayer replayer(/*speed=*/1.0);
+  core::RealtimeReplayer replayer;
   // Nonzero service latency keeps I/O outstanding at cancel time, so the
   // straggler drain actually has stragglers to wait for.
   core::SyntheticRealtimeTarget target(
@@ -190,9 +191,11 @@ TEST(ConcurrencyStress, RealtimeStopDuringDrain) {
   EXPECT_TRUE(cancelled.stopped);
   EXPECT_EQ(cancelled.packages, 0u);
   replayer.cancel_token().reset();
-  core::RealtimeReplayer fast(/*speed=*/1000.0);
-  const core::RealtimeReport full =
-      fast.replay(trace::TraceView::borrowed(paced_trace(20, 0.001)), target);
+  const core::RealtimeReport full = replayer.replay(
+      *core::InterarrivalScaler::scale(
+          trace::make_source(trace::TraceView::owning(paced_trace(20, 0.001))),
+          1000.0),
+      target);
   EXPECT_FALSE(full.stopped);
   EXPECT_EQ(full.packages, 20u);
 }

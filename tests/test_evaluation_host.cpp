@@ -5,8 +5,8 @@
 #include <filesystem>
 #include <set>
 
+#include "core/campaign.h"
 #include "obs/registry.h"
-#include "util/cancel_token.h"
 #include "util/thread_pool.h"
 #include "workload/cello_model.h"
 
@@ -20,7 +20,6 @@ class EvaluationHostTest : public ::testing::Test {
            ("tracer_eval_test_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     options_.collection_duration = 1.0;
-    options_.threads = 2;
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -33,8 +32,22 @@ class EvaluationHostTest : public ::testing::Test {
     return m;
   }
 
+  /// Sweep `modes` over `host` with CampaignRunner, journal off and fail
+  /// fast, so each slot holds its test's first outcome.
+  CampaignReport sweep(EvaluationHost& host,
+                       const std::vector<workload::WorkloadMode>& modes,
+                       bool cancel_first = false) {
+    CampaignOptions options;
+    options.threads = threads_;
+    options.max_retries = 0;
+    CampaignRunner runner(host, options);
+    if (cancel_first) runner.cancel_token().request_cancel();
+    return runner.run(modes);
+  }
+
   std::filesystem::path dir_;
   EvaluationOptions options_;
+  std::size_t threads_ = 2;
 };
 
 TEST_F(EvaluationHostTest, PeakTraceCollectedOnceAndCached) {
@@ -51,7 +64,7 @@ TEST_F(EvaluationHostTest, RunTestFillsFullDatabaseRecord) {
   EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_, options_);
   const TestResult result = host.run_test(mode(0.5));
   const db::TestRecord& r = result.record;
-  EXPECT_GT(r.test_id, 0u);
+  EXPECT_EQ(r.test_id, 0u);  // whoever stores the record numbers it
   EXPECT_FALSE(r.timestamp.empty());
   EXPECT_EQ(r.device, "raid5-hdd6");
   EXPECT_FALSE(r.trace_name.empty());
@@ -66,7 +79,6 @@ TEST_F(EvaluationHostTest, RunTestFillsFullDatabaseRecord) {
   EXPECT_GT(r.joules, 0.0);
   EXPECT_GT(r.iops_per_watt, 0.0);
   EXPECT_GT(r.mbps_per_kilowatt, 0.0);
-  EXPECT_EQ(host.database().size(), 1u);
 }
 
 TEST_F(EvaluationHostTest, LoadProportionScalesRecordedThroughput) {
@@ -94,18 +106,19 @@ TEST_F(EvaluationHostTest, SweepRunsAllModesInParallel) {
   EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_, options_);
   std::vector<workload::WorkloadMode> modes;
   for (double load : {0.2, 0.4, 0.6, 0.8}) modes.push_back(mode(load));
-  const auto outcomes = host.run_sweep(modes);
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_DOUBLE_EQ(outcomes[i].result->record.load_proportion,
+  const CampaignReport report = sweep(host, modes);
+  ASSERT_EQ(report.outcomes.size(), 4u);
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const TestOutcome& outcome = report.outcomes[i];
+    ASSERT_EQ(outcome.status, TestStatus::kCompleted) << outcome.error;
+    EXPECT_EQ(outcome.record.test_id, i);
+    EXPECT_DOUBLE_EQ(outcome.record.load_proportion,
                      modes[i].load_proportion);
-    EXPECT_GT(outcomes[i].result->record.iops, 0.0);
+    EXPECT_GT(outcome.record.iops, 0.0);
   }
-  // Throughput ordered by load.
-  EXPECT_LT(outcomes[0].result->record.iops,
-            outcomes[3].result->record.iops);
-  EXPECT_EQ(host.database().size(), 4u);
+  // Outcomes come back in input order: throughput ordered by load.
+  EXPECT_LT(report.outcomes[0].record.iops, report.outcomes[3].record.iops);
+  EXPECT_EQ(report.completed(), 4u);
 }
 
 TEST_F(EvaluationHostTest, SweepIsolatesFailingTest) {
@@ -114,30 +127,36 @@ TEST_F(EvaluationHostTest, SweepIsolatesFailingTest) {
   // one test throws; the other slots must still complete.
   std::vector<workload::WorkloadMode> modes = {mode(0.5), mode(0.04),
                                                mode(1.0)};
-  const auto outcomes = host.run_sweep(modes);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].ok()) << outcomes[0].error;
-  EXPECT_FALSE(outcomes[1].ok());
-  EXPECT_NE(outcomes[1].error.find("resolution floor"), std::string::npos)
-      << outcomes[1].error;
-  EXPECT_TRUE(outcomes[2].ok()) << outcomes[2].error;
-  EXPECT_EQ(host.database().size(), 2u);
+  const CampaignReport report = sweep(host, modes);
+  ASSERT_EQ(report.outcomes.size(), 3u);
+  EXPECT_TRUE(report.outcomes[0].ok()) << report.outcomes[0].error;
+  EXPECT_EQ(report.outcomes[1].status, TestStatus::kFailed);
+  EXPECT_NE(report.outcomes[1].error.find("resolution floor"),
+            std::string::npos)
+      << report.outcomes[1].error;
+  EXPECT_TRUE(report.outcomes[2].ok()) << report.outcomes[2].error;
+  EXPECT_EQ(report.completed(), 2u);
+  EXPECT_EQ(report.failed(), 1u);
 }
 
 TEST_F(EvaluationHostTest, SweepHonoursCancellation) {
-  options_.threads = 1;
+  threads_ = 1;
   EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_, options_);
   std::vector<workload::WorkloadMode> modes;
   for (double load : {0.2, 0.4, 0.6, 0.8}) modes.push_back(mode(load));
-  util::CancelToken cancel;
-  cancel.request_cancel();  // cancelled before the sweep starts
-  const auto outcomes = host.run_sweep(modes, &cancel);
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (const auto& outcome : outcomes) {
-    EXPECT_FALSE(outcome.ok());
-    EXPECT_EQ(outcome.error, "cancelled");
+  const auto before = obs::Registry::global().snapshot().counter_or(
+      "host.phase.replay.calls");
+  // Cancelled before the sweep starts: no slot runs.
+  const CampaignReport report = sweep(host, modes, /*cancel_first=*/true);
+  ASSERT_EQ(report.outcomes.size(), 4u);
+  for (const auto& outcome : report.outcomes) {
+    EXPECT_EQ(outcome.status, TestStatus::kCancelled);
+    EXPECT_EQ(outcome.attempts, 0);
   }
-  EXPECT_EQ(host.database().size(), 0u);
+  EXPECT_EQ(report.cancelled(), 4u);
+  EXPECT_EQ(obs::Registry::global().snapshot().counter_or(
+                "host.phase.replay.calls"),
+            before);
 }
 
 TEST_F(EvaluationHostTest, PeakTraceSharedReturnsSamePointerAcrossLoadLevels) {
@@ -175,15 +194,15 @@ TEST_F(EvaluationHostTest, SweepOverLoadLevelsBuildsPeakTraceExactlyOnce) {
   EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_, options_);
   std::vector<workload::WorkloadMode> modes;
   for (int level = 1; level <= 10; ++level) modes.push_back(mode(level / 10.0));
-  const auto outcomes = host.run_sweep(modes);
-  ASSERT_EQ(outcomes.size(), 10u);
-  for (const auto& outcome : outcomes) {
+  const CampaignReport report = sweep(host, modes);
+  ASSERT_EQ(report.outcomes.size(), 10u);
+  for (const auto& outcome : report.outcomes) {
     EXPECT_TRUE(outcome.ok()) << outcome.error;
   }
   // The acceptance criterion: 10 load levels of one mode parse/generate
   // the peak trace exactly once.
   EXPECT_EQ(host.peak_build_count(), 1u);
-  EXPECT_EQ(host.database().size(), 10u);
+  EXPECT_EQ(report.completed(), 10u);
 }
 
 TEST_F(EvaluationHostTest, ClearPeakCacheKeepsSharedTracesAlive) {
@@ -220,8 +239,8 @@ TEST_F(EvaluationHostTest, SweepPopulatesObservabilityCounters) {
   for (int level = 1; level <= 10; ++level) {
     modes.push_back(mode(level / 10.0));
   }
-  const auto outcomes = host.run_sweep(modes);
-  for (const auto& outcome : outcomes) {
+  const CampaignReport report = sweep(host, modes);
+  for (const auto& outcome : report.outcomes) {
     ASSERT_TRUE(outcome.ok()) << outcome.error;
   }
 

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "db/database.h"
 #include "db/journal.h"
 #include "net/message.h"
 #include "trace/blk_format.h"
@@ -149,14 +148,17 @@ TEST(FormatRobustness, MessageFramesSurviveMutation) {
 TEST(FormatRobustness, DatabaseFileMutationNeverCrashes) {
   const auto path = std::filesystem::temp_directory_path() /
                     "tracer_fuzz_db.journal.csv";
-  db::Database database;
-  db::TestRecord record;
-  record.device = "fuzz";
-  record.trace_name = "t";
-  database.insert(record);
-  database.insert(record);
-  database.export_csv(path.string());
-  const std::vector<db::TestRecord> originals = database.all();
+  std::filesystem::remove(path);
+  std::vector<db::TestRecord> originals(2);
+  {
+    db::CampaignJournal journal(path);
+    for (std::size_t i = 0; i < originals.size(); ++i) {
+      originals[i].test_id = i + 1;
+      originals[i].device = "fuzz";
+      originals[i].trace_name = "t";
+      journal.append(originals[i]);
+    }
+  }
 
   std::string data;
   {

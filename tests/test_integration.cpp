@@ -32,7 +32,7 @@ class IntegrationTest : public ::testing::Test {
 
 TEST_F(IntegrationTest, FullEvaluationPipelineEndToEnd) {
   // §III-B: build repository -> configure mode -> test at load levels ->
-  // query the database.
+  // store the records -> query the results database.
   core::EvaluationOptions options;
   options.collection_duration = 2.0;
   core::EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_,
@@ -43,21 +43,27 @@ TEST_F(IntegrationTest, FullEvaluationPipelineEndToEnd) {
   mode.random_ratio = 0.5;
   mode.read_ratio = 0.0;
 
+  std::filesystem::create_directories(dir_);
+  const auto db_path = dir_ / "results.csv";
+  db::CampaignJournal journal(db_path);
+  std::vector<db::TestRecord> records;
   std::vector<double> iops;
   for (double load : {0.2, 0.5, 1.0}) {
     mode.load_proportion = load;
-    iops.push_back(host.run_test(mode).record.iops);
+    db::TestRecord record = host.run_test(mode).record;
+    record.test_id = records.size() + 1;
+    journal.append(record);
+    iops.push_back(record.iops);
+    records.push_back(std::move(record));
   }
   // Linearity of load control (paper Fig 8).
   EXPECT_NEAR(iops[0] / iops[2], 0.2, 0.05);
   EXPECT_NEAR(iops[1] / iops[2], 0.5, 0.06);
 
-  // Results persist and reload: the exported journal holds exactly the
-  // tests we ran.
-  const auto db_path = dir_ / "results.csv";
-  host.database().export_csv(db_path.string());
+  // Results persist and reload: the journal holds exactly the tests we
+  // ran, bit for bit.
   const auto rows = db::CampaignJournal::load(db_path);
-  EXPECT_EQ(rows, host.database().all());
+  EXPECT_EQ(rows, records);
   EXPECT_EQ(std::count_if(rows.begin(), rows.end(),
                           [](const db::TestRecord& r) {
                             return r.request_size == 4 * kKiB;

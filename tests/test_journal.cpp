@@ -3,15 +3,22 @@
 // recovery at EVERY possible tear point, bit-flip detection at every byte
 // of the last record, rejection of other row widths, and the JournalMerger
 // dedup used by both campaign drivers.
+//
+// The Database cases check the journal as the results database (§III-A1)
+// that tracer_cli and quickstart write: a fresh file per session, rows that
+// load back bit-exactly.
 #include "db/journal.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/csv.h"
 
 namespace tracer::db {
 namespace {
@@ -297,6 +304,140 @@ TEST_F(JournalTest, AppendLoadRoundTripsDoublesBitExactly) {
   EXPECT_EQ(l.avg_response_ms, r.avg_response_ms);
   EXPECT_EQ(l.iops_per_watt, r.iops_per_watt);
   EXPECT_EQ(l.mbps_per_kilowatt, r.mbps_per_kilowatt);
+}
+
+/// A results session as tracer_cli and quickstart run one: remove the
+/// path, open a journal on it, append the records numbered 1..n.
+std::vector<TestRecord> write_session(const fs::path& path,
+                                      std::vector<TestRecord> records) {
+  fs::remove(path);
+  CampaignJournal journal(path);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].test_id = i + 1;
+    journal.append(records[i]);
+  }
+  return records;
+}
+
+TEST(Database, SaveLoadRoundTrip) {
+  const auto path = fs::temp_directory_path() / "tracer_db_test.journal.csv";
+  const auto written = write_session(path, {make_record(7), make_record(8)});
+  const auto loaded = CampaignJournal::load(path);
+  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded, written);
+  fs::remove(path);
+}
+
+// Every double survives the write/load round trip bit-exactly.
+TEST(Database, SaveLoadPreservesFullDoublePrecision) {
+  const auto path =
+      fs::temp_directory_path() / "tracer_db_lossless.journal.csv";
+  TestRecord record = make_record(1);
+  record.load_proportion = 1.0 / 3.0;
+  record.joules = 123.45678912345678;
+  record.avg_watts = 3.141592653589793;
+  record.avg_amps = 1.25e-7;
+  record.iops = 99999.000000001;
+  const auto written = write_session(path, {record});
+  const auto loaded = CampaignJournal::load(path);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded, written);
+  fs::remove(path);
+}
+
+// Fail-pre-fix regression (tracer-lossless-double-format audit): the CSV
+// export rounded doubles to 2-4 decimals, so external tooling re-ingesting
+// the interchange file saw different measurements than were measured.
+// Every double a plain CSV reader sees must parse back bit-equal.
+TEST(Database, CsvExportRoundTripsDoublesBitExactly) {
+  const auto path = fs::temp_directory_path() / "tracer_db_lossless.csv";
+  TestRecord record = make_record(1);
+  record.load_proportion = 1.0 / 3.0;
+  record.joules = 123.45678912345678;
+  record.avg_watts = 3.141592653589793;
+  record.avg_amps = 1.25e-7;  // below the old %.4f floor
+  record.iops = 99999.000000001;
+  const TestRecord stored = write_session(path, {record}).at(0);
+
+  const auto rows = util::CsvReader::load(path.string());
+  ASSERT_EQ(rows.size(), 2u);
+  const auto& fields = rows[1];
+  // Column order matches the journal header row.
+  EXPECT_EQ(std::stod(fields[7]), stored.load_proportion);
+  EXPECT_EQ(std::stod(fields[8]), stored.avg_amps);
+  EXPECT_EQ(std::stod(fields[10]), stored.avg_watts);
+  EXPECT_EQ(std::stod(fields[11]), stored.joules);
+  EXPECT_EQ(std::stod(fields[12]), stored.iops);
+  fs::remove(path);
+}
+
+TEST(Database, OpenMissingFileIsEmpty) {
+  EXPECT_TRUE(CampaignJournal::load("/nonexistent/file.journal.csv").empty());
+}
+
+TEST(Database, CsvExportHasHeaderAndRows) {
+  const auto path = fs::temp_directory_path() / "tracer_db_test.csv";
+  write_session(path, {make_record(1)});
+  const auto rows = util::CsvReader::load(path.string());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0], "test_id");
+  EXPECT_EQ(rows[0].back(), "row_checksum");
+  EXPECT_EQ(rows[1][0], "1");
+  EXPECT_EQ(rows[1][2], "raid5-hdd6");
+  fs::remove(path);
+}
+
+// A session replaces whatever was at the path instead of appending to it.
+TEST(Database, CsvExportOverwritesExistingFile) {
+  const auto path = fs::temp_directory_path() / "tracer_db_overwrite.csv";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "stale,content\n";
+  }
+  write_session(path, {make_record(1)});
+  const auto written = write_session(path, {make_record(1)});
+  EXPECT_EQ(CampaignJournal::load(path), written);
+  EXPECT_EQ(util::CsvReader::load(path.string()).size(), 2u);
+  fs::remove(path);
+}
+
+// A results file that cannot be written throws rather than leaving a short
+// file behind silently.
+TEST(Database, CsvExportToUnwritablePathThrows) {
+  const auto blocker = fs::temp_directory_path() / "tracer_db_not_a_dir";
+  {
+    std::ofstream out(blocker, std::ios::trunc);
+    out << "x";
+  }
+  EXPECT_THROW(write_session(blocker / "results.csv", {make_record(1)}),
+               std::runtime_error);
+  fs::remove(blocker);
+}
+
+// Concurrent tests append to one journal: every row lands whole.
+TEST(Database, ConcurrentInsertsAreSafe) {
+  const auto path = fs::temp_directory_path() / "tracer_db_concurrent.csv";
+  fs::remove(path);
+  {
+    CampaignJournal journal(path);
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&journal, t] {
+        for (std::uint64_t i = 0; i < 250; ++i) {
+          TestRecord record = make_record(1);
+          record.test_id = t * 250 + i + 1;
+          journal.append(record);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  const auto loaded = CampaignJournal::load(path);
+  EXPECT_EQ(loaded.size(), 1000u);
+  std::set<std::uint64_t> ids;
+  for (const auto& record : loaded) ids.insert(record.test_id);
+  EXPECT_EQ(ids.size(), 1000u);
+  fs::remove(path);
 }
 
 }  // namespace

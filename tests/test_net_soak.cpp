@@ -99,7 +99,7 @@ struct SoakConfig {
 struct SoakResult {
   core::CampaignReport report;
   std::vector<db::TestRecord> journal_rows;
-  std::size_t remote_db_size = 0;
+  std::uint64_t remote_tests_run = 0;  ///< host.phase.replay.calls delta
 };
 
 constexpr Watts kTrueWatts = 80.0;
@@ -237,6 +237,11 @@ SoakResult run_distributed_campaign(const SoakConfig& config) {
       },
       "raid5-hdd6", campaign_options);
 
+  // Every test the remote host runs is one replay phase; nothing else in
+  // this campaign replays.
+  auto& replay_calls =
+      obs::Registry::global().counter("host.phase.replay.calls");
+  const std::uint64_t replays_before = replay_calls.value();
   SoakResult result;
   result.report = runner.run(soak_modes());
 
@@ -247,7 +252,7 @@ SoakResult run_distributed_campaign(const SoakConfig& config) {
   analyzer_thread.join();
 
   result.journal_rows = db::CampaignJournal::load(config.journal_path);
-  result.remote_db_size = remote_host.database().size();
+  result.remote_tests_run = replay_calls.value() - replays_before;
   return result;
 }
 
@@ -291,11 +296,11 @@ TEST(NetSoak, LossyCampaignLosesNothingAndDegradesGracefully) {
   ASSERT_EQ(chaos.report.outcomes.size(), kTests);
   ASSERT_EQ(calm.report.outcomes.size(), kTests);
 
-  // Zero lost, zero duplicated: the remote database ran each test exactly
+  // Zero lost, zero duplicated: the remote host ran each test exactly
   // once (retransmitted START_TEST commands hit the dedup cache), and the
   // journal checkpointed exactly one row per slot.
-  EXPECT_EQ(chaos.remote_db_size, kTests);
-  EXPECT_EQ(calm.remote_db_size, kTests);
+  EXPECT_EQ(chaos.remote_tests_run, kTests);
+  EXPECT_EQ(calm.remote_tests_run, kTests);
   ASSERT_EQ(chaos.journal_rows.size(), kTests);
   ASSERT_EQ(calm.journal_rows.size(), kTests);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/interarrival_scaler.h"
+
 namespace tracer::core {
 namespace {
 
@@ -18,9 +20,15 @@ trace::Trace small_trace(std::size_t bunches, Seconds gap) {
   return trace;
 }
 
+/// `trace` at `speed` times its own intensity (InterarrivalScaler).
+std::shared_ptr<const trace::TraceSource> sped_up(const trace::Trace& trace,
+                                                  double speed) {
+  return InterarrivalScaler::scale(
+      trace::make_source(trace::TraceView::borrowed(trace)), speed);
+}
+
 TEST(RealtimeReplayer, RejectsBadInput) {
-  EXPECT_THROW(RealtimeReplayer(0.0), std::invalid_argument);
-  RealtimeReplayer replayer(1.0);
+  RealtimeReplayer replayer;
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
   EXPECT_THROW(replayer.replay(trace::TraceView::owning({}), target),
@@ -28,12 +36,11 @@ TEST(RealtimeReplayer, RejectsBadInput) {
 }
 
 TEST(RealtimeReplayer, ReplaysAllPackagesAndCountsBytes) {
-  RealtimeReplayer replayer(/*speed=*/100.0);
+  RealtimeReplayer replayer;
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
   const trace::Trace trace = small_trace(50, 0.01);
-  const RealtimeReport report =
-      replayer.replay(trace::TraceView::borrowed(trace), target);
+  const RealtimeReport report = replayer.replay(*sped_up(trace, 100.0), target);
   EXPECT_EQ(report.packages, 50u);
   EXPECT_EQ(report.bytes, 50u * 4096);
   EXPECT_GT(report.iops, 0.0);
@@ -44,9 +51,8 @@ TEST(RealtimeReplayer, SpeedFactorCompressesWallTime) {
   const trace::Trace trace = small_trace(20, 0.02);  // 0.38 s span
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
-  RealtimeReplayer fast(/*speed=*/20.0);
-  const RealtimeReport report =
-      fast.replay(trace::TraceView::borrowed(trace), target);
+  RealtimeReplayer replayer;
+  const RealtimeReport report = replayer.replay(*sped_up(trace, 20.0), target);
   EXPECT_LT(report.wall_duration, 0.25);
   EXPECT_GE(report.wall_duration, 0.38 / 20.0 * 0.8);
 }
@@ -55,7 +61,7 @@ TEST(RealtimeReplayer, HonorsInterArrivalPacing) {
   const trace::Trace trace = small_trace(10, 0.02);  // 0.18 s span
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 0.0; });
-  RealtimeReplayer realtime(1.0);
+  RealtimeReplayer realtime;
   const RealtimeReport report =
       realtime.replay(trace::TraceView::borrowed(trace), target);
   EXPECT_GE(report.wall_duration, 0.17);
@@ -66,9 +72,8 @@ TEST(RealtimeReplayer, AccountsSyntheticLatency) {
   const trace::Trace trace = small_trace(10, 0.001);
   SyntheticRealtimeTarget target(
       [](const storage::IoRequest&) { return 2e-3; });
-  RealtimeReplayer replayer(10.0);
-  const RealtimeReport report =
-      replayer.replay(trace::TraceView::borrowed(trace), target);
+  RealtimeReplayer replayer;
+  const RealtimeReport report = replayer.replay(*sped_up(trace, 10.0), target);
   EXPECT_NEAR(report.avg_latency_ms, 2.0, 0.5);
 }
 
@@ -79,8 +84,8 @@ TEST(RealtimeReplayer, LatencyModelSeesRequestFields) {
     if (req.op == OpType::kRead && req.bytes == 4096) ++reads;
     return 0.0;
   });
-  RealtimeReplayer replayer(100.0);
-  replayer.replay(trace::TraceView::borrowed(trace), target);
+  RealtimeReplayer replayer;
+  replayer.replay(*sped_up(trace, 100.0), target);
   EXPECT_EQ(reads.load(), 5);
 }
 

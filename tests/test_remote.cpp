@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <thread>
 
+#include "obs/registry.h"
+
 namespace tracer::core {
 namespace {
 
@@ -148,6 +150,12 @@ TEST_F(RemoteTest, ServiceHandlesConfigureThenStart) {
   const auto record = decode_record(reply);
   ASSERT_TRUE(record.has_value());
   EXPECT_GT(record->iops, 0.0);
+  // The service keeps the full record, timestamp included, for a local
+  // front end to store (tracer_cli).
+  ASSERT_TRUE(service.last_record().has_value());
+  EXPECT_FALSE(service.last_record()->timestamp.empty());
+  EXPECT_EQ(service.last_record()->iops, record->iops);
+  EXPECT_EQ(service.last_record()->joules, record->joules);
 }
 
 TEST_F(RemoteTest, StartWithoutConfigureIsError) {
@@ -157,6 +165,7 @@ TEST_F(RemoteTest, StartWithoutConfigureIsError) {
   start.type = net::MessageType::kStartTest;
   start.sequence = 1;
   EXPECT_EQ(service.handle(start).type, net::MessageType::kError);
+  EXPECT_FALSE(service.last_record().has_value());
 }
 
 TEST_F(RemoteTest, ThrowingTestBecomesErrorReplyAndServiceSurvives) {
@@ -193,6 +202,9 @@ TEST_F(RemoteTest, FullClientServerExchangeOverChannel) {
   WorkloadGeneratorService service(host);
   std::thread server_thread([&service, &server] { service.serve(server); });
 
+  auto& replay_calls =
+      obs::Registry::global().counter("host.phase.replay.calls");
+  const std::uint64_t replays_before = replay_calls.value();
   RemoteWorkloadClient remote(client);
   EXPECT_TRUE(remote.configure(mode(0.5)));
   const auto record = remote.start(60.0);
@@ -202,7 +214,7 @@ TEST_F(RemoteTest, FullClientServerExchangeOverChannel) {
   EXPECT_DOUBLE_EQ(record->load_proportion, 0.5);
   remote.stop();
   server_thread.join();
-  EXPECT_EQ(host.database().size(), 1u);
+  EXPECT_EQ(replay_calls.value() - replays_before, 1u);  // ran exactly once
 }
 
 TEST_F(RemoteTest, ServiceStopsOnPeerHangup) {

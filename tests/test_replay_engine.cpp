@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/interarrival_scaler.h"
 #include "core/proportional_filter.h"
 #include "mixed_trace.h"
 #include "storage/cache_tier.h"
@@ -42,7 +43,7 @@ ReplayReport replay_on_hdd(const trace::TraceSource& source,
 
 TEST(ReplayEngine, RejectsEmptyTraceAndBadOptions) {
   ReplayOptions bad;
-  bad.time_scale = 0.0;
+  bad.sampling_cycle = 0.0;
   EXPECT_THROW(ReplayEngine{bad}, std::invalid_argument);
   ReplayEngine engine;
   storage::DiskArray array(engine.simulator(),
@@ -169,26 +170,24 @@ TEST(ReplayEngine, FilteredReplayScalesThroughputLinearly) {
   EXPECT_NEAR(measured, 0.5, 0.02);
 }
 
+// Exact oracle for the Fig 2 inter-arrival scaler: on a trace the array
+// serves without a backlog, scaling intensity by k divides the measured
+// window by exactly k (x / k is one rounding on both sides), replays every
+// package, and never schedules a bunch late.
 TEST(ReplayEngine, TimeScaleCompressesReplay) {
-  const trace::Trace trace = synthetic_trace(300, 4096, 1.0, 0.01);
-  ReplayOptions fast;
-  fast.time_scale = 2.0;
-  const ReplayReport base = replay_on_hdd(trace::TraceView::borrowed(trace));
-  const ReplayReport scaled =
-      replay_on_hdd(trace::TraceView::borrowed(trace), fast);
-  EXPECT_NEAR(scaled.perf.iops, base.perf.iops * 2.0,
-              base.perf.iops * 0.25);
-}
-
-TEST(ReplayEngine, MaxDurationTruncatesTrace) {
-  const trace::Trace trace = synthetic_trace(1000, 4096, 1.0, 0.01);
-  ReplayOptions options;
-  options.max_duration = 2.0;
-  const ReplayReport report =
-      replay_on_hdd(trace::TraceView::borrowed(trace), options);
-  // Bunches at t <= 2.0 are indexes 0..200.
-  EXPECT_LE(report.bunches_replayed, 202u);
-  EXPECT_GE(report.bunches_replayed, 200u);
+  // 300 random reads at 20 per second: 14.95 s, far below saturation.
+  const trace::Trace trace = synthetic_trace(300, 4096, 1.0, 0.05);
+  const auto source = trace::make_source(trace::TraceView::borrowed(trace));
+  const ReplayReport base = replay_on_hdd(*source);
+  ASSERT_EQ(base.late_schedules, 0u);
+  for (double k : {2.0, 4.0}) {
+    const ReplayReport scaled =
+        replay_on_hdd(*InterarrivalScaler::scale(source, k));
+    EXPECT_EQ(scaled.perf.duration, base.perf.duration / k) << "k=" << k;
+    EXPECT_EQ(scaled.packages_replayed, base.packages_replayed) << "k=" << k;
+    EXPECT_EQ(scaled.perf.completions, base.perf.completions) << "k=" << k;
+    EXPECT_EQ(scaled.late_schedules, 0u) << "k=" << k;
+  }
 }
 
 TEST(ReplayEngine, WrapsAddressesBeyondCapacity) {

@@ -59,36 +59,6 @@ TEST(RunningStats, MergeWithEmptySides) {
   EXPECT_DOUBLE_EQ(a.mean(), 5.0);
 }
 
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.add(-5.0);
-  hist.add(50.0);
-  EXPECT_EQ(hist.bin(0), 1u);
-  EXPECT_EQ(hist.bin(9), 1u);
-  EXPECT_EQ(hist.total(), 2u);
-}
-
-TEST(Histogram, PercentileInterpolates) {
-  Histogram hist(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) hist.add(i + 0.5);
-  EXPECT_NEAR(hist.percentile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(hist.percentile(0.95), 95.0, 1.0);
-  EXPECT_NEAR(hist.percentile(0.0), 0.0, 1.0);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram hist(0.0, 1.0, 4);
-  hist.add(0.5, 7);
-  hist.reset();
-  EXPECT_EQ(hist.total(), 0u);
-  EXPECT_EQ(hist.bin(2), 0u);
-}
-
 TEST(TimeBinnedSeries, BinsByTime) {
   TimeBinnedSeries series(1.0);
   series.add(0.2, 1.0);
