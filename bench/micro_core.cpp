@@ -12,7 +12,6 @@
 #include "power/power_timeline.h"
 #include "trace/srt_format.h"
 #include "trace/trace_source.h"
-#include "util/spsc_queue.h"
 #include "workload/cello_model.h"
 #include "workload/zipf.h"
 #include "core/replay_engine.h"
@@ -231,17 +230,6 @@ void BM_RngUniform(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RngUniform);
-
-void BM_SpscQueueRoundTrip(benchmark::State& state) {
-  util::SpscQueue<std::uint64_t> queue(1024);
-  std::uint64_t value = 0;
-  for (auto _ : state) {
-    queue.try_push(value++);
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscQueueRoundTrip);
 
 void BM_PowerTimelineIntegration(benchmark::State& state) {
   for (auto _ : state) {

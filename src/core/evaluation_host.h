@@ -95,8 +95,8 @@ class EvaluationHost {
   /// Replay an externally supplied trace (real-world workloads) at a load
   /// proportion. `trace_name` labels the record. The source may be
   /// an in-memory TraceView or a columnar on-disk trace from
-  /// TraceRepository::load_source; the latter is never materialized, and
-  /// both produce bit-identical metrics for the same trace.
+  /// open_columnar_source; the latter is never materialized, and both
+  /// produce bit-identical metrics for the same trace.
   TestResult run_source(std::shared_ptr<const trace::TraceSource> source,
                         const std::string& trace_name,
                         double load_proportion);

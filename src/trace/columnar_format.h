@@ -52,9 +52,6 @@ inline constexpr char kColumnarMagic[4] = {'T', 'R', 'C', '2'};
 inline constexpr char kColumnarTrailerMagic[4] = {'2', 'C', 'R', 'T'};
 inline constexpr std::uint16_t kColumnarVersion = 2;
 
-/// Extension used by the trace repository for v2 entries.
-inline constexpr const char* kColumnarExtension = ".replay2";
-
 /// Streaming v2 encoder with bounded memory: each segment spills to its
 /// own temporary file as bunches arrive, and finish() stitches them into
 /// the final layout. Converting a multi-GB v1 trace never materializes it.
@@ -94,8 +91,8 @@ class ColumnarWriter {
   bool finished_ = false;
 };
 
-/// Whole-trace convenience encoder (tests, small traces, repository
-/// store). Streams through ColumnarWriter.
+/// Whole-trace convenience encoder (tests, small traces). Streams through
+/// ColumnarWriter.
 void write_columnar_file(const std::string& path, const Trace& trace);
 
 /// Memory-mapped v2 decoder. Opening validates the file skeleton; the

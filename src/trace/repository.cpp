@@ -1,12 +1,12 @@
 #include "trace/repository.h"
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <set>
+#include <atomic>
 #include <stdexcept>
 
 #include "trace/blk_format.h"
-#include "trace/columnar_format.h"
-#include "trace/trace_source.h"
 #include "util/string_util.h"
 
 namespace tracer::trace {
@@ -49,24 +49,10 @@ std::string verified_file_name(const TraceKey& key) {
 
 std::string TraceKey::file_name() const { return verified_file_name(*this); }
 
-std::string TraceKey::columnar_file_name() const {
-  // Verify via the v1 name (same stem), then swap the extension.
-  const std::string v1 = verified_file_name(*this);
-  return v1.substr(0, v1.size() - std::string(kBlkExtension).size()) +
-         kColumnarExtension;
-}
-
 std::optional<TraceKey> TraceKey::parse(const std::string& file_name) {
-  std::string extension;
-  if (util::ends_with(file_name, kBlkExtension)) {
-    extension = kBlkExtension;
-  } else if (util::ends_with(file_name, kColumnarExtension)) {
-    extension = kColumnarExtension;
-  } else {
-    return std::nullopt;
-  }
-  const std::string stem =
-      file_name.substr(0, file_name.size() - extension.size());
+  if (!util::ends_with(file_name, kBlkExtension)) return std::nullopt;
+  const std::string stem = file_name.substr(
+      0, file_name.size() - std::string(kBlkExtension).size());
   // Split from the right: the device label may itself contain '_'.
   const auto parts = util::split(stem, '_');
   if (parts.size() < 4) return std::nullopt;
@@ -110,101 +96,43 @@ std::filesystem::path TraceRepository::path_for(const TraceKey& key) const {
   return directory_ / key.file_name();
 }
 
-std::filesystem::path TraceRepository::columnar_path_for(
-    const TraceKey& key) const {
-  return directory_ / key.columnar_file_name();
-}
-
 void TraceRepository::store(const TraceKey& key, const Trace& trace) const {
-  write_blk_file(path_for(key).string(), trace);
-}
-
-void TraceRepository::store_columnar(const TraceKey& key,
-                                     const Trace& trace) const {
-  write_columnar_file(columnar_path_for(key).string(), trace);
+  // The temporary name is unique per writer (pid + per-process counter)
+  // and ends in ".tmp", so TraceKey::parse rejects it and list() skips it.
+  static std::atomic<std::uint64_t> next_temp{0};
+  const auto path = path_for(key);
+  auto temp = path;
+  temp += "." + std::to_string(::getpid()) + "." +
+          std::to_string(next_temp++) + ".tmp";
+  try {
+    write_blk_file(temp.string(), trace);
+    std::filesystem::rename(temp, path);
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(temp, ignored);
+    throw;
+  }
 }
 
 bool TraceRepository::contains(const TraceKey& key) const {
   return std::filesystem::exists(path_for(key));
 }
 
-bool TraceRepository::contains_columnar(const TraceKey& key) const {
-  return std::filesystem::exists(columnar_path_for(key));
-}
-
 Trace TraceRepository::load(const TraceKey& key) const {
   const auto path = path_for(key);
-  if (std::filesystem::exists(path)) {
-    return read_blk_file(path.string());
-  }
-  const auto v2 = columnar_path_for(key);
-  if (std::filesystem::exists(v2)) {
-    ColumnarTraceReader reader(v2.string());
-    Trace trace;
-    trace.device = reader.device();
-    reader.read_window(0, reader.bunch_count(), trace.bunches);
-    return trace;
-  }
-  throw std::runtime_error("TraceRepository: no trace " + key.file_name());
-}
-
-std::shared_ptr<const TraceSource> TraceRepository::load_source(
-    const TraceKey& key) const {
-  const auto v2 = columnar_path_for(key);
-  if (std::filesystem::exists(v2)) {
-    return open_columnar_source(v2.string());
-  }
-  const auto v1 = path_for(key);
-  if (std::filesystem::exists(v1)) {
-    auto trace = std::make_shared<const Trace>(read_blk_file(v1.string()));
-    return make_source(TraceView(std::move(trace)));
-  }
-  throw std::runtime_error("TraceRepository: no trace " + key.file_name());
-}
-
-std::uint64_t TraceRepository::convert_to_columnar(const TraceKey& key,
-                                                   bool overwrite) const {
-  const auto v1 = path_for(key);
-  const auto v2 = columnar_path_for(key);
-  if (!std::filesystem::exists(v1)) {
+  if (!std::filesystem::exists(path)) {
     throw std::runtime_error("TraceRepository: no trace " + key.file_name());
   }
-  if (std::filesystem::exists(v2) && !overwrite) {
-    ColumnarTraceReader reader(v2.string());
-    return reader.bunch_count();
-  }
-  return convert_blk_to_columnar(v1.string(), v2.string());
-}
-
-std::uint64_t TraceRepository::convert_to_blk(const TraceKey& key,
-                                              bool overwrite) const {
-  const auto v1 = path_for(key);
-  const auto v2 = columnar_path_for(key);
-  if (!std::filesystem::exists(v2)) {
-    throw std::runtime_error("TraceRepository: no columnar trace " +
-                             key.columnar_file_name());
-  }
-  if (std::filesystem::exists(v1) && !overwrite) {
-    std::ifstream in(v1.string(), std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("TraceRepository: cannot open " +
-                               key.file_name());
-    }
-    return BlkStreamReader(in).bunch_count();
-  }
-  return convert_columnar_to_blk(v2.string(), v1.string());
+  return read_blk_file(path.string());
 }
 
 std::vector<TraceKey> TraceRepository::list() const {
   std::vector<std::pair<std::string, TraceKey>> found;
-  std::set<std::string> seen;  // stems already listed (v1 + v2 dedup)
   for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
+    std::string name = entry.path().filename().string();
     if (auto key = TraceKey::parse(name)) {
-      const std::string stem = encode_stem(*key);
-      if (!seen.insert(stem).second) continue;
-      found.emplace_back(stem, *key);
+      found.emplace_back(std::move(name), *key);
     }
   }
   std::sort(found.begin(), found.end(),

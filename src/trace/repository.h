@@ -12,13 +12,12 @@
 // stored trace can never become unlistable or come back under a different
 // key.
 //
-// Entries may additionally exist in the columnar v2 format (".replay2",
-// same stem) for bounded-memory streamed replay; the two formats hold the
-// same trace and convert losslessly in either direction.
+// store() writes a private temporary file in the same directory and renames
+// it over the entry, so a reader in another thread or process sees either
+// the previous complete trace or the new one, never a partial write.
 #pragma once
 
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,8 +25,6 @@
 #include "trace/trace.h"
 
 namespace tracer::trace {
-
-class TraceSource;
 
 /// The parameters a repository file name encodes.
 struct TraceKey {
@@ -39,8 +36,6 @@ struct TraceKey {
   /// Encode as a v1 file name. Throws std::invalid_argument when the key
   /// cannot round-trip through parse() (verified on every call).
   std::string file_name() const;
-  /// Same stem with the columnar ".replay2" extension.
-  std::string columnar_file_name() const;
   /// Parse a file name produced by file_name(); nullopt when it does not
   /// follow the scheme (foreign files in the directory are skipped, not
   /// errors).
@@ -56,40 +51,19 @@ class TraceRepository {
 
   const std::filesystem::path& directory() const { return directory_; }
 
-  /// Store a trace under its key; overwrites an existing entry.
+  /// Store a trace under its key, atomically replacing an existing entry.
+  /// On failure the temporary file is removed and the entry is unchanged.
   void store(const TraceKey& key, const Trace& trace) const;
 
-  /// Store in the columnar v2 format (same key, ".replay2" extension).
-  void store_columnar(const TraceKey& key, const Trace& trace) const;
-
   bool contains(const TraceKey& key) const;
-  bool contains_columnar(const TraceKey& key) const;
 
   /// Load a trace; throws std::runtime_error when missing or corrupt.
-  /// Reads whichever format is present (v1 preferred when both exist).
   Trace load(const TraceKey& key) const;
 
-  /// Open the entry as a streaming TraceSource: the columnar entry when
-  /// present (bounded-memory window decode), otherwise the v1 trace loaded
-  /// into memory. Throws std::runtime_error when the key is absent.
-  std::shared_ptr<const TraceSource> load_source(const TraceKey& key) const;
-
-  /// Convert the v1 entry to columnar in place (bounded memory); returns
-  /// the number of bunches converted. No-op when the columnar entry
-  /// already exists, unless `overwrite`.
-  std::uint64_t convert_to_columnar(const TraceKey& key,
-                                    bool overwrite = false) const;
-
-  /// Convert the columnar entry back to v1 (bounded memory).
-  std::uint64_t convert_to_blk(const TraceKey& key,
-                               bool overwrite = false) const;
-
-  /// All keys present, sorted by file name (deterministic sweeps). Keys
-  /// with only a columnar entry are included.
+  /// All keys present, sorted by file name (deterministic sweeps).
   std::vector<TraceKey> list() const;
 
   std::filesystem::path path_for(const TraceKey& key) const;
-  std::filesystem::path columnar_path_for(const TraceKey& key) const;
 
  private:
   std::filesystem::path directory_;

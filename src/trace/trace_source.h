@@ -1,11 +1,10 @@
 // TraceSource — the one currency of the trace pipeline.
 //
 // Every pipeline stage (ProportionalFilter, InterarrivalScaler,
-// ReplayEngine, RealtimeReplayer, compute_stats, EvaluationHost) takes a
-// TraceSource: an ordered sequence of bunches addressed by position. Every
-// implementation stores *raw* trace timestamps and a single accumulated
-// time divisor, and `timestamp(i)` is always exactly
-// `raw_timestamp(i) / time_divisor()`. Three implementations exist:
+// ReplayEngine, compute_stats, EvaluationHost) takes a TraceSource: an
+// ordered sequence of bunches addressed by position. Every implementation
+// stores *raw* trace timestamps and a single accumulated time divisor, and
+// `timestamp(i)` is always exactly `raw_timestamp(i) / time_divisor()`. Three implementations exist:
 //
 //   * TraceView — the in-memory leaf: every bunch of one immutable Trace.
 //   * ColumnarSource (trace/columnar_format.h) — the on-disk leaf over a

@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "core/evaluation_host.h"
-#include "core/interarrival_scaler.h"
-#include "core/realtime_replayer.h"
 #include "core/replay_engine.h"
 #include "mixed_trace.h"
 #include "net/communicator.h"
@@ -54,18 +52,6 @@ workload::WorkloadMode stress_mode(Bytes request_size) {
   mode.read_ratio = 0.5;
   mode.load_proportion = 1.0;
   return mode;
-}
-
-trace::Trace paced_trace(std::size_t bunches, Seconds gap) {
-  trace::Trace trace;
-  trace.device = "stress";
-  for (std::size_t b = 0; b < bunches; ++b) {
-    trace::Bunch bunch;
-    bunch.timestamp = static_cast<double>(b) * gap;
-    bunch.packages.push_back(trace::IoPackage{b * 8, 4096, OpType::kRead});
-    trace.bunches.push_back(std::move(bunch));
-  }
-  return trace;
 }
 
 // clear_peak_cache racing peak_trace_shared: clears must never evict an
@@ -158,46 +144,6 @@ TEST(ConcurrencyStress, RegistrySnapshotVsIncrement) {
   const auto final_snap = reg.snapshot();
   EXPECT_EQ(final_snap.counter_or("stress.snapshot.counter"),
             before + kWriters * kPerWriter);
-}
-
-// Cancelling a replay mid-flight: the issuing loop stops promptly (sliced
-// sleeps), the report says so, and — critically — every completion whose
-// callback writes into replay()'s stack frame has landed before return.
-TEST(ConcurrencyStress, RealtimeStopDuringDrain) {
-  core::RealtimeReplayer replayer;
-  // Nonzero service latency keeps I/O outstanding at cancel time, so the
-  // straggler drain actually has stragglers to wait for.
-  core::SyntheticRealtimeTarget target(
-      [](const storage::IoRequest&) { return 2e-3; });
-  const trace::Trace trace = paced_trace(2000, 0.01);  // ~20 s uncancelled
-
-  core::RealtimeReport report;
-  std::thread runner([&] {
-    report = replayer.replay(trace::TraceView::borrowed(trace), target);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  replayer.cancel_token().request_cancel();
-  runner.join();
-
-  EXPECT_TRUE(report.stopped);
-  EXPECT_GT(report.packages, 0u);
-  EXPECT_LT(report.packages, 2000u);
-  EXPECT_LT(report.wall_duration, 5.0);  // nowhere near the full trace span
-
-  // The latch persists until re-armed: an immediate replay stops at the
-  // first bunch, then reset() restores normal operation.
-  const core::RealtimeReport cancelled =
-      replayer.replay(trace::TraceView::borrowed(trace), target);
-  EXPECT_TRUE(cancelled.stopped);
-  EXPECT_EQ(cancelled.packages, 0u);
-  replayer.cancel_token().reset();
-  const core::RealtimeReport full = replayer.replay(
-      *core::InterarrivalScaler::scale(
-          trace::make_source(trace::TraceView::owning(paced_trace(20, 0.001))),
-          1000.0),
-      target);
-  EXPECT_FALSE(full.stopped);
-  EXPECT_EQ(full.packages, 20u);
 }
 
 // Transport reset while a call() is in flight across threads: the client

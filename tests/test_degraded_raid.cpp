@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "storage/callback_sink.h"
 #include "storage/disk_array.h"
 #include "storage/raid_controller.h"
@@ -162,30 +164,58 @@ TEST(DegradedRaid, RestoreReturnsToNormalPaths) {
   EXPECT_EQ(f.ops_on(0), 1u);
 }
 
+struct BurstResult {
+  Seconds makespan = 0.0;
+  Seconds mean_response = 0.0;
+};
+
+/// 60 random 16 KiB reads, all arriving at t = 0, on the HDD testbed
+/// array; the trace is the same whichever member (if any) has failed.
+BurstResult run_read_burst(std::optional<std::size_t> failed_member) {
+  sim::Simulator sim;
+  DiskArray array(sim, ArrayConfig::hdd_testbed(6));
+  if (failed_member) array.controller().fail_disk(*failed_member);
+  util::Rng rng(7);
+  int completions = 0;
+  Seconds total_response = 0.0;
+  CallbackSink done;
+  for (int i = 0; i < 60; ++i) {
+    array.submit(
+        IoRequest{static_cast<std::uint64_t>(i), rng.below(1ULL << 28) * 8,
+                  16 * kKiB, OpType::kRead},
+        done.bind([&](const IoCompletion& c) {
+          ++completions;
+          total_response += c.latency();
+        }));
+  }
+  BurstResult result;
+  result.makespan = sim.run();
+  EXPECT_EQ(completions, 60);
+  result.mean_response = total_response / completions;
+  return result;
+}
+
 TEST(DegradedRaid, DegradedThroughputPenaltyOnRealArray) {
   // End-to-end: degraded random reads are measurably slower on the HDD
   // array (reconstruction touches every member).
-  auto run = [](bool degrade) {
-    sim::Simulator sim;
-    DiskArray array(sim, ArrayConfig::hdd_testbed(6));
-    if (degrade) {
-      array.controller().fail_disk(0);
-    }
-    util::Rng rng(7);
-    int completions = 0;
-    CallbackSink done;
-    for (int i = 0; i < 60; ++i) {
-      array.submit(
-          IoRequest{static_cast<std::uint64_t>(i), rng.below(1ULL << 28) * 8,
-                    16 * kKiB, OpType::kRead},
-          done.bind([&completions](const IoCompletion&) { ++completions; }));
-    }
-    const Seconds end = sim.run();
-    EXPECT_EQ(completions, 60);
-    return end;
-  };
-  EXPECT_GT(run(true), run(false) * 1.3);
+  EXPECT_GT(run_read_burst(0).makespan,
+            run_read_burst(std::nullopt).makespan * 1.3);
 }
+
+// Oracle: losing a member only adds work to a read (a read of the failed
+// member becomes a read of every survivor), so whichever member fails, the
+// degraded array's mean response on the same trace is never below the
+// healthy array's.
+class DegradedMember : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DegradedMember, MeanResponseNeverBelowHealthy) {
+  const BurstResult healthy = run_read_burst(std::nullopt);
+  const BurstResult degraded = run_read_burst(GetParam());
+  EXPECT_GE(degraded.mean_response, healthy.mean_response);
+}
+
+INSTANTIATE_TEST_SUITE_P(EachMember, DegradedMember,
+                         ::testing::Range<std::size_t>(0, 6));
 
 }  // namespace
 }  // namespace tracer::storage

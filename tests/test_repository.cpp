@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <limits>
-
-#include "trace/trace_source.h"
+#include <string>
+#include <thread>
 
 namespace tracer::trace {
 namespace {
@@ -56,6 +57,10 @@ TEST(TraceKey, ParseRejectsForeignNames) {
   EXPECT_FALSE(TraceKey::parse("a_rsXX_rnd50_rd0.replay").has_value());
   EXPECT_FALSE(TraceKey::parse("a_rs4K_rnd200_rd0.replay").has_value());
   EXPECT_FALSE(TraceKey::parse("_rs4K_rnd50_rd0.replay").has_value());
+  // Neither a columnar file nor a store()'s temporary file is an entry.
+  EXPECT_FALSE(TraceKey::parse("a_rs4K_rnd50_rd0.replay2").has_value());
+  EXPECT_FALSE(
+      TraceKey::parse("a_rs4K_rnd50_rd0.replay.123.0.tmp").has_value());
 }
 
 TEST_F(RepositoryTest, StoreLoadRoundTrip) {
@@ -78,6 +83,8 @@ TEST_F(RepositoryTest, ListReturnsSortedKeysAndSkipsForeignFiles) {
   repo.store(TraceKey{"b", 4096, 50, 0}, tiny_trace());
   repo.store(TraceKey{"a", 512, 0, 100}, tiny_trace());
   { std::ofstream junk(dir_ / "README.txt"); junk << "hi"; }
+  { std::ofstream v2(dir_ / "c_rs1K_rnd0_rd0.replay2"); v2 << "x"; }
+  { std::ofstream tmp(dir_ / "c_rs1K_rnd0_rd0.replay.1.0.tmp"); tmp << "x"; }
   const auto keys = repo.list();
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0].device, "a");
@@ -153,74 +160,57 @@ TEST(TraceKey, ParseRejectsNonCanonicalEncodings) {
   EXPECT_FALSE(TraceKey::parse("dev_rs04K_rnd50_rd25.replay").has_value());
 }
 
-TEST(TraceKey, ColumnarFileNameSharesStem) {
-  const TraceKey key{"raid5-hdd6", 4096, 50, 25};
-  EXPECT_EQ(key.columnar_file_name(), "raid5-hdd6_rs4K_rnd50_rd25.replay2");
-  const auto parsed = TraceKey::parse(key.columnar_file_name());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, key);
-}
-
-// --- columnar entries -------------------------------------------------------
-
-TEST_F(RepositoryTest, ColumnarStoreLoadRoundTrip) {
+// A store that throws part-way leaves the previous entry intact and no
+// temporary file behind.
+TEST_F(RepositoryTest, FailedStoreKeepsEntryAndLeavesNoTemporaryFile) {
   TraceRepository repo(dir_);
-  const TraceKey key{"raid5-hdd6", 4096, 50, 0};
-  const Trace trace = tiny_trace();
-  EXPECT_FALSE(repo.contains_columnar(key));
-  repo.store_columnar(key, trace);
-  EXPECT_TRUE(repo.contains_columnar(key));
-  EXPECT_FALSE(repo.contains(key));  // no v1 entry was created
-  EXPECT_EQ(repo.load(key), trace);  // load falls back to the v2 entry
-}
-
-TEST_F(RepositoryTest, LoadSourceStreamsColumnarEntry) {
-  TraceRepository repo(dir_);
-  const TraceKey key{"raid5-hdd6", 4096, 0, 100};
-  repo.store_columnar(key, tiny_trace());
-  const auto source = repo.load_source(key);
-  ASSERT_NE(source, nullptr);
-  EXPECT_EQ(materialize(*source), tiny_trace());
-}
-
-TEST_F(RepositoryTest, LoadSourceFallsBackToV1) {
-  TraceRepository repo(dir_);
-  const TraceKey key{"raid5-hdd6", 4096, 0, 0};
+  const TraceKey key{"dev", 4096, 0, 0};
   repo.store(key, tiny_trace());
-  const auto source = repo.load_source(key);
-  ASSERT_NE(source, nullptr);
-  EXPECT_EQ(materialize(*source), tiny_trace());
-  EXPECT_THROW(repo.load_source(TraceKey{"missing", 512, 0, 0}),
-               std::runtime_error);
+  Trace bad = tiny_trace();
+  bad.bunches.push_back(bad.bunches[0]);
+  bad.bunches.back().timestamp = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(repo.store(key, bad), std::invalid_argument);
+  EXPECT_EQ(repo.load(key), tiny_trace());
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().filename().string(), key.file_name());
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
 }
 
-TEST_F(RepositoryTest, ConvertToColumnarAndBack) {
+// One thread re-stores a key while another loads it: every load must see
+// one complete trace, never a partially written file.
+TEST_F(RepositoryTest, ConcurrentStoreAndLoadNeverSeePartialTrace) {
   TraceRepository repo(dir_);
-  const TraceKey key{"raid5-hdd6", 4096, 50, 50};
-  const Trace trace = tiny_trace();
-  repo.store(key, trace);
-  EXPECT_EQ(repo.convert_to_columnar(key), trace.bunch_count());
-  EXPECT_TRUE(repo.contains_columnar(key));
-  // Second call without overwrite is a no-op that reports the entry size.
-  EXPECT_EQ(repo.convert_to_columnar(key), trace.bunch_count());
-  std::filesystem::remove(repo.path_for(key));
-  EXPECT_FALSE(repo.contains(key));
-  EXPECT_EQ(repo.convert_to_blk(key), trace.bunch_count());
-  EXPECT_TRUE(repo.contains(key));
-  EXPECT_EQ(repo.load(key), trace);
-}
-
-TEST_F(RepositoryTest, ListDedupsFormatsAndIncludesColumnarOnly) {
-  TraceRepository repo(dir_);
-  const TraceKey both{"b", 4096, 50, 0};
-  repo.store(both, tiny_trace());
-  repo.store_columnar(both, tiny_trace());
-  const TraceKey v2_only{"a", 512, 0, 100};
-  repo.store_columnar(v2_only, tiny_trace());
-  const auto keys = repo.list();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], v2_only);
-  EXPECT_EQ(keys[1], both);
+  const TraceKey key{"dev", 4096, 50, 50};
+  const Trace small = tiny_trace();
+  Trace large = tiny_trace();
+  for (int b = 1; b < 2000; ++b) {
+    Bunch bunch = large.bunches[0];
+    bunch.timestamp = b * 1e-3;
+    large.bunches.push_back(std::move(bunch));
+  }
+  repo.store(key, small);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 200; ++i) repo.store(key, i % 2 ? small : large);
+    done.store(true, std::memory_order_release);
+  });
+  int loads = 0;
+  std::string error;
+  while (error.empty() &&
+         (!done.load(std::memory_order_acquire) || loads == 0)) {
+    try {
+      const Trace loaded = repo.load(key);
+      EXPECT_TRUE(loaded == small || loaded == large);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    ++loads;
+  }
+  writer.join();
+  EXPECT_EQ(error, "") << "load " << loads << " of a key being re-stored";
 }
 
 }  // namespace

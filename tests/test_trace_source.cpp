@@ -314,6 +314,18 @@ TEST(ReplayEquivalenceTest, FilteredAndScaledPipelinesBitIdentical) {
       replay_source(*pipeline));
 }
 
+// Exact oracle: a 100 % proportional filter keeps every bunch, so its
+// replay is the unfiltered replay, bit for bit. EvaluationHost skips the
+// filter at load >= 1, so only this test drives apply(source, 1.0). The
+// bunch count is not a multiple of the group size, which puts a partial
+// group at the end.
+TEST(ReplayEquivalenceTest, FullLoadFilterIsIdentityOnView) {
+  const auto view = make_source(TraceView(shared_trace(303, 15)));
+  const auto full = core::ProportionalFilter::apply(view, 1.0);
+  ASSERT_EQ(full->bunch_count(), view->bunch_count());
+  expect_reports_identical(replay_source(*view), replay_source(*full));
+}
+
 class ColumnarReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -352,6 +364,17 @@ TEST_F(ColumnarReplayTest, FilteredColumnarReplayMatchesFilteredView) {
   const auto via_columnar = replay_source(*core::ProportionalFilter::apply(
       open_columnar_source(path, options), 0.2));
   expect_reports_identical(via_view, via_columnar);
+}
+
+TEST_F(ColumnarReplayTest, FullLoadFilterIsIdentityOnColumnar) {
+  const std::string path = (dir_ / "full.replay2").string();
+  write_columnar_file(path, *shared_trace(303, 16));
+  ColumnarSource::Options options;
+  options.window_bunches = 16;
+  const auto columnar = open_columnar_source(path, options);
+  const auto full = core::ProportionalFilter::apply(columnar, 1.0);
+  ASSERT_EQ(full->bunch_count(), columnar->bunch_count());
+  expect_reports_identical(replay_source(*columnar), replay_source(*full));
 }
 
 TEST_F(ColumnarReplayTest, MaterializedColumnarSourceEqualsOriginal) {
