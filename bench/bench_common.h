@@ -20,14 +20,13 @@
 
 namespace tracer::bench {
 
-/// This binary's peak-trace repository, reused by its later runs (the
-/// paper's §III-B step 2). Each binary has its own subdirectory, named
-/// after it, because a repository is not safe across processes: a trace
-/// one bench is still writing reads back truncated in another, which
-/// `ctest -j` would turn into spurious failures.
+/// The peak-trace repository of a run: `peak-traces` in the working
+/// directory, reused by later runs there (the paper's §III-B step 2).
+/// `ctest -L paper` gives each bench a fresh working directory and removes
+/// it afterwards, so no bench shares traces with another and none replays
+/// traces that an older build collected.
 inline std::filesystem::path bench_repository_dir() {
-  return std::filesystem::temp_directory_path() / "tracer-bench-repo" /
-         TRACER_BENCH_NAME;
+  return std::filesystem::current_path() / "peak-traces";
 }
 
 inline core::EvaluationOptions bench_options() {

@@ -1,7 +1,8 @@
-# Runs one paper bench as a ctest: a fresh working directory (campaign_1250
-# resumes from a journal in its working directory, so a leftover journal
-# would report records measured by an older build), then the binary, which
-# exits non-zero when any of its verdicts printed CHECK.
+# Runs one paper bench as a ctest: a fresh working directory (the bench keeps
+# its peak traces there, and campaign_1250 resumes from a journal there, so
+# leftovers would replay traces or report records from an older build),
+# then the binary, which exits non-zero when any of its verdicts printed
+# CHECK.
 #
 #   cmake -DBENCH=<bench binary> -DWORK_DIR=<scratch dir> -P paper_bench.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")

@@ -35,10 +35,6 @@ EvaluationHost::EvaluationHost(const storage::ArrayConfig& array,
       repository_(std::move(repository_dir)),
       options_(options) {}
 
-trace::Trace EvaluationHost::peak_trace(const workload::WorkloadMode& mode) {
-  return *peak_trace_shared(mode);
-}
-
 trace::Trace EvaluationHost::build_peak_trace(
     const trace::TraceKey& key, const workload::WorkloadMode& mode) {
   TRACER_SPAN("host.generate");
@@ -76,17 +72,15 @@ std::shared_ptr<const trace::Trace> EvaluationHost::peak_trace_shared(
   std::shared_future<SharedTrace> future;
   std::promise<SharedTrace> promise;
   bool builder = false;
-  std::uint64_t my_generation = 0;
   {
     util::MutexLock lock(cache_mutex_);
     auto it = peak_cache_.find(cache_key);
     if (it == peak_cache_.end()) {
       builder = true;
       future = promise.get_future().share();
-      my_generation = ++cache_generation_;
-      peak_cache_.emplace(cache_key, PeakCacheEntry{my_generation, future});
+      peak_cache_.emplace(cache_key, future);
     } else {
-      future = it->second.future;
+      future = it->second;
     }
   }
   {
@@ -107,46 +101,16 @@ std::shared_ptr<const trace::Trace> EvaluationHost::peak_trace_shared(
       promise.set_value(std::move(built));
     } catch (...) {
       // Evict first so a later call can retry; waiters holding this future
-      // still observe the exception. Evict only OUR entry (generation
-      // match): clear_peak_cache + a successor build may have reused the
-      // key while we were failing, and their entry must survive us.
+      // still observe the exception. Nothing else removes an entry, so the
+      // key still holds this build's own.
       {
         util::MutexLock lock(cache_mutex_);
-        auto it = peak_cache_.find(cache_key);
-        if (it != peak_cache_.end() &&
-            it->second.generation == my_generation) {
-          peak_cache_.erase(it);
-        }
+        peak_cache_.erase(cache_key);
       }
       promise.set_exception(std::current_exception());
     }
   }
   return future.get();
-}
-
-std::size_t EvaluationHost::peak_cache_size() const {
-  util::MutexLock lock(cache_mutex_);
-  return peak_cache_.size();
-}
-
-std::size_t EvaluationHost::clear_peak_cache() {
-  util::MutexLock lock(cache_mutex_);
-  std::size_t dropped = 0;
-  // Keep in-flight builds: evicting an unready future would let the next
-  // same-key caller start a SECOND build of the same trace concurrently
-  // with the first — two saturation runs writing one repository file.
-  // Ready entries (value or exception) are safe to drop.
-  for (auto it = peak_cache_.begin(); it != peak_cache_.end();) {
-    const bool ready = it->second.future.wait_for(std::chrono::seconds(0)) ==
-                       std::future_status::ready;
-    if (ready) {
-      it = peak_cache_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
 }
 
 TestResult EvaluationHost::replay_filtered(

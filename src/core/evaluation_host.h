@@ -57,12 +57,9 @@ class EvaluationHost {
                  std::filesystem::path repository_dir,
                  EvaluationOptions options = EvaluationOptions{});
 
-  /// Fetch the peak trace for a mode from the repository, collecting it
-  /// first (IOmeter-style saturation run + trace collector) when absent.
-  /// Returns a copy; prefer peak_trace_shared on hot paths.
-  trace::Trace peak_trace(const workload::WorkloadMode& mode);
-
-  /// Shared, immutable peak trace for a mode. The 10 load levels of one
+  /// Shared, immutable peak trace for a mode, fetched from the repository
+  /// or collected first (IOmeter-style saturation run + trace collector)
+  /// when absent. The 10 load levels of one
   /// workload mode (and every filter view derived from them) share ONE
   /// generated/parsed trace: a per-key shared_future guarantees the build
   /// happens exactly once even when a campaign hammers the same key from
@@ -74,18 +71,6 @@ class EvaluationHost {
   /// How many times a peak trace was actually generated or parsed (cache
   /// misses). A 10-level sweep over one mode leaves this at 1.
   std::uint64_t peak_build_count() const { return peak_builds_.load(); }
-
-  /// Number of peak traces currently cached in memory (ready or building).
-  std::size_t peak_cache_size() const;
-
-  /// Drop cached peak traces (repository files are untouched). Traces
-  /// still referenced by in-flight tests stay alive via shared ownership.
-  /// Safe against concurrent peak_trace_shared() calls: entries whose build
-  /// is still in flight are kept, so late same-key requesters keep joining
-  /// the one running build instead of racing a second build against it
-  /// (two builders would write the same repository file concurrently).
-  /// Returns the number of entries actually dropped.
-  std::size_t clear_peak_cache();
 
   /// Run one test: filter the mode's peak trace to mode.load_proportion,
   /// replay on a fresh array instance, meter, record. The record's test_id
@@ -138,17 +123,10 @@ class EvaluationHost {
   EvaluationOptions options_;
   PowerChannel* power_channel_ = nullptr;  ///< borrowed; may be null
   using SharedTrace = std::shared_ptr<const trace::Trace>;
-  /// One cache slot per trace key. `generation` disambiguates entries that
-  /// reuse a key after clear_peak_cache(): a builder cleaning up its own
-  /// failed build must not evict a successor entry someone else installed.
-  struct PeakCacheEntry {
-    std::uint64_t generation = 0;
-    std::shared_future<SharedTrace> future;
-  };
-  mutable util::Mutex cache_mutex_;  ///< guards peak_cache_ (not the builds)
-  std::unordered_map<std::string, PeakCacheEntry> peak_cache_
+  /// One cache slot per trace key; only a failed build removes its slot.
+  util::Mutex cache_mutex_;  ///< guards peak_cache_ (not the builds)
+  std::unordered_map<std::string, std::shared_future<SharedTrace>> peak_cache_
       TRACER_GUARDED_BY(cache_mutex_);
-  std::uint64_t cache_generation_ TRACER_GUARDED_BY(cache_mutex_) = 0;
   std::atomic<std::uint64_t> peak_builds_{0};
 };
 

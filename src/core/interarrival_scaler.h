@@ -21,12 +21,6 @@ class InterarrivalScaler {
   /// lazily at iteration time (no bunch is copied).
   static std::shared_ptr<const trace::TraceSource> scale(
       std::shared_ptr<const trace::TraceSource> source, double factor);
-
-  /// Rescale so the source spans `target_duration` seconds. A source whose
-  /// duration is 0 cannot stretch and comes back unchanged.
-  static std::shared_ptr<const trace::TraceSource> scale_to_duration(
-      std::shared_ptr<const trace::TraceSource> source,
-      Seconds target_duration);
 };
 
 }  // namespace tracer::core

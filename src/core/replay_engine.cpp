@@ -80,9 +80,8 @@ void ReplayEngine::on_complete(std::uint64_t measured,
   if (measured != 0) monitor_.on_complete(completion);
 }
 
-ReplayReport ReplayEngine::replay(
-    const trace::TraceSource& source, storage::BlockDevice& device,
-    const std::vector<power::PowerSource*>& extra_sources) {
+ReplayReport ReplayEngine::replay(const trace::TraceSource& source,
+                                  storage::BlockDevice& device) {
   if (source.empty()) {
     throw std::invalid_argument("ReplayEngine: empty trace");
   }
@@ -117,14 +116,8 @@ ReplayReport ReplayEngine::replay(
                                 power::HallSensorParams{},
                                 options_.sensor_seed);
   analyzer.add_channel(device);
-  for (auto* extra : extra_sources) {
-    if (extra == nullptr) {
-      throw std::invalid_argument("ReplayEngine: null extra power source");
-    }
-    analyzer.add_channel(*extra);
-  }
   if (options_.warmup_window > 0.0) {
-    // Re-starting at the boundary zeroes every channel's energy baseline,
+    // Re-starting at the boundary zeroes the channel's energy baseline,
     // so joules/avg_watts cover only the measured window.
     sim_.schedule_at(warm_end,
                      [&analyzer, warm_end] { analyzer.start(warm_end); });
@@ -183,8 +176,7 @@ ReplayReport ReplayEngine::replay(
   // Take the final (possibly partial) cycle so energy totals are complete.
   analyzer.sample_at(end);
 
-  ReplayReport report =
-      assemble_report(source, analyzer, end, extra_sources.size());
+  ReplayReport report = assemble_report(source, analyzer, end);
   report.events_dispatched = sim_.events_dispatched() - events_before;
   report.late_schedules = sim_.late_schedule_count() - late_before;
 
@@ -213,8 +205,7 @@ ReplayReport ReplayEngine::replay(
 
 ReplayReport ReplayEngine::assemble_report(const trace::TraceSource& source,
                                            power::PowerAnalyzer& analyzer,
-                                           Seconds end,
-                                           std::size_t extra_channel_count) {
+                                           Seconds end) {
   ReplayReport report;
   report.replay_duration = end;
   report.bunches_replayed = bunches_submitted_;
@@ -245,10 +236,6 @@ ReplayReport ReplayEngine::assemble_report(const trace::TraceSource& source,
     report.avg_amps /= static_cast<double>(channel.samples.size());
   }
   report.power_series = channel.samples;
-  report.extra_channels.reserve(extra_channel_count);
-  for (std::size_t ch = 1; ch <= extra_channel_count; ++ch) {
-    report.extra_channels.push_back(analyzer.report(ch));
-  }
   if (report.avg_watts > 0.0) {
     report.efficiency = compute_efficiency(report.perf.iops, report.perf.mbps,
                                            report.avg_watts);

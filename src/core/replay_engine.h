@@ -66,9 +66,6 @@ struct ReplayOptions {
 
 struct ReplayReport {
   PerfReport perf;
-  /// Optional per-component channels (ReplayEngine::replay extra sources),
-  /// e.g. one per member disk — the KS706's multi-channel operation.
-  std::vector<power::ChannelReport> extra_channels;
   Watts avg_watts = 0.0;       ///< measured mean power during replay
   Watts avg_true_watts = 0.0;  ///< ground-truth mean power
   double avg_volts = 0.0;
@@ -106,11 +103,8 @@ class ReplayEngine final : private sim::EventTarget, private storage::IoSink {
   /// produce bit-identical metrics for the same trace (the TraceSource
   /// contract, trace/trace_source.h). Wrap a plain Trace with
   /// TraceView::borrowed.
-  /// `extra_sources` are metered on additional analyzer channels (per-disk
-  /// breakdowns); they must belong to the same simulation as `device`.
   ReplayReport replay(const trace::TraceSource& source,
-                      storage::BlockDevice& device,
-                      const std::vector<power::PowerSource*>& extra_sources = {});
+                      storage::BlockDevice& device);
 
   sim::Simulator& simulator() { return sim_; }
 
@@ -125,12 +119,11 @@ class ReplayEngine final : private sim::EventTarget, private storage::IoSink {
                    const storage::IoCompletion& completion) override;
 
   /// Build the ReplayReport of a finished replay: perf over the trace
-  /// window, channel-0 power statistics, extra channels, efficiency. Reads
+  /// window, channel-0 power statistics, efficiency. Reads
   /// monitor_ and the replay counters; the caller fills the simulator's
   /// counters (events_dispatched, late_schedules).
   ReplayReport assemble_report(const trace::TraceSource& source,
-                               power::PowerAnalyzer& analyzer, Seconds end,
-                               std::size_t extra_channel_count);
+                               power::PowerAnalyzer& analyzer, Seconds end);
 
   ReplayOptions options_;
   sim::Simulator sim_;

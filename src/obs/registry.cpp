@@ -60,7 +60,7 @@ std::size_t checked_bin_count(double lo, double hi,
                               std::size_t bins_per_decade) {
   if (!(lo > 0.0) || !(hi > lo) || bins_per_decade == 0) {
     throw std::invalid_argument(
-        "LogHistogram: need 0 < lo < hi and bins_per_decade > 0");
+        "LogScale: need 0 < lo < hi and bins_per_decade > 0");
   }
   return static_cast<std::size_t>(std::ceil(
       (std::log10(hi) - std::log10(lo)) * static_cast<double>(bins_per_decade)));
@@ -112,14 +112,6 @@ double LogScale::bin_lo(std::size_t i) const {
   return std::pow(10.0, log_lo_ + static_cast<double>(i) / bins_per_log10_);
 }
 
-LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade)
-    : scale_(lo, hi, bins_per_decade), bins_(scale_.bin_count()) {}
-
-void LogHistogram::reset() noexcept {
-  for (auto& bin : bins_) bin.store(0, std::memory_order_relaxed);
-  total_.store(0, std::memory_order_relaxed);
-}
-
 std::uint64_t Snapshot::counter_or(std::string_view name,
                                    std::uint64_t fallback) const {
   for (const auto& [key, value] : counters) {
@@ -151,18 +143,6 @@ std::string Snapshot::to_json() const {
     out += "    \"" + json_escape(name) + "\": " + format_double(value);
     first = false;
   }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& hist : histograms) {
-    out += first ? "\n" : ",\n";
-    out += "    \"" + json_escape(hist.name) +
-           "\": {\"count\": " + std::to_string(hist.count) +
-           ", \"p50\": " + format_double(hist.p50) +
-           ", \"p95\": " + format_double(hist.p95) +
-           ", \"p99\": " + format_double(hist.p99) + "}";
-    first = false;
-  }
   out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;
 }
@@ -176,13 +156,6 @@ std::string Snapshot::to_csv() const {
   }
   for (const auto& [name, value] : gauges) {
     out += "gauge," + name + "," + format_double(value) + "\n";
-  }
-  for (const auto& hist : histograms) {
-    out += "histogram," + hist.name + ".count," + std::to_string(hist.count) +
-           "\n";
-    out += "histogram," + hist.name + ".p50," + format_double(hist.p50) + "\n";
-    out += "histogram," + hist.name + ".p95," + format_double(hist.p95) + "\n";
-    out += "histogram," + hist.name + ".p99," + format_double(hist.p99) + "\n";
   }
   return out;
 }
@@ -228,19 +201,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-LogHistogram& Registry::histogram(std::string_view name, double lo, double hi,
-                                  std::size_t bins_per_decade) {
-  util::MutexLock lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<LogHistogram>(lo, hi, bins_per_decade))
-             .first;
-  }
-  return *it->second;
-}
-
 Snapshot Registry::snapshot() const {
   util::MutexLock lock(mutex_);
   Snapshot snap;
@@ -252,16 +212,6 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, gauge] : gauges_) {
     snap.gauges.emplace_back(name, gauge->value());
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) {
-    Snapshot::HistogramStats stats;
-    stats.name = name;
-    stats.count = hist->total();
-    stats.p50 = hist->percentile(0.50);
-    stats.p95 = hist->percentile(0.95);
-    stats.p99 = hist->percentile(0.99);
-    snap.histograms.push_back(std::move(stats));
-  }
   return snap;
 }
 
@@ -269,7 +219,6 @@ void Registry::reset_values() {
   util::MutexLock lock(mutex_);
   for (auto& [name, counter] : counters_) counter->reset();
   for (auto& [name, gauge] : gauges_) gauge->reset();
-  for (auto& [name, hist] : histograms_) hist->reset();
 }
 
 ScopedTimer::ScopedTimer(Counter& micros, Counter& calls) noexcept

@@ -2,8 +2,8 @@
 // obs/span.h). TRACER's whole point is measurement — the paper's evaluation
 // host streams per-cycle IOPS/MBPS/Watts to a GUI and stores every record
 // for later queries (§III) — and the replay/campaign machinery itself needs
-// the same treatment: named counters, gauges, and log-scale histograms that
-// the hot paths can bump without taking a shared lock.
+// the same treatment: named counters and gauges that the hot paths can bump
+// without taking a shared lock.
 //
 // Concurrency model: instrument handles returned by Registry are stable for
 // the registry's lifetime, so callers look a name up once (a mutex-guarded
@@ -76,10 +76,8 @@ class Gauge {
 /// and multi-second HDD stragglers both land in meaningfully narrow bins (a
 /// linear 5 ms grid cannot resolve the former at all). Samples below lo
 /// (and non-positive values) clamp into the first bin, samples >= hi into
-/// the last, so totals are conserved. Shared by LogHistogram (atomic
-/// counts) and single-threaded binners with plain counts
-/// (core::PerfMonitor), which then agree bin for bin and percentile for
-/// percentile.
+/// the last, so totals are conserved. core::PerfMonitor keeps its response
+/// time bins on this scale, with plain counts.
 class LogScale {
  public:
   LogScale(double lo, double hi, std::size_t bins_per_decade = 40);
@@ -145,62 +143,12 @@ class LogScale {
   std::vector<std::uint32_t> cell_bin_;  ///< bin of each cell's first double
 };
 
-/// Log-scale histogram (LogScale bins) with atomic counts: add() is
-/// thread-safe and lock-free.
-class LogHistogram {
- public:
-  LogHistogram(double lo, double hi, std::size_t bins_per_decade = 40);
-
-  LogHistogram(const LogHistogram&) = delete;
-  LogHistogram& operator=(const LogHistogram&) = delete;
-
-  void add(double x, std::uint64_t weight = 1) noexcept {
-    bins_[scale_.index(x)].fetch_add(weight, std::memory_order_relaxed);
-    total_.fetch_add(weight, std::memory_order_relaxed);
-  }
-
-  std::uint64_t total() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
-  std::size_t bin_count() const { return bins_.size(); }
-  std::uint64_t bin(std::size_t i) const {
-    return bins_.at(i).load(std::memory_order_relaxed);
-  }
-  double bin_lo(std::size_t i) const { return scale_.bin_lo(i); }
-  double bin_hi(std::size_t i) const { return scale_.bin_hi(i); }
-  double lo() const { return scale_.lo(); }
-  double hi() const { return scale_.hi(); }
-
-  /// Value at quantile q in [0,1] (LogScale::percentile).
-  double percentile(double q) const {
-    return scale_.percentile(q, total(), [this](std::size_t i) {
-      return bins_[i].load(std::memory_order_relaxed);
-    });
-  }
-
-  void reset() noexcept;
-
- private:
-  LogScale scale_;
-  std::vector<std::atomic<std::uint64_t>> bins_;
-  std::atomic<std::uint64_t> total_{0};
-};
-
 /// Point-in-time copy of every instrument, safe to serialise or diff while
 /// the instruments keep counting. Entries are sorted by name (the registry
 /// map is ordered), so exports are canonical.
 struct Snapshot {
-  struct HistogramStats {
-    std::string name;
-    std::uint64_t count = 0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-  };
-
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramStats> histograms;
 
   /// Counter value by name, or `fallback` if the counter never existed.
   std::uint64_t counter_or(std::string_view name,
@@ -230,10 +178,6 @@ class Registry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// Histogram range/resolution are fixed by the first call for a name;
-  /// later calls with different parameters return the existing instrument.
-  LogHistogram& histogram(std::string_view name, double lo = 1e-2,
-                          double hi = 1e4, std::size_t bins_per_decade = 40);
 
   Snapshot snapshot() const;
 
@@ -251,8 +195,6 @@ class Registry {
       TRACER_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       TRACER_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<LogHistogram>, std::less<>>
-      histograms_ TRACER_GUARDED_BY(mutex_);
 };
 
 /// Adds the scope's wall-clock duration (microseconds) to `micros` and one

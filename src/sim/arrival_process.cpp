@@ -9,26 +9,10 @@ namespace tracer::sim {
 namespace {
 void require_positive_rate(double rate) {
   if (!(rate > 0.0)) {
-    throw std::invalid_argument("ArrivalProcess: rate must be > 0");
+    throw std::invalid_argument("arrivals: rate must be > 0");
   }
 }
 }  // namespace
-
-ConstantArrivals::ConstantArrivals(double rate_per_sec) {
-  require_positive_rate(rate_per_sec);
-  gap_ = 1.0 / rate_per_sec;
-}
-
-Seconds ConstantArrivals::next_gap(util::Rng&) { return gap_; }
-
-PoissonArrivals::PoissonArrivals(double rate_per_sec) {
-  require_positive_rate(rate_per_sec);
-  mean_gap_ = 1.0 / rate_per_sec;
-}
-
-Seconds PoissonArrivals::next_gap(util::Rng& rng) {
-  return rng.exponential(mean_gap_);
-}
 
 ParetoArrivals::ParetoArrivals(double rate_per_sec, double alpha)
     : alpha_(alpha) {

@@ -6,47 +6,19 @@
 // and cello synthesisers.
 #pragma once
 
-#include <memory>
-
 #include "util/rng.h"
 #include "util/types.h"
 
 namespace tracer::sim {
 
-/// Produces successive inter-arrival gaps (seconds).
-class ArrivalProcess {
- public:
-  virtual ~ArrivalProcess() = default;
-  virtual Seconds next_gap(util::Rng& rng) = 0;
-};
-
-/// Fixed-rate arrivals (gap = 1/rate).
-class ConstantArrivals final : public ArrivalProcess {
- public:
-  explicit ConstantArrivals(double rate_per_sec);
-  Seconds next_gap(util::Rng& rng) override;
-
- private:
-  Seconds gap_;
-};
-
-/// Poisson arrivals with the given mean rate.
-class PoissonArrivals final : public ArrivalProcess {
- public:
-  explicit PoissonArrivals(double rate_per_sec);
-  Seconds next_gap(util::Rng& rng) override;
-
- private:
-  Seconds mean_gap_;
-};
-
 /// Heavy-tailed Pareto gaps with shape alpha (> 1 for finite mean) scaled to
 /// the requested mean rate. Produces the bursty crests/troughs the paper
-/// warns random filtering would distort.
-class ParetoArrivals final : public ArrivalProcess {
+/// warns random filtering would distort. next_gap() returns successive
+/// inter-arrival gaps (seconds).
+class ParetoArrivals {
  public:
   ParetoArrivals(double rate_per_sec, double alpha);
-  Seconds next_gap(util::Rng& rng) override;
+  Seconds next_gap(util::Rng& rng);
 
  private:
   double alpha_;
@@ -56,12 +28,12 @@ class ParetoArrivals final : public ArrivalProcess {
 /// Poisson arrivals whose rate is modulated by a periodic diurnal profile —
 /// used by the web-server trace synthesiser (a week of traffic with
 /// day/night swings, Fig 12's visible workload shape).
-class DiurnalArrivals final : public ArrivalProcess {
+class DiurnalArrivals {
  public:
   /// base_rate: mean rate; swing in [0,1): amplitude of the daily sine;
   /// period: seconds per day (configurable so tests can compress time).
   DiurnalArrivals(double base_rate, double swing, Seconds period);
-  Seconds next_gap(util::Rng& rng) override;
+  Seconds next_gap(util::Rng& rng);
 
  private:
   double base_rate_;

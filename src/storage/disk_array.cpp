@@ -85,13 +85,13 @@ std::vector<HddModel*> DiskArray::hdd_disks() {
 Watts DiskArray::power_at(Seconds t) const {
   Watts total = enclosure_.power_at(t);
   for (const auto& disk : disks_) total += disk->power_at(t);
-  return total * (1.0 + config_.psu_overhead_fraction);
+  return total;
 }
 
 Joules DiskArray::energy_until(Seconds t) {
   Joules total = enclosure_.energy_until(t);
   for (const auto& disk : disks_) total += disk->energy_until(t);
-  return total * (1.0 + config_.psu_overhead_fraction);
+  return total;
 }
 
 }  // namespace tracer::storage

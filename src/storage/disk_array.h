@@ -28,7 +28,6 @@ struct ArrayConfig {
   HddParams hdd;   ///< used when kind == kHdd
   SsdParams ssd;   ///< used when kind == kSsd
   Watts enclosure_base_watts = 30.0;  ///< non-disk idle draw (Fig 7, 0 disks)
-  Watts psu_overhead_fraction = 0.0;  ///< AC-side conversion loss multiplier
   Seconds controller_overhead = 0.05e-3;
   std::uint64_t seed = 42;
 

@@ -25,11 +25,6 @@ HddModel::HddModel(sim::Simulator& sim, const HddParams& params,
       std::sqrt(static_cast<double>(params_.cylinders - 1));
 }
 
-std::uint64_t HddModel::cylinder_of(Sector sector) const {
-  return std::min<std::uint64_t>(sector / sectors_per_cylinder_,
-                                 params_.cylinders - 1);
-}
-
 void HddModel::submit(const IoRequest& request, CompletionCallback done) {
   if (request.bytes == 0) {
     throw std::invalid_argument("HddModel: zero-byte request");
@@ -84,32 +79,11 @@ void HddModel::finish_spin_up(std::uint64_t epoch) {
   if (!busy_) start_next();
 }
 
-std::size_t HddModel::pick_next() const {
-  if (params_.discipline == HddParams::Discipline::kFifo || queued() == 1) {
-    return 0;
-  }
-  // LOOK: among queued requests, pick the one whose cylinder is closest to
-  // the head in the current sweep direction; fall back to nearest overall.
-  std::size_t best = 0;
-  std::uint64_t best_distance = ~0ULL;
-  for (std::size_t k = 0; k < queue_.size(); ++k) {
-    const std::uint64_t cyl = cylinder_of(queue_.at(k).request.sector);
-    const std::uint64_t distance = cyl > head_cylinder_
-                                       ? cyl - head_cylinder_
-                                       : head_cylinder_ - cyl;
-    if (distance < best_distance) {
-      best_distance = distance;
-      best = k;
-    }
-  }
-  return best;
-}
-
 void HddModel::start_next() {
   if (queued() == 0 || power_state_ != PowerState::kActive) return;
   busy_ = true;
 
-  in_service_ = queue_.take(pick_next());
+  in_service_ = queue_.take();
 
   const IoRequest& req = in_service_.request;
   const Seconds t0 = sim_.now();

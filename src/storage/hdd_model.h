@@ -1,7 +1,8 @@
 // Mechanical hard-disk model calibrated to the testbed's Seagate Barracuda
 // 7200.12 500 GB drives (Table II).
 //
-// Service model: FIFO (or LOOK) single-actuator service. A request pays
+// Service model: FIFO single-actuator service, so requests finish in the
+// order they arrive and a replay keeps the trace's ordering. A request pays
 //   seek(cylinder distance) + rotational latency + zoned media transfer,
 // with sequential hits (next sector after the previous request) streaming
 // at media rate with neither seek nor rotation. Power: constant spindle/
@@ -39,9 +40,6 @@ struct HddParams {
   Seconds spin_up_time = 6.0;          ///< standby -> active latency
   Watts spin_up_extra_watts = 16.0;    ///< motor surge above idle while
                                        ///< spinning up
-  /// Queue discipline: FIFO preserves trace-replay ordering exactly; LOOK
-  /// models an elevator and is used by the scheduling ablation.
-  enum class Discipline { kFifo, kLook } discipline = Discipline::kFifo;
 };
 
 class HddModel final : public BlockDevice, private sim::EventTarget {
@@ -93,10 +91,7 @@ class HddModel final : public BlockDevice, private sim::EventTarget {
   void complete_in_service();
 
   void start_next();
-  std::uint64_t cylinder_of(Sector sector) const;
   std::size_t queued() const { return queue_.size(); }
-  /// Offset from the queue's head of the request to serve next.
-  std::size_t pick_next() const;
 
   HddParams params_;
   util::Rng rng_;

@@ -20,13 +20,8 @@ class IoQueue {
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// The waiting request `offset` places behind the head.
-  PendingIo& at(std::size_t offset) {
-    return slots_[(head_ + offset) & (slots_.size() - 1)];
-  }
-  const PendingIo& at(std::size_t offset) const {
-    return slots_[(head_ + offset) & (slots_.size() - 1)];
-  }
+  /// The oldest waiting request; the queue must not be empty.
+  const PendingIo& front() const { return slots_[head_]; }
 
   void push_back(PendingIo pending) {
     if (count_ == slots_.size()) {
@@ -39,17 +34,20 @@ class IoQueue {
     at(count_++) = pending;
   }
 
-  /// Remove and return the request at `offset`, keeping the others in
-  /// arrival order (LOOK may serve from the middle).
-  PendingIo take(std::size_t offset) {
-    PendingIo pending = at(offset);
-    for (std::size_t k = offset; k > 0; --k) at(k) = at(k - 1);
+  /// Remove and return the oldest waiting request.
+  PendingIo take() {
+    PendingIo pending = slots_[head_];
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
     return pending;
   }
 
  private:
+  /// The waiting request `offset` places behind the head.
+  PendingIo& at(std::size_t offset) {
+    return slots_[(head_ + offset) & (slots_.size() - 1)];
+  }
+
   std::vector<PendingIo> slots_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;

@@ -22,14 +22,12 @@ std::uint32_t child_count(std::size_t children) {
 
 RaidController::RaidController(sim::Simulator& sim, RaidGeometry geometry,
                                std::vector<BlockDevice*> disks,
-                               Seconds dispatch_overhead,
-                               bool merge_contiguous)
+                               Seconds dispatch_overhead)
     : BlockDevice(sim),
       geometry_(std::move(geometry)),
       capacity_(geometry_.capacity()),
       disks_(std::move(disks)),
       dispatch_overhead_(dispatch_overhead),
-      merge_contiguous_(merge_contiguous),
       max_merge_bytes_(geometry_.stripe_unit * geometry_.data_disks()) {
   if (disks_.size() != geometry_.disk_count) {
     throw std::invalid_argument(
@@ -96,8 +94,8 @@ void RaidController::dispatch_batch() {
   dispatching_.swap(batch_);
   if (dispatching_.empty()) return;
 
-  if (!merge_contiguous_ || dispatching_.size() == 1) {
-    for (std::size_t i = 0; i < dispatching_.size(); ++i) execute(i, i + 1);
+  if (dispatching_.size() == 1) {
+    execute(0, 1);
     dispatching_.clear();
     return;
   }

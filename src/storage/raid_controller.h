@@ -45,8 +45,7 @@ class RaidController final : public BlockDevice,
   /// batching window for merges.
   RaidController(sim::Simulator& sim, RaidGeometry geometry,
                  std::vector<BlockDevice*> disks,
-                 Seconds dispatch_overhead = 0.05e-3,
-                 bool merge_contiguous = true);
+                 Seconds dispatch_overhead = 0.05e-3);
 
   // BlockDevice
   Bytes capacity() const override { return capacity_; }
@@ -142,7 +141,6 @@ class RaidController final : public BlockDevice,
   Bytes capacity_;  ///< geometry_.capacity(), fixed at construction
   std::vector<BlockDevice*> disks_;
   Seconds dispatch_overhead_;
-  bool merge_contiguous_;
   Bytes max_merge_bytes_;
   std::vector<PendingIo> batch_;
   std::vector<PendingIo> dispatching_;  ///< batch_ swapped out at dispatch

@@ -38,9 +38,9 @@ void SsdModel::maybe_dispatch() {
   // FIFO: head-of-line blocks until enough channels free. This keeps
   // completion order sane and models a single NCQ-style dispatch engine.
   while (!queue_.empty() &&
-         channels_for(queue_.at(0).request.bytes) <=
+         channels_for(queue_.front().request.bytes) <=
              params_.channels - busy_channels_) {
-    start(queue_.take(0));
+    start(queue_.take());
   }
 }
 

@@ -7,37 +7,11 @@
 namespace tracer::sim {
 namespace {
 
-double mean_gap(ArrivalProcess& process, util::Rng& rng, int n) {
+template <typename Arrivals>
+double mean_gap(Arrivals& process, util::Rng& rng, int n) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += process.next_gap(rng);
   return sum / n;
-}
-
-TEST(ConstantArrivals, ExactGaps) {
-  util::Rng rng(1);
-  ConstantArrivals arrivals(4.0);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(arrivals.next_gap(rng), 0.25);
-  }
-}
-
-TEST(ConstantArrivals, RejectsNonPositiveRate) {
-  EXPECT_THROW(ConstantArrivals(0.0), std::invalid_argument);
-  EXPECT_THROW(ConstantArrivals(-1.0), std::invalid_argument);
-}
-
-TEST(PoissonArrivals, MeanMatchesRate) {
-  util::Rng rng(2);
-  PoissonArrivals arrivals(50.0);
-  EXPECT_NEAR(mean_gap(arrivals, rng, 200000), 1.0 / 50.0, 5e-4);
-}
-
-TEST(PoissonArrivals, GapsAlwaysPositive) {
-  util::Rng rng(3);
-  PoissonArrivals arrivals(10.0);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GT(arrivals.next_gap(rng), 0.0);
-  }
 }
 
 TEST(ParetoArrivals, MeanMatchesRate) {
@@ -49,13 +23,13 @@ TEST(ParetoArrivals, MeanMatchesRate) {
 TEST(ParetoArrivals, HeavierTailThanPoisson) {
   util::Rng rng(5);
   ParetoArrivals pareto(10.0, 1.5);
-  PoissonArrivals poisson(10.0);
   util::Rng rng2(5);
   double pareto_max = 0.0;
   double poisson_max = 0.0;
   for (int i = 0; i < 100000; ++i) {
     pareto_max = std::max(pareto_max, pareto.next_gap(rng));
-    poisson_max = std::max(poisson_max, poisson.next_gap(rng2));
+    // Poisson arrivals at the same rate: exponential gaps of mean 1/rate.
+    poisson_max = std::max(poisson_max, rng2.exponential(0.1));
   }
   EXPECT_GT(pareto_max, poisson_max);
 }

@@ -6,11 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
-#include "core/evaluation_host.h"
 #include "core/replay_engine.h"
 #include "mixed_trace.h"
 #include "net/communicator.h"
@@ -44,64 +42,6 @@ class StressSource final : public power::PowerSource {
   Watts base_;
   Seconds max_t_ = 0.0;
 };
-
-workload::WorkloadMode stress_mode(Bytes request_size) {
-  workload::WorkloadMode mode;
-  mode.request_size = request_size;
-  mode.random_ratio = 0.5;
-  mode.read_ratio = 0.5;
-  mode.load_proportion = 1.0;
-  return mode;
-}
-
-// clear_peak_cache racing peak_trace_shared: clears must never evict an
-// in-flight build (a second same-key build would race the repository
-// write), and every caller must still get a complete trace.
-TEST(ConcurrencyStress, PeakCacheBuildVsClear) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("tracer_stress_cache_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  core::EvaluationOptions options;
-  options.collection_duration = 0.2;
-  core::EvaluationHost host(storage::ArrayConfig::hdd_testbed(4), dir,
-                            options);
-
-  std::atomic<bool> done{false};
-  std::thread clearer([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      host.clear_peak_cache();
-      std::this_thread::yield();
-    }
-  });
-
-  constexpr int kRequesters = 4;
-  constexpr int kRounds = 6;
-  std::vector<std::thread> requesters;
-  std::atomic<int> failures{0};
-  for (int r = 0; r < kRequesters; ++r) {
-    requesters.emplace_back([&, r] {
-      for (int i = 0; i < kRounds; ++i) {
-        // Two keys: half the threads collide on each, so same-key joins
-        // and distinct-key parallel builds both happen under clearing.
-        const auto mode = stress_mode((r % 2 == 0) ? 16 * kKiB : 32 * kKiB);
-        auto trace = host.peak_trace_shared(mode);
-        if (!trace || trace->bunch_count() == 0) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : requesters) t.join();
-  done.store(true, std::memory_order_release);
-  clearer.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  // The cache may be empty or mid-build afterwards; a final clear with no
-  // writers drains every ready entry.
-  host.clear_peak_cache();
-  EXPECT_EQ(host.peak_cache_size(), 0u);
-  std::filesystem::remove_all(dir);
-}
 
 // Registry snapshots race instrument updates by design (lock-free atomic
 // instruments, locked name map); a snapshot taken mid-increment must see a

@@ -125,14 +125,6 @@ TEST(DiskArray, ActiveEnergyAboveIdle) {
   EXPECT_GT(energy, idle_energy);
 }
 
-TEST(DiskArray, PsuOverheadScalesPower) {
-  sim::Simulator sim;
-  ArrayConfig config = ArrayConfig::hdd_testbed(2);
-  config.psu_overhead_fraction = 0.10;
-  DiskArray array(sim, config);
-  EXPECT_NEAR(array.power_at(0.0), (30.0 + 16.0) * 1.10, 1e-9);
-}
-
 TEST(DiskArray, TwoDiskConfigFallsBackToRaid0) {
   sim::Simulator sim;
   DiskArray array(sim, ArrayConfig::hdd_testbed(2));

@@ -52,12 +52,13 @@ class EvaluationHostTest : public ::testing::Test {
 
 TEST_F(EvaluationHostTest, PeakTraceCollectedOnceAndCached) {
   EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_, options_);
-  const trace::Trace first = host.peak_trace(mode());
-  EXPECT_GT(first.bunch_count(), 0u);
+  const auto first = host.peak_trace_shared(mode());
+  EXPECT_GT(first->bunch_count(), 0u);
   EXPECT_TRUE(host.repository().contains(
       mode().trace_key(host.array_config().name)));
-  const trace::Trace second = host.peak_trace(mode());
-  EXPECT_EQ(first, second);  // loaded from the repository, not regenerated
+  const auto second = host.peak_trace_shared(mode());
+  EXPECT_EQ(*first, *second);  // served from the cache, not regenerated
+  EXPECT_EQ(host.peak_build_count(), 1u);
 }
 
 TEST_F(EvaluationHostTest, RunTestFillsFullDatabaseRecord) {
@@ -170,7 +171,6 @@ TEST_F(EvaluationHostTest, PeakTraceSharedReturnsSamePointerAcrossLoadLevels) {
     EXPECT_EQ(host.peak_trace_shared(mode(load)).get(), first.get());
   }
   EXPECT_EQ(host.peak_build_count(), 1u);
-  EXPECT_EQ(host.peak_cache_size(), 1u);
 }
 
 TEST_F(EvaluationHostTest, PeakCacheBuildsOnceUnderConcurrentAccess) {
@@ -205,28 +205,19 @@ TEST_F(EvaluationHostTest, SweepOverLoadLevelsBuildsPeakTraceExactlyOnce) {
   EXPECT_EQ(report.completed(), 10u);
 }
 
-TEST_F(EvaluationHostTest, ClearPeakCacheKeepsSharedTracesAlive) {
-  EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_, options_);
-  const auto held = host.peak_trace_shared(mode());
-  host.clear_peak_cache();
-  EXPECT_EQ(host.peak_cache_size(), 0u);
-  EXPECT_GT(held->bunch_count(), 0u);  // shared ownership keeps it valid
-  // Next fetch rebuilds (from the repository this time, not a re-collect).
-  const auto rebuilt = host.peak_trace_shared(mode());
-  EXPECT_EQ(host.peak_build_count(), 2u);
-  EXPECT_EQ(*rebuilt, *held);
-}
-
 TEST_F(EvaluationHostTest, RepositoryPersistsAcrossHosts) {
+  std::shared_ptr<const trace::Trace> collected;
   {
     EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_,
                         options_);
-    host.peak_trace(mode());
+    collected = host.peak_trace_shared(mode());
   }
   EvaluationHost second(storage::ArrayConfig::hdd_testbed(6), dir_,
                         options_);
   EXPECT_TRUE(second.repository().contains(
       mode().trace_key(second.array_config().name)));
+  // The second host loads the stored trace instead of collecting again.
+  EXPECT_EQ(*second.peak_trace_shared(mode()), *collected);
 }
 
 TEST_F(EvaluationHostTest, SweepPopulatesObservabilityCounters) {

@@ -7,9 +7,8 @@
 // schedule, the RAID-5 fan-out, the device models or the power integration
 // shows up as a changed bit. The matrix covers HDD and SSD arrays, healthy
 // and degraded RAID-5 (a failed data member and a failed parity member),
-// FIFO and LOOK queueing, the controller cache on and off, warm-up on and
-// off, the controller's merge disabled, and the RAID-0 demotion of arrays
-// with fewer than three disks.
+// the controller cache on and off, warm-up on and off, and the RAID-0
+// demotion of arrays with fewer than three disks.
 //
 // These literals are an oracle for refactors of the replay path: a change
 // that moves one of them changes what TRACER measures and has to say why.
@@ -19,7 +18,6 @@
 
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,7 +26,6 @@
 #include "mixed_trace.h"
 #include "storage/cache_tier.h"
 #include "storage/disk_array.h"
-#include "storage/hdd_model.h"
 #include "storage/raid_controller.h"
 #include "util/rng.h"
 
@@ -89,28 +86,6 @@ ReplayReport replay_array(
   return engine.replay(trace::TraceView::borrowed(trace), tier);
 }
 
-/// DiskArray always merges; the merge-disabled controller is assembled by
-/// hand from the testbed's HDDs, seeded the way DiskArray seeds them.
-ReplayReport replay_unmerged(const trace::Trace& trace) {
-  const auto config = storage::ArrayConfig::hdd_testbed(6);
-  ReplayEngine engine;
-  util::Rng seeder(config.seed);
-  std::vector<std::unique_ptr<storage::HddModel>> disks;
-  std::vector<storage::BlockDevice*> raw;
-  for (std::size_t i = 0; i < config.disk_count; ++i) {
-    disks.push_back(std::make_unique<storage::HddModel>(
-        engine.simulator(), config.hdd, seeder.next()));
-    raw.push_back(disks.back().get());
-  }
-  storage::RaidGeometry geometry(config.level, config.disk_count,
-                                 config.stripe_unit, config.hdd.capacity);
-  storage::RaidController controller(engine.simulator(), geometry,
-                                     std::move(raw),
-                                     config.controller_overhead,
-                                     /*merge_contiguous=*/false);
-  return engine.replay(trace::TraceView::borrowed(trace), controller);
-}
-
 storage::CacheTierParams small_cache() {
   storage::CacheTierParams params;
   params.capacity = 2 * kMiB;  // small: forces evictions and flushes
@@ -133,8 +108,6 @@ struct Case {
 std::vector<Case> cases() {
   const auto hdd = storage::ArrayConfig::hdd_testbed(6);
   const auto ssd = storage::ArrayConfig::ssd_testbed(4);
-  auto look = hdd;
-  look.hdd.discipline = storage::HddParams::Discipline::kLook;
   const trace::Trace mixed = mixed_trace(300, 7, 0.5);
   const trace::Trace writes = mixed_trace(300, 8, 0.2);
   const trace::Trace row0 = row0_trace(200, 9);
@@ -152,18 +125,12 @@ std::vector<Case> cases() {
        [=] { return replay_array(row0, hdd, {}, 5); }},
       {{"ssd_degraded", 765, 52.948991999999997, 70.039666279201782, 199.24000000000001, 198.90956741907706, 2906},
        [=] { return replay_array(writes, ssd, {}, 1); }},
-      {{"hdd_look", 754, 50.720768, 950.77658409691378, 83.726666666666674, 251.00111311284735, 2774},
-       [=] { return replay_array(mixed, look); }},
-      {{"hdd_look_degraded", 765, 52.948991999999997, 1676.8037292180791, 82.932500000000005, 331.41939045150917, 3414},
-       [=] { return replay_array(writes, look, {}, 3); }},
       {{"hdd_cache", 754, 50.720768, 519.42758952258555, 97.902500000000003, 418.94210073144393, 3451},
        [=] { return replay_array(mixed, hdd, {}, -1, small_cache()); }},
       {{"hdd_warmup", 513, 34.598911999999999, 2063.7588927681113, 91.527500000000003, 365.77945936034359, 2776},
        [=] { return replay_array(mixed, hdd, warmed()); }},
       {{"hdd_cache_warmup", 513, 34.598911999999999, 701.35433544647583, 97.717500000000001, 399.16317548691427, 3452},
        [=] { return replay_array(mixed, hdd, warmed(), -1, small_cache()); }},
-      {{"hdd_merge_disabled", 754, 50.720768, 1731.27354318826, 62.4375, 249.49355658383965, 2876},
-       [=] { return replay_unmerged(mixed); }},
       {{"hdd_raid0_demotion", 754, 50.720768, 2969.2708553304446, 51.482857142857149, 360.56095231703779, 1566},
        [=] { return replay_array(mixed, storage::ArrayConfig::hdd_testbed(2)); }},
       // clang-format on

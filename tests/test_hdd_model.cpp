@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -195,58 +194,32 @@ TEST(HddModel, FifoPreservesCompletionOrder) {
 TEST(HddModel, BacklogThatNeverDrainsServesEveryRequestOnce) {
   // Each completion submits a new request, so the queue stays ~100 deep
   // for 400 services: its storage grows while requests wait, then wraps
-  // around many times. FIFO must keep arrival order; LOOK, which serves
-  // from the middle, must serve each id once.
-  for (const auto discipline :
-       {HddParams::Discipline::kFifo, HddParams::Discipline::kLook}) {
-    Fixture f;
-    f.params.discipline = discipline;
-    auto hdd = f.make(3);
-    util::Rng rng(8);
-    constexpr std::uint64_t kDepth = 100, kTotal = 400;
-    std::uint64_t next_id = 0;
-    std::function<void(const IoCompletion&)> on_done =
-        [&](const IoCompletion& c) {
-          f.completions.push_back(c);
-          if (next_id < kTotal) {
-            hdd->submit(IoRequest{next_id++, rng.below(900000000), 4096,
-                                  OpType::kRead},
-                        f.done.bind(on_done));
-          }
-        };
-    while (next_id < kDepth) {
-      hdd->submit(IoRequest{next_id++, rng.below(900000000), 4096,
-                            OpType::kRead},
-                  f.done.bind(on_done));
-    }
-    f.sim.run();
-    EXPECT_EQ(hdd->outstanding(), 0u);
-    ASSERT_EQ(f.completions.size(), kTotal);
-    std::vector<std::uint64_t> ids;
-    for (const auto& c : f.completions) ids.push_back(c.id);
-    if (discipline == HddParams::Discipline::kLook) {
-      std::sort(ids.begin(), ids.end());
-    }
-    for (std::uint64_t i = 0; i < kTotal; ++i) EXPECT_EQ(ids[i], i);
+  // around many times. FIFO must keep arrival order throughout.
+  Fixture f;
+  auto hdd = f.make(3);
+  util::Rng rng(8);
+  constexpr std::uint64_t kDepth = 100, kTotal = 400;
+  std::uint64_t next_id = 0;
+  std::function<void(const IoCompletion&)> on_done =
+      [&](const IoCompletion& c) {
+        f.completions.push_back(c);
+        if (next_id < kTotal) {
+          hdd->submit(IoRequest{next_id++, rng.below(900000000), 4096,
+                                OpType::kRead},
+                      f.done.bind(on_done));
+        }
+      };
+  while (next_id < kDepth) {
+    hdd->submit(IoRequest{next_id++, rng.below(900000000), 4096,
+                          OpType::kRead},
+                f.done.bind(on_done));
   }
-}
-
-TEST(HddModel, LookSchedulingReducesTotalServiceTime) {
-  auto run = [](HddParams::Discipline discipline) {
-    Fixture f;
-    f.params.discipline = discipline;
-    auto hdd = f.make(9);
-    util::Rng rng(6);
-    for (int i = 0; i < 64; ++i) {
-      hdd->submit(IoRequest{static_cast<std::uint64_t>(i),
-                            rng.below(900000000), 4096, OpType::kRead},
-                  f.collect());
-    }
-    return f.sim.run();
-  };
-  const Seconds fifo = run(HddParams::Discipline::kFifo);
-  const Seconds look = run(HddParams::Discipline::kLook);
-  EXPECT_LT(look, fifo);
+  f.sim.run();
+  EXPECT_EQ(hdd->outstanding(), 0u);
+  ASSERT_EQ(f.completions.size(), kTotal);
+  for (std::uint64_t i = 0; i < kTotal; ++i) {
+    EXPECT_EQ(f.completions[i].id, i);
+  }
 }
 
 TEST(HddModel, DeterministicAcrossRuns) {

@@ -60,22 +60,5 @@ TEST(InterarrivalScaler, RejectsNonPositiveFactor) {
                std::invalid_argument);
 }
 
-TEST(InterarrivalScaler, ScaleToDurationHitsTarget) {
-  const auto scaled =
-      InterarrivalScaler::scale_to_duration(sample_source(), 4.0);
-  EXPECT_DOUBLE_EQ(scaled->duration(), 4.0);
-}
-
-TEST(InterarrivalScaler, ScaleToDurationValidation) {
-  EXPECT_THROW(InterarrivalScaler::scale_to_duration(sample_source(), 0.0),
-               std::invalid_argument);
-  // Zero-duration (single-bunch) traces pass through unchanged.
-  trace::Trace single;
-  single.bunches.push_back(trace::Bunch{});
-  const auto instant =
-      trace::make_source(trace::TraceView::owning(std::move(single)));
-  EXPECT_EQ(InterarrivalScaler::scale_to_duration(instant, 10.0), instant);
-}
-
 }  // namespace
 }  // namespace tracer::core

@@ -1,4 +1,4 @@
-// obs::Registry / Counter / Gauge / LogHistogram / Snapshot unit tests.
+// obs::Registry / Counter / Gauge / LogScale / Snapshot unit tests.
 #include "obs/registry.h"
 
 #include <gtest/gtest.h>
@@ -59,11 +59,9 @@ TEST(Registry, ConcurrentLookupAndBumpIsConsistent) {
       // Every thread looks the instruments up itself — exercising the
       // registry lock — then hammers the shared atomics.
       Counter& c = reg.counter("conc.count");
-      LogHistogram& h = reg.histogram("conc.hist", 0.01, 1000.0);
       Gauge& g = reg.gauge("conc.max");
       for (int i = 0; i < kIters; ++i) {
         c.increment();
-        h.add(static_cast<double>(i % 100) + 0.5);
         g.update_max(static_cast<double>(i));
       }
     });
@@ -71,35 +69,31 @@ TEST(Registry, ConcurrentLookupAndBumpIsConsistent) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(reg.counter("conc.count").value(),
             static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(reg.histogram("conc.hist").total(),
-            static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_DOUBLE_EQ(reg.gauge("conc.max").value(), kIters - 1);
 }
 
-TEST(LogHistogram, BinEdgesAreGeometric) {
-  LogHistogram h(0.01, 10000.0, 40);
+TEST(LogScale, BinEdgesAreGeometric) {
+  const LogScale scale(0.01, 10000.0, 40);
   // 6 decades x 40 bins.
-  EXPECT_EQ(h.bin_count(), 240u);
-  const double ratio = h.bin_hi(0) / h.bin_lo(0);
-  for (std::size_t i = 1; i < h.bin_count(); i += 37) {
-    EXPECT_NEAR(h.bin_hi(i) / h.bin_lo(i), ratio, 1e-9);
+  EXPECT_EQ(scale.bin_count(), 240u);
+  const double ratio = scale.bin_hi(0) / scale.bin_lo(0);
+  for (std::size_t i = 1; i < scale.bin_count(); i += 37) {
+    EXPECT_NEAR(scale.bin_hi(i) / scale.bin_lo(i), ratio, 1e-9);
   }
-  EXPECT_NEAR(h.bin_lo(0), 0.01, 1e-12);
-  EXPECT_NEAR(h.bin_hi(h.bin_count() - 1), 10000.0, 1e-6);
+  EXPECT_NEAR(scale.bin_lo(0), 0.01, 1e-12);
+  EXPECT_NEAR(scale.bin_hi(scale.bin_count() - 1), 10000.0, 1e-6);
 }
 
-TEST(LogHistogram, ClampsOutOfRangeIntoEdgeBins) {
-  LogHistogram h(1.0, 100.0, 10);
-  h.add(0.5);     // below lo
-  h.add(-3.0);    // non-positive
-  h.add(1000.0);  // above hi
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(h.bin_count() - 1), 1u);
+TEST(LogScale, ClampsOutOfRangeIntoEdgeBins) {
+  const LogScale scale(1.0, 100.0, 10);
+  EXPECT_EQ(scale.index(0.5), 0u);   // below lo
+  EXPECT_EQ(scale.index(-3.0), 0u);  // non-positive
+  EXPECT_EQ(scale.index(1000.0), scale.bin_count() - 1);  // above hi
 }
 
-TEST(LogHistogram, PercentileTracksExactWithinOneBinRatio) {
-  LogHistogram h(0.01, 10000.0, 40);
+TEST(LogScale, PercentileTracksExactWithinOneBinRatio) {
+  const LogScale scale(0.01, 10000.0, 40);
+  std::vector<std::uint64_t> counts(scale.bin_count(), 0);
   std::mt19937_64 rng(7);
   std::lognormal_distribution<double> dist(1.0, 1.2);
   std::vector<double> exact;
@@ -107,7 +101,7 @@ TEST(LogHistogram, PercentileTracksExactWithinOneBinRatio) {
   for (int i = 0; i < 20000; ++i) {
     const double x = dist(rng);
     exact.push_back(x);
-    h.add(x);
+    ++counts[scale.index(x)];
   }
   std::sort(exact.begin(), exact.end());
   // One-bin relative resolution: 10^(1/40) ~= 1.059.
@@ -115,17 +109,18 @@ TEST(LogHistogram, PercentileTracksExactWithinOneBinRatio) {
   for (double q : {0.5, 0.9, 0.95, 0.99}) {
     const double expected =
         exact[static_cast<std::size_t>(q * (exact.size() - 1))];
-    const double got = h.percentile(q);
+    const double got = scale.percentile(
+        q, exact.size(), [&counts](std::size_t i) { return counts[i]; });
     EXPECT_LE(got / expected, tolerance * 1.02) << "q=" << q;
     EXPECT_GE(got / expected, 1.0 / (tolerance * 1.02)) << "q=" << q;
   }
 }
 
-TEST(LogHistogram, RejectsBadRange) {
-  EXPECT_THROW(LogHistogram(0.0, 10.0), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(10.0, 10.0), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(10.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(1.0, 10.0, 0), std::invalid_argument);
+TEST(LogScale, RejectsBadRange) {
+  EXPECT_THROW(LogScale(0.0, 10.0), std::invalid_argument);
+  EXPECT_THROW(LogScale(10.0, 10.0), std::invalid_argument);
+  EXPECT_THROW(LogScale(10.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(LogScale(1.0, 10.0, 0), std::invalid_argument);
 }
 
 // ---- LogScale::index against the log10 formula it replaces -------------
@@ -151,7 +146,7 @@ struct ScaleCase {
   std::uint64_t random_samples;
 };
 
-/// The PerfMonitor and LogHistogram test scales, an odd range, and one so
+/// The PerfMonitor and BinEdgesAreGeometric scales, an odd range, and one so
 /// fine that a table cell spans several bins.
 constexpr ScaleCase kScales[] = {
     {0.01, 10000.0, 40, 10000000},
@@ -234,17 +229,11 @@ TEST(Snapshot, ReflectsValuesAndLookupByName) {
   Registry reg;
   reg.counter("a.count").add(5);
   reg.gauge("b.level").set(2.5);
-  LogHistogram& h = reg.histogram("c.lat", 0.1, 100.0);
-  for (int i = 0; i < 100; ++i) h.add(10.0);
 
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter_or("a.count"), 5u);
   EXPECT_EQ(snap.counter_or("missing", 77), 77u);
   EXPECT_DOUBLE_EQ(snap.gauge_or("b.level"), 2.5);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].name, "c.lat");
-  EXPECT_EQ(snap.histograms[0].count, 100u);
-  EXPECT_NEAR(snap.histograms[0].p50, 10.0, 10.0 * 0.07);
 
   // Snapshot is a copy: later bumps don't mutate it.
   reg.counter("a.count").add(100);
@@ -255,19 +244,16 @@ TEST(Snapshot, JsonAndCsvExportContainEveryInstrument) {
   Registry reg;
   reg.counter("n.sent").add(3);
   reg.gauge("n.depth").set(4.0);
-  reg.histogram("n.lat", 0.1, 10.0).add(1.0);
 
   const Snapshot snap = reg.snapshot();
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"n.sent\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"n.depth\""), std::string::npos);
-  EXPECT_NE(json.find("\"n.lat\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
 
   const std::string csv = snap.to_csv();
   EXPECT_NE(csv.find("counter,n.sent,3"), std::string::npos) << csv;
   EXPECT_NE(csv.find("gauge,n.depth,"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,n.lat.count,1"), std::string::npos);
 }
 
 TEST(Registry, ResetValuesZeroesButKeepsHandles) {
@@ -275,11 +261,9 @@ TEST(Registry, ResetValuesZeroesButKeepsHandles) {
   Counter& c = reg.counter("r.count");
   c.add(9);
   reg.gauge("r.level").set(1.0);
-  reg.histogram("r.lat", 0.1, 10.0).add(1.0);
   reg.reset_values();
   EXPECT_EQ(c.value(), 0u);  // same handle, zeroed
   EXPECT_DOUBLE_EQ(reg.gauge("r.level").value(), 0.0);
-  EXPECT_EQ(reg.histogram("r.lat").total(), 0u);
 }
 
 TEST(ScopedTimer, AccumulatesDurationAndCalls) {

@@ -54,7 +54,6 @@ struct Fixture {
   /// complete interleaved rather than in submission order.
   std::unique_ptr<RaidController> make(std::size_t disk_count,
                                        RaidLevel level = RaidLevel::kRaid5,
-                                       bool merge = true,
                                        Seconds latency_step = 0.0) {
     std::vector<BlockDevice*> raw;
     for (std::size_t i = 0; i < disk_count; ++i) {
@@ -65,7 +64,7 @@ struct Fixture {
     }
     RaidGeometry geometry(level, disk_count, 128 * kKiB, kDiskCapacity);
     return std::make_unique<RaidController>(sim, geometry, std::move(raw),
-                                            0.05e-3, merge);
+                                            0.05e-3);
   }
 
   CompletionCallback collect() {
@@ -170,7 +169,7 @@ TEST(RaidController, Raid0WriteHasNoParityCost) {
 
 TEST(RaidController, MergesContiguousRequestsInBatch) {
   Fixture f;
-  auto raid = f.make(6, RaidLevel::kRaid5, /*merge=*/true);
+  auto raid = f.make(6);
   // Eight contiguous 16 KB reads submitted back-to-back (same batch
   // window) covering one 128 KB unit -> one child read.
   for (int i = 0; i < 8; ++i) {
@@ -183,19 +182,6 @@ TEST(RaidController, MergesContiguousRequestsInBatch) {
   EXPECT_EQ(f.total_child_ops(), 1u);
   EXPECT_EQ(f.completions.size(), 8u);
   EXPECT_EQ(raid->stats().merged_batches, 1u);
-}
-
-TEST(RaidController, MergeDisabledIssuesPerRequest) {
-  Fixture f;
-  auto raid = f.make(6, RaidLevel::kRaid5, /*merge=*/false);
-  for (int i = 0; i < 8; ++i) {
-    raid->submit(IoRequest{static_cast<std::uint64_t>(i),
-                           static_cast<Sector>(i) * 32, 16 * kKiB,
-                           OpType::kRead},
-                 f.collect());
-  }
-  f.sim.run();
-  EXPECT_EQ(f.total_child_ops(), 8u);
 }
 
 TEST(RaidController, DoesNotMergeAcrossOpTypes) {
@@ -332,7 +318,7 @@ const std::vector<std::uint64_t> kStraddleIds = {1,  3,  5,  7,  11, 13,
 
 TEST(RaidController, InterleavedMultiRowRmwReusesSlotsHealthy) {
   Fixture f;
-  auto raid = f.make(6, RaidLevel::kRaid5, true, /*latency_step=*/0.7e-4);
+  auto raid = f.make(6, RaidLevel::kRaid5, /*latency_step=*/0.7e-4);
   run_straddling_writes(f, *raid, 3);
 
   EXPECT_EQ(sorted_ids(f.completions), kStraddleIds);
@@ -350,7 +336,7 @@ TEST(RaidController, InterleavedMultiRowRmwReusesSlotsHealthy) {
 
 TEST(RaidController, InterleavedMultiRowRmwReusesSlotsDegraded) {
   Fixture f;
-  auto raid = f.make(6, RaidLevel::kRaid5, true, /*latency_step=*/0.7e-4);
+  auto raid = f.make(6, RaidLevel::kRaid5, /*latency_step=*/0.7e-4);
   // Disk 4 holds row 0's and row 6's last data unit (k = 1, 7:
   // reconstruct-write, 4 surviving-data reads + 1 parity write) and row
   // 1's and row 7's parity (no reads, 1 data write). Rows 2-5 (k = 3, 5)

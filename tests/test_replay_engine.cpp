@@ -235,48 +235,6 @@ TEST(ReplayEngine, PowerSeriesCoversReplay) {
   }
 }
 
-TEST(ReplayEngine, PerDiskChannelsDecomposeArrayPower) {
-  // Multi-channel metering: one channel per member disk alongside the
-  // array channel. True per-disk energies plus the enclosure base must
-  // reassemble the array's energy exactly (the analyzer integrates the
-  // same ledgers).
-  const trace::Trace trace = synthetic_trace(800, 16384, 0.5, 0.004);
-  ReplayEngine engine;
-  storage::DiskArray array(engine.simulator(),
-                           storage::ArrayConfig::hdd_testbed(6));
-  std::vector<power::PowerSource*> disks;
-  for (auto* disk : array.hdd_disks()) disks.push_back(disk);
-  const ReplayReport report =
-      engine.replay(trace::TraceView::borrowed(trace), array, disks);
-
-  ASSERT_EQ(report.extra_channels.size(), 6u);
-  double disk_true_watts = 0.0;
-  for (const auto& channel : report.extra_channels) {
-    EXPECT_GT(channel.mean_true_watts(), 7.9);  // at least near idle
-    disk_true_watts += channel.mean_true_watts();
-  }
-  EXPECT_NEAR(disk_true_watts + 30.0, report.avg_true_watts, 1e-6);
-
-  // Random workload spreads activity: no disk is wildly hotter.
-  double lo = 1e9;
-  double hi = 0.0;
-  for (const auto& channel : report.extra_channels) {
-    lo = std::min(lo, channel.mean_true_watts());
-    hi = std::max(hi, channel.mean_true_watts());
-  }
-  EXPECT_LT(hi - lo, 2.0);
-}
-
-TEST(ReplayEngine, RejectsNullExtraSource) {
-  const trace::Trace trace = synthetic_trace(10, 4096, 1.0, 0.01);
-  ReplayEngine engine;
-  storage::DiskArray array(engine.simulator(),
-                           storage::ArrayConfig::hdd_testbed(6));
-  EXPECT_THROW(
-      engine.replay(trace::TraceView::borrowed(trace), array, {nullptr}),
-      std::invalid_argument);
-}
-
 TEST(ReplayEngine, DeterministicAcrossRuns) {
   const trace::Trace trace = synthetic_trace(400, 8192, 0.5, 0.005);
   const ReplayReport a = replay_on_hdd(trace::TraceView::borrowed(trace));

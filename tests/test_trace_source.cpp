@@ -274,19 +274,6 @@ TEST(ScalerSourceTest, ScaleMatchesViewPath) {
   for (std::size_t i = 0; i < trace->bunch_count(); ++i) {
     EXPECT_EQ(scaled->timestamp(i), trace->bunches[i].timestamp / 4.0);
   }
-  const auto to_duration =
-      core::InterarrivalScaler::scale_to_duration(view, 5.0);
-  EXPECT_DOUBLE_EQ(to_duration->duration(), 5.0);
-  // Non-positive target is rejected.
-  EXPECT_THROW(core::InterarrivalScaler::scale_to_duration(view, 0.0),
-               std::invalid_argument);
-  // A zero-duration source cannot stretch: returned unchanged.
-  auto single = std::make_shared<Trace>();
-  single->bunches.emplace_back();  // one bunch at t = 0
-  const auto instant = make_source(TraceView(
-      std::shared_ptr<const Trace>(std::move(single))));
-  EXPECT_EQ(core::InterarrivalScaler::scale_to_duration(instant, 5.0),
-            instant);
 }
 
 // --- replay equivalence: the acceptance bar ---------------------------------

@@ -236,16 +236,6 @@ TEST_P(ViewPipelineEquivalence, FilterThenScaleMatchesMaterializingPath) {
                      4.0));
 }
 
-TEST_P(ViewPipelineEquivalence, ScaleToDurationMatchesMaterializingPath) {
-  const double target = 1.0 + GetParam() / 10.0;
-  const Trace trace = bursty_trace();
-  const auto scaled = core::InterarrivalScaler::scale_to_duration(
-      make_source(TraceView::borrowed(trace)), target);
-  expect_source_equals_trace(
-      *scaled, copy_positions(trace, all_positions(trace.bunch_count()),
-                              trace.duration() / target));
-}
-
 INSTANTIATE_TEST_SUITE_P(LoadLevels, ViewPipelineEquivalence,
                          ::testing::Values(10, 20, 30, 40, 50, 60, 70, 80,
                                            90, 100));
