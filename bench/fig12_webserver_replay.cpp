@@ -5,9 +5,6 @@
 // scaled copy of the full-load series.
 #include "bench_common.h"
 
-#include "core/proportional_filter.h"
-#include "core/replay_engine.h"
-#include "storage/disk_array.h"
 #include "util/stats.h"
 #include "workload/web_server_model.h"
 
@@ -27,22 +24,18 @@ int main() {
   const auto web_source = trace::make_source(trace::TraceView::borrowed(web));
 
   // Per-minute interval series, like the paper's one-minute recording.
-  const Seconds interval = 60.0;
+  core::EvaluationOptions options = bench::bench_options();
+  options.sampling_cycle = 60.0;
+  core::EvaluationHost host(storage::ArrayConfig::hdd_testbed(6),
+                            bench::bench_repository_dir(), options);
   const std::vector<double> loads = {0.2, 0.4, 0.6, 0.8, 1.0};
 
   std::vector<std::vector<double>> iops_series;
   std::vector<double> mean_iops;
   std::vector<double> mean_mbps;
   for (double load : loads) {
-    const auto filtered =
-        load >= 1.0 ? web_source
-                    : core::ProportionalFilter::apply(web_source, load);
-    core::ReplayOptions options;
-    options.sampling_cycle = interval;
-    core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    const core::ReplayReport report = engine.replay(*filtered, array);
+    const core::ReplayReport report =
+        host.run_source(web_source, "web", load).report;
     if (report.late_schedules != 0) {
       // A late schedule means the DES clamped an event into the present —
       // the replayed timing silently drifted. Figure data would be invalid.

@@ -38,7 +38,6 @@ db::TestRecord synth_record(const workload::WorkloadMode& mode) {
   r.read_ratio = mode.read_ratio;
   r.load_proportion = mode.load_proportion;
   r.avg_watts = 12.0 + mode.load_proportion;
-  r.power_valid = true;
   r.iops = 1000.0 * mode.load_proportion;
   r.iops_per_watt = r.iops / r.avg_watts;
   return r;

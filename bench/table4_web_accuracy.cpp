@@ -5,9 +5,6 @@
 #include "bench_common.h"
 
 #include "core/metrics.h"
-#include "core/proportional_filter.h"
-#include "core/replay_engine.h"
-#include "storage/disk_array.h"
 #include "workload/web_server_model.h"
 
 int main() {
@@ -21,23 +18,20 @@ int main() {
   const auto web =
       trace::make_source(trace::TraceView::owning(model.generate()));
 
-  auto run = [&](const std::shared_ptr<const trace::TraceSource>& source) {
-    core::ReplayOptions options;
-    core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(*source, array);
+  core::EvaluationHost host(storage::ArrayConfig::hdd_testbed(6),
+                            bench::bench_repository_dir(),
+                            bench::bench_options());
+  auto run = [&](double load) {
+    return host.run_source(web, "web", load).report;
   };
 
-  const core::ReplayReport base = run(web);
+  const core::ReplayReport base = run(1.0);
 
   util::Table table({"configured %", "measured % (IOPS)", "acc (IOPS)",
                      "measured % (MBPS)", "acc (MBPS)"});
   double max_error = 0.0;
   for (double load : bench::load_levels()) {
-    const core::ReplayReport report =
-        load >= 1.0 ? base
-                    : run(core::ProportionalFilter::apply(web, load));
+    const core::ReplayReport report = load >= 1.0 ? base : run(load);
     const core::LoadControlRow row = core::make_load_control_row(
         load, base.perf.iops, base.perf.mbps, report.perf.iops,
         report.perf.mbps);

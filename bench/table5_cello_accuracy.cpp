@@ -7,9 +7,6 @@
 #include "bench_common.h"
 
 #include "core/metrics.h"
-#include "core/proportional_filter.h"
-#include "core/replay_engine.h"
-#include "storage/disk_array.h"
 #include "trace/srt_format.h"
 #include "trace/trace_stats.h"
 #include "workload/cello_model.h"
@@ -32,22 +29,19 @@ int main() {
       srt.size(), cello.bunch_count(), stats.read_ratio * 100.0,
       stats.mean_request_kb);
 
-  auto run = [&](const std::shared_ptr<const trace::TraceSource>& source) {
-    core::ReplayOptions options;
-    core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(*source, array);
+  core::EvaluationHost host(storage::ArrayConfig::hdd_testbed(6),
+                            bench::bench_repository_dir(),
+                            bench::bench_options());
+  auto run = [&](double load) {
+    return host.run_source(cello_source, "cello99", load).report;
   };
-  const core::ReplayReport base = run(cello_source);
+  const core::ReplayReport base = run(1.0);
 
   util::Table table({"configured %", "measured % (MBPS)", "acc (MBPS)"});
   double max_error = 0.0;
   double sum_error = 0.0;
   for (double load : bench::load_levels()) {
-    const core::ReplayReport report =
-        load >= 1.0 ? base
-                    : run(core::ProportionalFilter::apply(cello_source, load));
+    const core::ReplayReport report = load >= 1.0 ? base : run(load);
     const double measured =
         core::load_proportion(base.perf.mbps, report.perf.mbps);
     const double accuracy = core::load_control_accuracy(measured, load);

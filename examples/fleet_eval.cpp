@@ -114,7 +114,6 @@ db::TestRecord synth_record(const workload::WorkloadMode& mode) {
   r.avg_volts = 12.0;
   r.avg_watts = r.avg_amps * r.avg_volts;
   r.joules = r.avg_watts * 30.0;
-  r.power_valid = true;
   r.iops = 1000.0 + x;
   r.mbps = 80.0 + x / 7.0;
   r.avg_response_ms = 1.0 + mode.load_proportion * 2.0;

@@ -5,11 +5,10 @@
 // Usage: webserver_replay [minutes=10] [out.csv]
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 
-#include "core/proportional_filter.h"
-#include "core/replay_engine.h"
-#include "storage/disk_array.h"
+#include "core/evaluation_host.h"
 #include "trace/trace_stats.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -40,20 +39,21 @@ int main(int argc, char** argv) {
               stats.read_ratio * 100.0, stats.mean_request_kb,
               static_cast<double>(stats.dataset_bytes) / 1e9);
 
+  core::EvaluationOptions options;
+  options.sampling_cycle = 60.0;  // the paper's one-minute intervals
+  core::EvaluationHost host(
+      storage::ArrayConfig::hdd_testbed(6),
+      std::filesystem::temp_directory_path() / "tracer-webserver-replay",
+      options);
+
   util::Table table(
       {"load %", "IOPS", "MBPS", "resp ms", "watts", "MBPS/kW"});
   std::vector<std::vector<std::string>> csv_rows;
   std::vector<std::vector<double>> minute_series;
 
   for (double load : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-    const auto filtered =
-        load >= 1.0 ? web : core::ProportionalFilter::apply(web, load);
-    core::ReplayOptions options;
-    options.sampling_cycle = 60.0;  // the paper's one-minute intervals
-    core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    const core::ReplayReport report = engine.replay(*filtered, array);
+    const core::ReplayReport report =
+        host.run_source(web, "web", load).report;
     table.row()
         .add(static_cast<int>(load * 100))
         .add(report.perf.iops, 1)

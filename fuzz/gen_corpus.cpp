@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/remote.h"
 #include "db/journal.h"
 #include "db/record.h"
 #include "net/message.h"
@@ -70,13 +71,10 @@ void gen_message(const fs::path& dir) {
   configure.set_u64("request_size", 8192);
   write_bytes(dir / "configure_test", configure.serialize());
 
-  Message power;
-  power.type = MessageType::kPowerResult;
-  power.sequence = 9001;
-  power.set_double("amps", 0.36125);
-  power.set_double("volts", 220.0625);
-  power.set_double("watts", 79.5117);
-  write_bytes(dir / "power_result", power.serialize());
+  Message perf = tracer::core::encode_record(sample_record());
+  perf.sequence = 9001;
+  perf.request_id = 4;
+  write_bytes(dir / "perf_result", perf.serialize());
 
   write_bytes(dir / "heartbeat", tracer::net::make_heartbeat(12).serialize());
   write_bytes(dir / "error",

@@ -25,14 +25,6 @@ std::size_t CampaignReport::count(TestStatus status) const {
                     }));
 }
 
-std::size_t CampaignReport::degraded() const {
-  return static_cast<std::size_t>(
-      std::count_if(outcomes.begin(), outcomes.end(),
-                    [](const TestOutcome& o) {
-                      return o.ok() && !o.record.power_valid;
-                    }));
-}
-
 bool CampaignReport::all_ok() const {
   return std::all_of(outcomes.begin(), outcomes.end(),
                      [](const TestOutcome& o) { return o.ok(); });
@@ -102,20 +94,11 @@ TestOutcome CampaignRunner::run_one(const workload::WorkloadMode& mode,
         checkpoints.increment();
       }
       outcome.status = TestStatus::kCompleted;
-      const bool degraded_power = !record.power_valid;
       outcome.record = std::move(record);
       static auto& completed =
           obs::Registry::global().counter("campaign.completed");
       completed.increment();
-      if (degraded_power) {
-        static auto& degraded =
-            obs::Registry::global().counter("campaign.degraded");
-        degraded.increment();
-      }
-      bump_progress([degraded_power](CampaignProgress& p) {
-        ++p.completed;
-        if (degraded_power) ++p.degraded;
-      });
+      bump_progress([](CampaignProgress& p) { ++p.completed; });
       return outcome;
     } catch (const std::exception& e) {
       outcome.error = e.what();

@@ -66,9 +66,6 @@ struct CampaignProgress {
   std::size_t skipped = 0;    ///< resumed from the journal
   std::size_t failed = 0;
   std::size_t retries = 0;    ///< extra attempts across all tests
-  /// Completed tests whose record came back power_valid=false (power
-  /// analyzer degraded; perf fields valid, efficiency N/A).
-  std::size_t degraded = 0;
   Seconds elapsed = 0.0;
   Seconds eta = 0.0;  ///< remaining-time estimate; 0 until measurable
   /// Point-in-time snapshot of the process-global obs registry, taken just
@@ -89,7 +86,6 @@ struct CampaignReport {
   std::size_t skipped() const { return count(TestStatus::kSkipped); }
   std::size_t failed() const { return count(TestStatus::kFailed); }
   std::size_t cancelled() const { return count(TestStatus::kCancelled); }
-  std::size_t degraded() const;  ///< ok slots with power_valid == false
   bool all_ok() const;  ///< every slot completed or skipped
 };
 

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <ctime>
 
-#include "core/power_channel.h"
 #include "core/proportional_filter.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -140,23 +139,11 @@ TestResult EvaluationHost::replay_filtered(
   storage::ArrayConfig config = array_;
   storage::DiskArray array(engine.simulator(), config);
 
-  // External power measurement brackets the replay. A channel that fails
-  // to open degrades the test (power_valid=false) — it never aborts it:
-  // the replay's performance numbers are still worth recording.
-  const bool window_open = power_channel_ && power_channel_->start_window();
-  if (power_channel_ && !window_open) {
-    TRACER_LOG(kWarn) << "power channel failed to open window for "
-                      << trace_name << "; test will be power-degraded";
-  }
-
   ReplayReport report = [&] {
     TRACER_SPAN("host.replay");
     obs::ScopedTimer timer(replay_us, replay_calls);
     return engine.replay(*filtered, array);
   }();
-
-  std::optional<PowerReading> reading;
-  if (window_open) reading = power_channel_->stop_window();
 
   TRACER_SPAN("host.measure");
   obs::ScopedTimer measure_timer(measure_us, measure_calls);
@@ -171,41 +158,12 @@ TestResult EvaluationHost::replay_filtered(
   result.record.iops = report.perf.iops;
   result.record.mbps = report.perf.mbps;
   result.record.avg_response_ms = report.perf.avg_response_ms;
-  if (!power_channel_) {
-    // Built-in metering: the replay engine's own sensor model.
-    result.record.avg_amps = report.avg_amps;
-    result.record.avg_volts = report.avg_volts;
-    result.record.avg_watts = report.avg_watts;
-    result.record.joules = report.joules;
-    result.record.iops_per_watt = report.efficiency.iops_per_watt;
-    result.record.mbps_per_kilowatt = report.efficiency.mbps_per_kilowatt;
-  } else if (reading && reading->avg_watts > 0.0) {
-    result.record.avg_amps = reading->avg_amps;
-    result.record.avg_volts = reading->avg_volts;
-    result.record.avg_watts = reading->avg_watts;
-    result.record.joules = reading->joules;
-    const EfficiencyMetrics efficiency = compute_efficiency(
-        report.perf.iops, report.perf.mbps, reading->avg_watts);
-    result.record.iops_per_watt = efficiency.iops_per_watt;
-    result.record.mbps_per_kilowatt = efficiency.mbps_per_kilowatt;
-  } else {
-    // Degraded: the window never opened, the analyzer vanished mid-test,
-    // or it returned a nonsensical (<= 0 W) reading. Perf fields stand;
-    // power and efficiency are explicitly N/A, not silently zero-but-true.
-    static auto& degraded = reg.counter("host.power.degraded");
-    degraded.increment();
-    result.record.power_valid = false;
-    result.record.avg_amps = 0.0;
-    result.record.avg_volts = 0.0;
-    result.record.avg_watts = 0.0;
-    result.record.joules = 0.0;
-    result.record.iops_per_watt = 0.0;
-    result.record.mbps_per_kilowatt = 0.0;
-    TRACER_LOG(kWarn) << "test [" << trace_name << " @ "
-                      << mode.load_proportion * 100
-                      << "%]: power measurement unavailable, recording "
-                      << "power_valid=false";
-  }
+  result.record.avg_amps = report.avg_amps;
+  result.record.avg_volts = report.avg_volts;
+  result.record.avg_watts = report.avg_watts;
+  result.record.joules = report.joules;
+  result.record.iops_per_watt = report.efficiency.iops_per_watt;
+  result.record.mbps_per_kilowatt = report.efficiency.mbps_per_kilowatt;
   TRACER_LOG(kInfo) << "test [" << trace_name
                     << " @ " << mode.load_proportion * 100 << "%]: "
                     << result.record.iops << " IOPS, "

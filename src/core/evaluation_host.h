@@ -30,8 +30,6 @@
 
 namespace tracer::core {
 
-class PowerChannel;
-
 struct EvaluationOptions {
   Seconds collection_duration = 4.0;  ///< peak-trace collection window
   Seconds sampling_cycle = 1.0;
@@ -92,18 +90,6 @@ class EvaluationHost {
     options_.on_cycle = std::move(hook);
   }
 
-  /// Source power numbers from an external channel (e.g. a
-  /// RemotePowerChannel to a power-analyzer host) instead of the replay
-  /// engine's own metering. Each test brackets its replay with
-  /// start_window()/stop_window(); if either side fails, the test still
-  /// completes, with record.power_valid=false and zeroed power/efficiency
-  /// fields (graceful degradation — docs/RESILIENCE.md). The channel is
-  /// borrowed, not owned; pass nullptr to go back to built-in metering.
-  /// Not thread-safe with concurrent tests: external analyzers measure one
-  /// window at a time, so drive them from serial campaigns only.
-  void set_power_channel(PowerChannel* channel) { power_channel_ = channel; }
-  PowerChannel* power_channel() const { return power_channel_; }
-
   const storage::ArrayConfig& array_config() const { return array_; }
   trace::TraceRepository& repository() { return repository_; }
 
@@ -121,7 +107,6 @@ class EvaluationHost {
   storage::ArrayConfig array_;
   trace::TraceRepository repository_;
   EvaluationOptions options_;
-  PowerChannel* power_channel_ = nullptr;  ///< borrowed; may be null
   using SharedTrace = std::shared_ptr<const trace::Trace>;
   /// One cache slot per trace key; only a failed build removes its slot.
   util::Mutex cache_mutex_;  ///< guards peak_cache_ (not the builds)

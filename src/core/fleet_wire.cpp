@@ -152,7 +152,7 @@ std::optional<ShardAssignment> decode_shard_assign(
 }
 
 net::Message encode_shard_record(const ShardRecord& record) {
-  // Reuse the PERF_RESULT record codec for the 16 record fields, then bolt
+  // Reuse the PERF_RESULT record codec for the 15 record fields, then bolt
   // the fleet routing header on with a reserved prefix.
   net::Message message = encode_record(record.record);
   message.type = net::MessageType::kShardRecord;
@@ -176,7 +176,7 @@ std::optional<ShardRecord> decode_shard_record(const net::Message& message) {
     return std::nullopt;
   }
   // Strip the fleet header and hand the rest to the strict record decoder
-  // (exactly 16 fields, nothing missing, nothing extra).
+  // (exactly 15 fields, nothing missing, nothing extra).
   net::Message inner = message;
   inner.fields.erase("fleet.fingerprint");
   inner.fields.erase("fleet.shard");

@@ -47,7 +47,6 @@ net::Message encode_record(const db::TestRecord& record) {
   message.set_double("avg_volts", record.avg_volts);
   message.set_double("avg_watts", record.avg_watts);
   message.set_double("joules", record.joules);
-  message.set_u64("power_valid", record.power_valid ? 1 : 0);
   message.set_double("iops", record.iops);
   message.set_double("mbps", record.mbps);
   message.set_double("avg_response_ms", record.avg_response_ms);
@@ -60,19 +59,15 @@ std::optional<db::TestRecord> decode_record(const net::Message& message) {
   // Strict: the full field set, nothing missing and nothing extra. The old
   // decoder default-filled absent doubles with zero, which turned a
   // half-lost frame into a plausible-looking record of an idle system.
-  if (message.fields.size() != 16) return std::nullopt;
+  if (message.fields.size() != 15) return std::nullopt;
   db::TestRecord record;
   const auto device = message.get("device");
   const auto trace_name = message.get("trace");
   const auto size = message.get_u64("request_size");
-  const auto power_valid = message.get_u64("power_valid");
-  if (!device || !trace_name || !size || !power_valid || *power_valid > 1) {
-    return std::nullopt;
-  }
+  if (!device || !trace_name || !size) return std::nullopt;
   record.device = *device;
   record.trace_name = *trace_name;
   record.request_size = *size;
-  record.power_valid = *power_valid == 1;
   auto take = [&message](const char* key, double& out) {
     if (auto v = message.get_double(key)) {
       out = *v;

@@ -60,24 +60,25 @@ bool parse_row(const std::vector<std::string>& fields, TestRecord& out) {
   out.timestamp = fields[1];
   out.device = fields[2];
   out.trace_name = fields[3];
+  // Column 17 (power_valid) is always 1 now that power is always metered
+  // in process. It must still be an unsigned integer, so rows written when
+  // it could be 0 still load, with their checksums unchanged.
   std::uint64_t power_valid = 1;
-  const bool ok = parse_u64_field(fields[0], out.test_id) &&
-                  parse_u64_field(fields[4], out.request_size) &&
-                  parse_double_field(fields[5], out.random_ratio) &&
-                  parse_double_field(fields[6], out.read_ratio) &&
-                  parse_double_field(fields[7], out.load_proportion) &&
-                  parse_double_field(fields[8], out.avg_amps) &&
-                  parse_double_field(fields[9], out.avg_volts) &&
-                  parse_double_field(fields[10], out.avg_watts) &&
-                  parse_double_field(fields[11], out.joules) &&
-                  parse_double_field(fields[12], out.iops) &&
-                  parse_double_field(fields[13], out.mbps) &&
-                  parse_double_field(fields[14], out.avg_response_ms) &&
-                  parse_double_field(fields[15], out.iops_per_watt) &&
-                  parse_double_field(fields[16], out.mbps_per_kilowatt) &&
-                  parse_u64_field(fields[17], power_valid);
-  out.power_valid = power_valid != 0;
-  return ok;
+  return parse_u64_field(fields[0], out.test_id) &&
+         parse_u64_field(fields[4], out.request_size) &&
+         parse_double_field(fields[5], out.random_ratio) &&
+         parse_double_field(fields[6], out.read_ratio) &&
+         parse_double_field(fields[7], out.load_proportion) &&
+         parse_double_field(fields[8], out.avg_amps) &&
+         parse_double_field(fields[9], out.avg_volts) &&
+         parse_double_field(fields[10], out.avg_watts) &&
+         parse_double_field(fields[11], out.joules) &&
+         parse_double_field(fields[12], out.iops) &&
+         parse_double_field(fields[13], out.mbps) &&
+         parse_double_field(fields[14], out.avg_response_ms) &&
+         parse_double_field(fields[15], out.iops_per_watt) &&
+         parse_double_field(fields[16], out.mbps_per_kilowatt) &&
+         parse_u64_field(fields[17], power_valid);
 }
 
 /// Validate one raw journal line as a record row; fills `out` on success.
@@ -174,7 +175,7 @@ std::string CampaignJournal::encode_line(const TestRecord& r) {
       .add_lossless(r.avg_response_ms)
       .add_lossless(r.iops_per_watt)
       .add_lossless(r.mbps_per_kilowatt)
-      .add(static_cast<std::uint64_t>(r.power_valid ? 1 : 0))
+      .add(std::uint64_t{1})  // power_valid: see parse_row
       .done();
   std::string line = buffer.str();
   if (!line.empty() && line.back() == '\n') line.pop_back();

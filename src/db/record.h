@@ -29,11 +29,6 @@ struct TestRecord {
   double avg_volts = 0.0;
   Watts avg_watts = 0.0;
   Joules joules = 0.0;
-  /// False when the power channel was down for this test: the replay
-  /// completed and the performance figures are real, but power and the
-  /// efficiency metrics are unmeasured (zeroed) — degraded, not failed
-  /// (docs/RESILIENCE.md).
-  bool power_valid = true;
 
   // Performance result
   double iops = 0.0;

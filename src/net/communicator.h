@@ -53,8 +53,9 @@ struct CallOptions {
 /// this cache and gets the reply re-sent — the command does not run twice.
 /// request_id 0 (legacy/OOB) is never cached.
 ///
-/// Concurrency: thread-confined, like the Communicator/Messenger that own
-/// it (DESIGN.md §6e) — no internal locking.
+/// Concurrency: thread-confined, like the Communicator and the
+/// WorkloadGeneratorService that own it (DESIGN.md §6e) — no internal
+/// locking.
 class ReplyCache {
  public:
   explicit ReplyCache(std::size_t capacity = 32) : capacity_(capacity) {}

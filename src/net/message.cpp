@@ -20,10 +20,6 @@ const char* to_string(MessageType type) {
     case MessageType::kStopTest: return "STOP_TEST";
     case MessageType::kPerfResult: return "PERF_RESULT";
     case MessageType::kProgress: return "PROGRESS";
-    case MessageType::kPowerInit: return "POWER_INIT";
-    case MessageType::kPowerStart: return "POWER_START";
-    case MessageType::kPowerStop: return "POWER_STOP";
-    case MessageType::kPowerResult: return "POWER_RESULT";
     case MessageType::kShardAssign: return "SHARD_ASSIGN";
     case MessageType::kShardRecord: return "SHARD_RECORD";
     case MessageType::kShardDone: return "SHARD_DONE";
@@ -124,10 +120,6 @@ std::optional<Message> Message::try_deserialize(
       case MessageType::kStopTest:
       case MessageType::kPerfResult:
       case MessageType::kProgress:
-      case MessageType::kPowerInit:
-      case MessageType::kPowerStart:
-      case MessageType::kPowerStop:
-      case MessageType::kPowerResult:
       case MessageType::kShardAssign:
       case MessageType::kShardRecord:
       case MessageType::kShardDone:

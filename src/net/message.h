@@ -1,5 +1,7 @@
-// Wire protocol between the evaluation host, the workload generator, and
-// the power analyzer (§III-A1: communicator / messenger / parser modules).
+// Wire protocol between the evaluation host, the workload generator and the
+// fleet campaign workers (§III-A1: communicator / parser modules). Power is
+// metered in process by power::PowerAnalyzer, so no frame reaches a meter
+// (DESIGN.md §2).
 //
 // A message is a typed command or report with a string key-value payload,
 // serialised to a length-prefixed little-endian frame. The testbed ran
@@ -26,12 +28,8 @@ enum class MessageType : std::uint16_t {
   // Workload generator -> evaluation host
   kPerfResult = 20,  ///< IOPS / MBPS / response time
   kProgress = 21,    ///< per-cycle progress during a run
-  // Evaluation host -> power analyzer (via messenger)
-  kPowerInit = 30,
-  kPowerStart = 31,
-  kPowerStop = 32,
-  // Power analyzer -> evaluation host
-  kPowerResult = 40,  ///< current / voltage / watts
+  // 30-32 and 40 are retired (power-analyzer commands). Do not reuse them:
+  // a frame from an older peer must decode to nullopt, not as another type.
   // Fleet campaign coordinator <-> campaign worker (docs/FLEET.md)
   kShardAssign = 50,  ///< coordinator -> worker: leased slice of the matrix
   kShardRecord = 51,  ///< worker -> coordinator: one completed test's record

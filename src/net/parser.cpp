@@ -16,10 +16,6 @@ MessageType type_from_name(const std::string& name) {
       {"STOP_TEST", MessageType::kStopTest},
       {"PERF_RESULT", MessageType::kPerfResult},
       {"PROGRESS", MessageType::kProgress},
-      {"POWER_INIT", MessageType::kPowerInit},
-      {"POWER_START", MessageType::kPowerStart},
-      {"POWER_STOP", MessageType::kPowerStop},
-      {"POWER_RESULT", MessageType::kPowerResult},
   };
   for (const auto& [text, type] : kNames) {
     if (name == text) return type;

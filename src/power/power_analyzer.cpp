@@ -52,7 +52,6 @@ void PowerAnalyzer::start(Seconds t) {
   started_at_ = t;
   last_sample_ = t;
   running_ = true;
-  stopped_ = false;
   for (auto& channel : channels_) {
     channel.energy_at_start = channel.source->energy_until(t);
     channel.last_energy = channel.energy_at_start;
@@ -61,24 +60,9 @@ void PowerAnalyzer::start(Seconds t) {
   }
 }
 
-void PowerAnalyzer::stop() {
-  util::MutexLock lock(mutex_);
-  if (!running_) return;
-  running_ = false;
-  stopped_ = true;
-}
-
 void PowerAnalyzer::sample_at(Seconds t) {
   util::MutexLock lock(mutex_);
   if (!running_) {
-    if (stopped_) {
-      // Window closed: the driver's sampling loop may lag the STOP command;
-      // its readings must not leak into the finished report.
-      static auto& ignored =
-          obs::Registry::global().counter("power.samples_ignored");
-      ignored.increment();
-      return;
-    }
     throw std::logic_error("PowerAnalyzer: sample_at before start");
   }
   const Seconds dt = t - last_sample_;
@@ -111,21 +95,9 @@ void PowerAnalyzer::schedule_sampling(sim::Simulator& sim, Seconds t_start,
 
 const ChannelReport& PowerAnalyzer::report(std::size_t channel) const {
   // The returned reference outlives the lock; see the header contract
-  // (reports are read after stop(), never while a window is sampling).
+  // (reports are read after the last sample, never while one is taken).
   util::MutexLock lock(mutex_);
   return channels_.at(channel).report;
-}
-
-void PowerAnalyzer::reset() {
-  util::MutexLock lock(mutex_);
-  running_ = false;
-  stopped_ = false;
-  for (auto& channel : channels_) {
-    channel.report.samples.clear();
-    channel.report.true_joules = 0.0;
-    channel.energy_at_start = 0.0;
-    channel.last_energy = 0.0;
-  }
 }
 
 }  // namespace tracer::power

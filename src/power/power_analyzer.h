@@ -55,39 +55,18 @@ class PowerAnalyzer {
   /// discarded.
   void start(Seconds t);
 
-  /// End the measurement window. Reports keep the samples taken so far;
-  /// sample_at calls after stop() are ignored (the driver's sampling loop
-  /// may outlive the window — e.g. a GUI that keeps polling after
-  /// POWER_STOP — and must not pollute the closed report).
-  void stop();
-
-  /// Measuring right now (start()ed and not yet stop()ped/reset()).
-  bool running() const {
-    util::MutexLock lock(mutex_);
-    return running_;
-  }
-
   /// Take one reading on every channel for the cycle ending at time t.
-  /// Throws if the analyzer was never started; silently ignored when the
-  /// window was closed with stop().
+  /// Throws if the analyzer was never started.
   void sample_at(Seconds t);
 
   /// Convenience: schedule per-cycle sampling events on `sim` over
   /// [t_start, t_end]. The caller still runs the simulator.
   void schedule_sampling(sim::Simulator& sim, Seconds t_start, Seconds t_end);
 
-  std::size_t channel_count() const {
-    util::MutexLock lock(mutex_);
-    return channels_.size();
-  }
-
   /// Reference into this analyzer's channel state. Stable only while no
-  /// window is open: read reports after stop() (a concurrent sample_at
-  /// would be appending to the vector behind the reference).
+  /// sample_at runs (it appends to the vector behind the reference): read
+  /// reports after the last sample.
   const ChannelReport& report(std::size_t channel) const;
-
-  /// Clear all recorded samples; keeps channels and calibration.
-  void reset();
 
  private:
   struct Channel {
@@ -100,17 +79,14 @@ class PowerAnalyzer {
 
   Seconds cycle_;  ///< immutable after construction
   HallSensorParams sensor_params_;  ///< immutable after construction
-  /// Window state below is guarded: the driver loop that ticks sample_at
-  /// and the control path that calls stop()/reset() may be different
-  /// threads (POWER_STOP arrives over the messenger while the sampling
-  /// loop is still running), so stop-vs-tick must serialise.
+  /// Window state below is guarded: the loop that ticks sample_at and the
+  /// caller that opens a window with start() may be different threads, so
+  /// a start() racing a tick must serialise with it.
   mutable util::Mutex mutex_;
   util::Rng seed_rng_ TRACER_GUARDED_BY(mutex_);
   Seconds started_at_ TRACER_GUARDED_BY(mutex_) = 0.0;
   Seconds last_sample_ TRACER_GUARDED_BY(mutex_) = 0.0;
   bool running_ TRACER_GUARDED_BY(mutex_) = false;
-  /// start()ed then stop()ped (window closed).
-  bool stopped_ TRACER_GUARDED_BY(mutex_) = false;
   std::vector<Channel> channels_ TRACER_GUARDED_BY(mutex_);
 };
 

@@ -43,7 +43,7 @@ TEST(Communicator, RequestMatchesReplyBySequence) {
     server.reply(*request, make_ack(0));
   });
   Message command;
-  command.type = MessageType::kPowerInit;
+  command.type = MessageType::kConfigureTest;
   auto reply = client.request(std::move(command), 5.0);
   service.join();
   ASSERT_TRUE(reply.has_value());

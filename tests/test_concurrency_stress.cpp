@@ -12,7 +12,6 @@
 #include "core/replay_engine.h"
 #include "mixed_trace.h"
 #include "net/communicator.h"
-#include "net/messenger.h"
 #include "obs/registry.h"
 #include "power/power_analyzer.h"
 #include "storage/disk_array.h"
@@ -23,7 +22,7 @@ namespace {
 
 // Constant-power source whose energy integral tolerates OUT-OF-ORDER
 // query times. PowerTimeline demands monotone time (a meter's cursor),
-// but this suite's whole point is stop()/start() from one thread racing
+// but this suite's whole point is start() from one thread racing
 // sample_at() ticks from another — the two threads' time arguments
 // interleave arbitrarily, so the test double must clamp instead of
 // throw. All calls arrive under the analyzer's internal lock, so the
@@ -109,7 +108,7 @@ TEST(ConcurrencyStress, CommunicatorResetDuringCall) {
     });
 
     net::Message command;
-    command.type = net::MessageType::kPowerInit;
+    command.type = net::MessageType::kConfigureTest;
     net::CallOptions options;
     options.attempt_timeout = 0.2;
     options.max_attempts = 5;
@@ -130,10 +129,9 @@ TEST(ConcurrencyStress, CommunicatorResetDuringCall) {
   }
 }
 
-// One thread ticks sample_at while another slams stop/start windows: ticks
-// after stop must be ignored (never recorded into the closed report) and
-// nothing may tear.
-TEST(ConcurrencyStress, PowerAnalyzerStopVsTick) {
+// One thread ticks sample_at while another re-opens the window with
+// start(): nothing may tear, and a window opened after the race is clean.
+TEST(ConcurrencyStress, PowerAnalyzerStartVsTick) {
   StressSource source(100.0);
   power::PowerAnalyzer analyzer(/*cycle=*/0.01);
   analyzer.add_channel(source);
@@ -144,27 +142,21 @@ TEST(ConcurrencyStress, PowerAnalyzerStopVsTick) {
     Seconds t = 0.0;
     while (!done.load(std::memory_order_acquire)) {
       t += 0.01;
-      analyzer.sample_at(t);  // ignored once a stop() lands
+      analyzer.sample_at(t);  // behind a restarted window: skipped
     }
   });
   for (int i = 0; i < 200; ++i) {
-    analyzer.stop();
-    std::this_thread::yield();
     analyzer.start(static_cast<double>(i));
+    std::this_thread::yield();
   }
-  analyzer.stop();
   done.store(true, std::memory_order_release);
   ticker.join();
 
-  EXPECT_FALSE(analyzer.running());
-  // Closed window: late ticks land on the ignored counter, not the report.
-  const auto ignored_before = obs::Registry::global().snapshot().counter_or(
-      "power.samples_ignored");
-  analyzer.sample_at(1e6);
-  analyzer.sample_at(2e6);
-  EXPECT_EQ(obs::Registry::global().snapshot().counter_or(
-                "power.samples_ignored"),
-            ignored_before + 2);
+  // A window opened past every racing tick holds only its own sample.
+  analyzer.start(1e6);
+  analyzer.sample_at(1e6 + 1.0);
+  EXPECT_EQ(analyzer.report(0).samples.size(), 1u);
+  EXPECT_EQ(analyzer.report(0).true_joules, 100.0);
 }
 
 // ThreadPool construction/teardown churn with submitters racing shutdown:

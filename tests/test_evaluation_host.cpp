@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/campaign.h"
+#include "core/proportional_filter.h"
 #include "obs/registry.h"
 #include "util/thread_pool.h"
 #include "workload/cello_model.h"
@@ -94,13 +95,31 @@ TEST_F(EvaluationHostTest, RunTraceLabelsExternalWorkloads) {
   workload::CelloParams params;
   params.duration = 5.0;
   workload::CelloModel cello(params);
-  const TestResult result = host.run_source(
-      trace::make_source(trace::TraceView::owning(cello.generate())),
-      "cello99", 0.5);
+  const auto source =
+      trace::make_source(trace::TraceView::owning(cello.generate()));
+  const TestResult result = host.run_source(source, "cello99", 0.5);
   EXPECT_EQ(result.record.trace_name, "cello99");
   EXPECT_DOUBLE_EQ(result.record.load_proportion, 0.5);
   EXPECT_NEAR(result.record.read_ratio, 0.58, 0.05);
   EXPECT_GT(result.record.iops, 0.0);
+
+  // The host's test body is exactly filter -> replay: a hand-built engine
+  // on the filtered source gives bit-equal performance figures. Only the
+  // power fields may differ (the host seeds its own sensor).
+  ReplayOptions replay_options;
+  replay_options.sampling_cycle = options_.sampling_cycle;
+  ReplayEngine engine(replay_options);
+  storage::DiskArray array(engine.simulator(),
+                           storage::ArrayConfig::hdd_testbed(6));
+  const ReplayReport direct =
+      engine.replay(*ProportionalFilter::apply(source, 0.5), array);
+  EXPECT_EQ(result.report.perf.iops, direct.perf.iops);
+  EXPECT_EQ(result.report.perf.mbps, direct.perf.mbps);
+  EXPECT_EQ(result.report.perf.avg_response_ms, direct.perf.avg_response_ms);
+  EXPECT_EQ(result.report.perf.iops_series, direct.perf.iops_series);
+  EXPECT_EQ(result.record.iops, direct.perf.iops);
+  EXPECT_EQ(result.record.mbps, direct.perf.mbps);
+  EXPECT_EQ(result.record.avg_response_ms, direct.perf.avg_response_ms);
 }
 
 TEST_F(EvaluationHostTest, SweepRunsAllModesInParallel) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "util/csv.h"
+#include "util/hash.h"
 
 namespace tracer::db {
 namespace {
@@ -60,7 +62,6 @@ TestRecord make_record(std::uint64_t id) {
   r.avg_volts = 12.0;
   r.avg_watts = 15.0;
   r.joules = 450.0;
-  r.power_valid = id % 2 == 0;
   r.iops = 1000.0 + static_cast<double>(id);
   r.mbps = 80.5;
   r.avg_response_ms = 3.125;
@@ -90,7 +91,6 @@ TEST_F(JournalTest, RoundTripsRecordsThroughChecksummedRows) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(rows[i].test_id, i);
     EXPECT_EQ(rows[i].trace_name, "trace_" + std::to_string(i));
-    EXPECT_EQ(rows[i].power_valid, i % 2 == 0);
   }
 }
 
@@ -203,6 +203,44 @@ TEST_F(JournalTest, LegacyWidthRowsAreRejected) {
 
   write_file(path(), header + legacy18 + "\n" + legacy17 + "\n");
   EXPECT_TRUE(CampaignJournal::load(path()).empty());
+}
+
+TEST_F(JournalTest, RowsWithPowerValidZeroStillLoad) {
+  // Rows written when the power_valid column could still be 0 (a test
+  // whose external power reading was lost). Power is now always metered in
+  // process, so the column is always written as 1, but these rows must
+  // still load, with the 1-rows re-encoding to the same bytes.
+  const std::string header =
+      "test_id,timestamp,device,trace,request_size,random_ratio,read_ratio,"
+      "load_proportion,avg_amps,avg_volts,avg_watts,joules,iops,mbps,"
+      "avg_response_ms,iops_per_watt,mbps_per_kilowatt,power_valid,"
+      "row_checksum\n";
+  const std::string valid_row =
+      "0,2026-10-01T00:00:00Z,raid5-hdd6,web,4096,0.5,0.25,"
+      "0.10000000000000001,0.375,220,82.5,330,100,0.5,7.25,1.5,6,1,"
+      "3bdf61da5dcd5449";
+  const std::string zero_row =
+      "1,2026-10-01T00:00:00Z,raid5-hdd6,web,4096,0.5,0.25,"
+      "0.20000000000000001,0.375,220,0,0,101,0.5,7.25,0,0,0,"
+      "301401c3572e7c68";
+  write_file(path(), header + valid_row + "\n" + zero_row + "\n");
+  const auto rows = CampaignJournal::load(path());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(CampaignJournal::encode_line(rows[0]), valid_row);
+  EXPECT_EQ(rows[1].test_id, 1u);
+  EXPECT_EQ(rows[1].iops, 101.0);
+  EXPECT_EQ(rows[1].avg_watts, 0.0);
+
+  // The column must still hold an unsigned integer, checksum or not.
+  const std::string prefix =
+      "1,2026-10-01T00:00:00Z,raid5-hdd6,web,4096,0.5,0.25,"
+      "0.20000000000000001,0.375,220,0,0,101,0.5,7.25,0,0,x";
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(util::fnv1a(prefix)));
+  TestRecord scratch;
+  EXPECT_FALSE(CampaignJournal::parse_record_line(
+      prefix + "," + checksum, scratch));
 }
 
 TEST_F(JournalTest, RefusesFieldsThatWouldBreakLineRecovery) {

@@ -65,6 +65,30 @@ TEST(Message, UnknownTypeRejected) {
   EXPECT_THROW(Message::deserialize(frame), std::runtime_error);
 }
 
+TEST(Message, RetiredPowerTypeCodesDecodeToNullopt) {
+  // Codes 30-32 and 40 carried the power-analyzer commands. A frame with
+  // one of them and a valid checksum is now an unknown type.
+  auto frame_with_type = [](std::uint16_t code) {
+    auto frame = make_ack(1).serialize();
+    frame[0] = static_cast<std::uint8_t>(code & 0xFF);
+    frame[1] = static_cast<std::uint8_t>(code >> 8);
+    const std::size_t body = frame.size() - 8;
+    const std::uint64_t checksum = fnv1a(frame.data(), body);
+    for (std::size_t i = 0; i < 8; ++i) {
+      frame[body + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
+    }
+    return frame;
+  };
+  // Control: the re-checksummed frame decodes with a live code.
+  const auto live = Message::try_deserialize(frame_with_type(10));
+  ASSERT_TRUE(live.has_value());
+  EXPECT_EQ(live->type, MessageType::kConfigureTest);
+  for (std::uint16_t code : {30, 31, 32, 40}) {
+    EXPECT_FALSE(Message::try_deserialize(frame_with_type(code)).has_value())
+        << "type code " << code;
+  }
+}
+
 TEST(Message, TruncatedFrameRejected) {
   Message original;
   original.type = MessageType::kPerfResult;
@@ -88,9 +112,9 @@ TEST(Message, AllTypesHaveNames) {
            MessageType::kAck, MessageType::kError,
            MessageType::kConfigureTest, MessageType::kStartTest,
            MessageType::kStopTest, MessageType::kPerfResult,
-           MessageType::kProgress, MessageType::kPowerInit,
-           MessageType::kPowerStart, MessageType::kPowerStop,
-           MessageType::kPowerResult,
+           MessageType::kHeartbeat, MessageType::kProgress,
+           MessageType::kShardAssign, MessageType::kShardRecord,
+           MessageType::kShardDone, MessageType::kLeaseRenew,
        }) {
     EXPECT_STRNE(to_string(type), "UNKNOWN");
   }

@@ -28,8 +28,8 @@ TEST(Parser, ParsesBareCommand) {
 }
 
 TEST(Parser, ToleratesExtraWhitespace) {
-  const Message message = Parser::parse_command("  POWER_INIT   ch=0  ");
-  EXPECT_EQ(message.type, MessageType::kPowerInit);
+  const Message message = Parser::parse_command("  STOP_TEST   ch=0  ");
+  EXPECT_EQ(message.type, MessageType::kStopTest);
   EXPECT_EQ(*message.get("ch"), "0");
 }
 
@@ -37,6 +37,12 @@ TEST(Parser, RejectsUnknownCommand) {
   EXPECT_THROW(Parser::parse_command("EXPLODE now=yes"), std::runtime_error);
   EXPECT_THROW(Parser::parse_command(""), std::runtime_error);
   EXPECT_THROW(Parser::parse_command("   "), std::runtime_error);
+  // The retired power-analyzer commands are unknown like any other word.
+  for (const char* verb : {"INIT", "START", "STOP", "RESULT"}) {
+    EXPECT_THROW(Parser::parse_command(std::string("POWER_") + verb),
+                 std::runtime_error)
+        << verb;
+  }
 }
 
 TEST(Parser, RejectsMalformedFields) {
@@ -48,11 +54,11 @@ TEST(Parser, RejectsMalformedFields) {
 
 TEST(Parser, FormatsMessageBack) {
   Message message;
-  message.type = MessageType::kPowerResult;
+  message.type = MessageType::kPerfResult;
   message.set("watts", "81.2");
   message.set("amps", "0.37");
   EXPECT_EQ(Parser::format_message(message),
-            "POWER_RESULT amps=0.37 watts=81.2");
+            "PERF_RESULT amps=0.37 watts=81.2");
 }
 
 TEST(Parser, RoundTripsThroughBothDirections) {

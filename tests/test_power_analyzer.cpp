@@ -138,18 +138,19 @@ TEST(PowerAnalyzer, ScheduleSamplingKeepsSampleAtExactWindowEnd) {
   EXPECT_EQ(analyzer.report(0).samples.size(), 7u);
 }
 
-TEST(PowerAnalyzer, ResetClearsSamplesKeepsChannels) {
+TEST(PowerAnalyzer, StartClearsPriorWindowKeepsChannels) {
   FakeSource source("r", 3.0);
   PowerAnalyzer analyzer(1.0, perfect_sensor());
   analyzer.add_channel(source);
   analyzer.start(0.0);
   analyzer.sample_at(1.0);
-  analyzer.reset();
-  EXPECT_EQ(analyzer.channel_count(), 1u);
+  analyzer.sample_at(2.0);
+  analyzer.start(2.0);  // a new window drops the old samples and energy
   EXPECT_TRUE(analyzer.report(0).samples.empty());
-  analyzer.start(2.0);
+  EXPECT_EQ(analyzer.report(0).true_joules, 0.0);
   analyzer.sample_at(3.0);
   EXPECT_EQ(analyzer.report(0).samples.size(), 1u);
+  EXPECT_DOUBLE_EQ(analyzer.report(0).true_joules, 3.0);
 }
 
 }  // namespace

@@ -100,20 +100,6 @@ TEST_F(RemoteTest, RecordDecodingRejectsMistypedFields) {
   net::Message message = encode_record(sample_record());
   message.set("iops", "not a number");
   EXPECT_FALSE(decode_record(message).has_value());
-  message = encode_record(sample_record());
-  message.set_u64("power_valid", 2);  // only 0/1 are meaningful
-  EXPECT_FALSE(decode_record(message).has_value());
-}
-
-TEST_F(RemoteTest, PowerValidFlagRoundTripsOverWire) {
-  db::TestRecord degraded = sample_record();
-  degraded.power_valid = false;
-  const auto decoded = decode_record(encode_record(degraded));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_FALSE(decoded->power_valid);
-  const auto healthy = decode_record(encode_record(sample_record()));
-  ASSERT_TRUE(healthy.has_value());
-  EXPECT_TRUE(healthy->power_valid);
 }
 
 TEST_F(RemoteTest, RecordEncodingRoundTrips) {
@@ -215,6 +201,61 @@ TEST_F(RemoteTest, FullClientServerExchangeOverChannel) {
   remote.stop();
   server_thread.join();
   EXPECT_EQ(replay_calls.value() - replays_before, 1u);  // ran exactly once
+}
+
+TEST_F(RemoteTest, RetransmittedStartReturnsCachedRecordNotRerun) {
+  // START_TEST is not idempotent (a second run would append a second
+  // record); the service's dedup cache is what makes the RPC idempotent.
+  EvaluationHost host(storage::ArrayConfig::hdd_testbed(6), dir_, options_);
+  auto [client_end, server_end] = net::make_channel();
+  net::Communicator client(std::move(client_end));
+  WorkloadGeneratorService service(host);
+  std::thread server_thread(
+      [&service, endpoint = std::move(server_end)]() mutable {
+        net::Communicator server(std::move(endpoint));
+        service.serve(server);
+      });
+
+  net::CallOptions options;
+  options.attempt_timeout = 60.0;
+  const auto ack = client.call(encode_mode(mode(0.5)), options);
+  ASSERT_TRUE(ack.has_value());
+  ASSERT_EQ(ack->type, net::MessageType::kAck);
+
+  auto& registry = obs::Registry::global();
+  auto& dedup_hits = registry.counter("net.rpc.dedup_hits");
+  auto& replay_calls = registry.counter("host.phase.replay.calls");
+  const std::uint64_t hits_before = dedup_hits.value();
+  const std::uint64_t replays_before = replay_calls.value();
+  // The reply to a command, skipping the PROGRESS frames a run streams.
+  auto next_reply = [&client] {
+    auto message = client.recv(60.0);
+    while (message && message->type == net::MessageType::kProgress) {
+      message = client.recv(60.0);
+    }
+    return message;
+  };
+  // The two START transmissions go out raw (same request_id, fresh
+  // sequence): exactly the bytes a call() retry produces, but without the
+  // client's own duplicate-reply filter hiding the second reply from us.
+  net::Message start;
+  start.type = net::MessageType::kStartTest;
+  start.request_id = 103;
+  client.send(start);
+  const auto first = next_reply();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->type, net::MessageType::kPerfResult);
+  start.sequence = 0;  // let send() stamp a fresh transport sequence
+  client.send(start);
+  const auto second = next_reply();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->type, first->type);
+  EXPECT_EQ(second->fields, first->fields);
+  EXPECT_EQ(dedup_hits.value(), hits_before + 1);
+  EXPECT_EQ(replay_calls.value(), replays_before + 1);  // ran exactly once
+
+  client.close();
+  server_thread.join();
 }
 
 TEST_F(RemoteTest, ServiceStopsOnPeerHangup) {

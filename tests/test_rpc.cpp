@@ -1,43 +1,18 @@
 // The idempotent-RPC layer (docs/RESILIENCE.md): Communicator::call's
 // retries, request-id stability, duplicate-reply filtering, liveness
-// deadlines, transport reset, server-side dedup through Messenger::serve,
-// and RemotePowerChannel's graceful degradation when the analyzer is gone.
+// deadlines and transport reset. Server-side dedup through
+// WorkloadGeneratorService::serve is checked in test_remote.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 #include <vector>
 
-#include "core/power_channel.h"
 #include "net/communicator.h"
 #include "net/fault.h"
-#include "net/messenger.h"
-#include "obs/registry.h"
-#include "power/power_timeline.h"
 
 namespace tracer::net {
 namespace {
-
-class FakeSource final : public power::PowerSource {
- public:
-  explicit FakeSource(Watts base) : timeline_(base) {}
-  std::string name() const override { return "fake-array"; }
-  Watts power_at(Seconds t) const override { return timeline_.power_at(t); }
-  Joules energy_until(Seconds t) override { return timeline_.energy_until(t); }
-
- private:
-  power::PowerTimeline timeline_;
-};
-
-power::HallSensorParams perfect_sensor() {
-  power::HallSensorParams params;
-  params.noise_relative = 0.0;
-  params.gain_sigma = 0.0;
-  params.offset_watts = 0.0;
-  params.quantum_watts = 0.0;
-  params.voltage_ripple = 0.0;
-  return params;
-}
 
 TEST(ReplyCache, FindsInsertedAndEvictsOldest) {
   ReplyCache cache(/*capacity=*/2);
@@ -78,7 +53,7 @@ TEST(Call, SucceedsFirstAttemptAndStampsRequestId) {
     server.reply(*request, make_ack(0));
   });
   Message command;
-  command.type = MessageType::kPowerInit;
+  command.type = MessageType::kConfigureTest;
   CallOptions options;
   options.attempt_timeout = 5.0;
   auto reply = client.call(std::move(command), options);
@@ -150,7 +125,7 @@ TEST(Call, LateDuplicateReplyIsDropped) {
     server.reply(*request, make_ack(0));
   });
   Message command;
-  command.type = MessageType::kPowerStart;
+  command.type = MessageType::kConfigureTest;
   CallOptions options;
   options.attempt_timeout = 5.0;
   auto reply = client.call(std::move(command), options);
@@ -235,7 +210,7 @@ TEST(Call, ResetRepairsLinkAndRetryDedupsOnServer) {
   });
 
   Message command;
-  command.type = MessageType::kPowerInit;
+  command.type = MessageType::kConfigureTest;
   CallOptions options;
   options.attempt_timeout = 1.0;
   options.max_attempts = 3;
@@ -258,116 +233,6 @@ TEST(Call, ResetRepairsLinkAndRetryDedupsOnServer) {
   if (second_service.joinable()) second_service.join();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, MessageType::kAck);
-}
-
-TEST(MessengerDedup, RetransmittedStopReturnsCachedResultNotError) {
-  // POWER_STOP is not idempotent at the device level (stopping twice is an
-  // error) — the dedup cache is what makes the RPC idempotent.
-  FakeSource source(50.0);
-  power::PowerAnalyzer analyzer(1.0, perfect_sensor());
-  analyzer.add_channel(source);
-  Messenger messenger(analyzer);
-
-  auto [a, b] = make_channel();
-  Communicator client(std::move(a));
-  std::thread service([&messenger, endpoint = std::move(b)]() mutable {
-    Communicator comm(std::move(endpoint));
-    messenger.serve(comm, /*idle_timeout=*/5.0);
-  });
-
-  CallOptions options;
-  options.attempt_timeout = 5.0;
-  ASSERT_TRUE(client.call(
-      [] {
-        Message m;
-        m.type = MessageType::kPowerInit;
-        return m;
-      }(),
-      options));
-  ASSERT_TRUE(client.call(
-      [] {
-        Message m;
-        m.type = MessageType::kPowerStart;
-        return m;
-      }(),
-      options));
-  // The two STOP transmissions go out raw (same request_id, fresh
-  // sequence) — exactly the bytes a call() retry produces, but without the
-  // client's own duplicate-reply filter hiding the second reply from us.
-  auto& dedup_hits = obs::Registry::global().counter("net.rpc.dedup_hits");
-  const std::uint64_t hits_before = dedup_hits.value();
-  Message stop;
-  stop.type = MessageType::kPowerStop;
-  stop.request_id = 103;
-  client.send(stop);
-  auto first = client.recv(5.0);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->type, MessageType::kPowerResult);
-  // Same request_id again — as a lost-reply retransmit would send it. A
-  // re-run would fail ("not running"); the cache replays the real result.
-  stop.sequence = 0;  // let send() stamp a fresh transport sequence
-  client.send(stop);
-  auto second = client.recv(5.0);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->type, MessageType::kPowerResult);
-  EXPECT_EQ(second->fields, first->fields);
-  EXPECT_EQ(dedup_hits.value(), hits_before + 1);
-
-  client.close();
-  service.join();
-}
-
-TEST(RemotePowerChannel, MeasuresWindowOverCleanLink) {
-  FakeSource source(80.0);
-  power::PowerAnalyzer analyzer(1.0, perfect_sensor());
-  analyzer.add_channel(source);
-  Messenger messenger(analyzer);
-
-  auto [a, b] = make_channel();
-  Communicator client_comm(std::move(a));
-  std::thread service([&messenger, endpoint = std::move(b)]() mutable {
-    Communicator comm(std::move(endpoint));
-    messenger.serve(comm, /*idle_timeout=*/5.0);
-  });
-
-  core::RemotePowerChannel channel(client_comm);
-  ASSERT_TRUE(channel.start_window());
-  for (int t = 1; t <= 4; ++t) analyzer.sample_at(t);
-  auto reading = channel.stop_window();
-  ASSERT_TRUE(reading.has_value());
-  EXPECT_NEAR(reading->avg_watts, 80.0, 1e-6);
-  EXPECT_GT(reading->joules, 0.0);
-
-  client_comm.close();
-  service.join();
-}
-
-TEST(RemotePowerChannel, DeadLinkDegradesInsteadOfThrowing) {
-  auto [a, b] = make_channel();
-  Communicator client_comm(std::move(a));
-  b.close();  // analyzer host is gone
-  core::RemotePowerChannel::Options options;
-  options.timeout = 0.02;
-  options.max_attempts = 1;
-  core::RemotePowerChannel channel(client_comm, options);
-  EXPECT_FALSE(channel.start_window());
-  EXPECT_FALSE(channel.stop_window().has_value());
-}
-
-TEST(RemotePowerChannel, DecodeRejectsMissingChannelFields) {
-  Message result;
-  result.type = MessageType::kPowerResult;
-  result.set_u64("channels", 2);
-  result.set_double("ch0.watts", 10.0);
-  result.set_double("ch0.joules", 5.0);
-  result.set_double("ch0.volts", 12.0);
-  result.set_double("ch0.amps", 0.8);
-  // ch1.* entirely missing.
-  EXPECT_FALSE(core::decode_power_result(result).has_value());
-  result.set_u64("channels", 1);
-  auto reading = core::decode_power_result(result);
-  ASSERT_TRUE(reading.has_value());
-  EXPECT_NEAR(reading->avg_watts, 10.0, 1e-12);
 }
 
 TEST(CallOverFaultyLink, CompletesDespiteDropsAndCorruption) {
@@ -394,7 +259,7 @@ TEST(CallOverFaultyLink, CompletesDespiteDropsAndCorruption) {
   int completed = 0;
   for (int i = 0; i < 10; ++i) {
     Message command;
-    command.type = MessageType::kPowerInit;
+    command.type = MessageType::kConfigureTest;
     command.set_u64("i", static_cast<std::uint64_t>(i));
     if (client.call(std::move(command), options)) ++completed;
   }
